@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from defcalc.lang import BOOL, EnumT, INT, RAT, VBool, VEnum, VInt, VRat
-from defcalc.smtlib import parse_sexprs
+from defcalc.smtlib import _const, _sort_of_leaf, _symname, parse_sexprs
 from defcalc.solver import Sat, Unknown, _builtin_check
 from defcalc.symbolic import (
     Leaf, SymBin, SymConst, SymFloor, SymIsVariant, SymNot, SymRound, SymVar,
@@ -113,20 +113,8 @@ def main() -> int:
         print("sat")
         print("(")
         for leaf in decls:
-            v = res.model[leaf.name]
-            if isinstance(v, VBool):
-                body, sort = ("true" if v.b else "false"), "Bool"
-            elif isinstance(v, VInt):
-                body, sort = (str(v.i) if v.i >= 0 else f"(- {-v.i})"), "Int"
-            elif isinstance(v, VEnum):
-                body, sort = v.variant, v.enum
-            else:
-                q = v.q
-                body = f"(/ {q.numerator} {q.denominator})" if q >= 0 \
-                    else f"(- (/ {-q.numerator} {q.denominator}))"
-                sort = "Real"
-            sym = leaf.name if leaf.name.isidentifier() else f"|{leaf.name}|"
-            print(f"  (define-fun {sym} () {sort} {body})")
+            print(f"  (define-fun {_symname(leaf.name)} () {_sort_of_leaf(leaf.ty)} "
+                  f"{_const(res.model[leaf.name])})")
         print(")")
     elif isinstance(res, Unknown):
         print("unknown")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .lang import MONEY, Program, validate
@@ -30,18 +31,14 @@ from .concolic import (
     BranchRecord, ConcolicOpts, Origin, run_scope_concolic,
 )
 from .solver import (
-    DEFAULT_BUDGET, Sat, SolverFailure, SolverSession, Unknown, Unsat,
-    simplify,
+    DEFAULT_BUDGET, SOFT_TIERS, Sat, SolverFailure, SolverSession, Unknown,
+    Unsat, simplify,
 )
 from .symbolic import (
     FALSE, TRUE, default_value, inputs_of_leaf_env,
     leaf_env_of_inputs, render, scope_leaves, sym_not,
 )
 from . import transforms
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 class PrefixInvariantViolation(Exception):
@@ -132,6 +129,11 @@ class _Entry:
     record: BranchRecord
     done: bool = False
 
+    @cached_property
+    def key(self) -> Optional[str]:
+        """The record's `literal_key`, computed on first use."""
+        return literal_key(self.record.constraint)
+
 
 class Frontier:
     """The last explored path with per-position negation bookkeeping."""
@@ -161,6 +163,10 @@ class Frontier:
 
     def next_target(self, trivial_filter: bool) -> Optional[int]:
         """Deepest record not yet negated and eligible for negation."""
+        first: dict = {}  # literal key -> index of its first record
+        if trivial_filter:
+            for i, e in enumerate(self.entries):
+                first.setdefault(e.key, i)
         for k in range(len(self.entries) - 1, -1, -1):
             e = self.entries[k]
             if e.done:
@@ -169,7 +175,7 @@ class Frontier:
                 e.done = True
                 continue
             if trivial_filter and not filter_trivial(
-                    e.record, [x.record for x in self.entries[:k]]):
+                    e.record, e.key, first[e.key] < k):
                 e.done = True
                 continue
             return k
@@ -184,20 +190,19 @@ class Frontier:
         return [e.record.constraint for e in self.entries[:k]]
 
 
-def filter_trivial(record: BranchRecord, earlier: list) -> bool:
+def literal_key(constraint) -> Optional[str]:
+    """Rendering of the simplified literal, under which repeated records are
+    found; None when the literal simplifies to a boolean constant."""
+    s = simplify(constraint)
+    return None if s in (TRUE, FALSE) else render(s)
+
+
+def filter_trivial(record: BranchRecord, key: Optional[str], repeated: bool) -> bool:
     """Keep-for-negation predicate: False when the constraint mentions no
-    input, simplifies to a boolean constant, or repeats an earlier record's
-    literal (negating it would contradict the prefix)."""
-    if record.trivial:
-        return False
-    s = simplify(record.constraint)
-    if s in (TRUE, FALSE):
-        return False
-    mine = render(s)
-    for r in earlier:
-        if render(simplify(r.constraint)) == mine:
-            return False
-    return True
+    input, simplifies to a boolean constant (`key`, the record's
+    `literal_key`, is None), or repeats an earlier record's literal
+    (`repeated`; negating it would contradict the prefix)."""
+    return not (record.trivial or key is None or repeated)
 
 
 def initial_inputs(scope, hints: dict) -> dict:
@@ -208,7 +213,6 @@ def initial_inputs(scope, hints: dict) -> dict:
 
 
 def tier_of_inputs(leaf_env: dict, money_leaves: list) -> Optional[str]:
-    from .solver import SOFT_TIERS
     if not money_leaves:
         return None
     for tier_name, unit in SOFT_TIERS:
@@ -228,9 +232,12 @@ def _prepare(program: Program, scope_name: str, config: ExploreConfig) -> Progra
 
 
 def explore(program: Program, scope_name: str,
-            config: ExploreConfig = ExploreConfig()) -> TestSuite:
+            config: Optional[ExploreConfig] = None) -> TestSuite:
     """Exhaustively explore a scope's paths (finite for loop-free programs),
-    one testcase per executed input."""
+    one testcase per executed input; `config` defaults to a fresh
+    `ExploreConfig()`."""
+    if config is None:
+        config = ExploreConfig()
     errors = validate(program)
     if errors:
         raise ValueError(f"program does not validate: {errors[0].message}")

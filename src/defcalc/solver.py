@@ -9,9 +9,14 @@ enum tags, with Round/Floor occurrences.  The pipeline is:
 2. lazily enumerate case-split branches (disjunctions, disequalities, bool
    and enum equalities, and one sign split per Round occurrence), in a fixed
    deterministic order;
-3. per branch, replace Round/Floor terms with integer auxiliaries and their
-   defining inequalities, linearize, and solve the linear core by
-   Fourier-Motzkin elimination with branch-and-bound over the integers.
+3. per branch, replace Round/Floor terms with integer auxiliaries,
+   linearize the branch's atoms once, and for each Round sign case add the
+   defining inequalities and solve the linear core: one Fourier-Motzkin
+   projection (`_project`) decides rational feasibility on entry and gives
+   each variable's window; variables are then fixed in order by one
+   substitution routine, integers by branch-and-bound over their rounded
+   window (`_int_window`).  A value inside a projected window always
+   extends over the rationals, so only integrality can force a backtrack.
 
 Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
@@ -24,6 +29,7 @@ the search; when it runs out the answer is Unknown, never a wrong model.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -146,6 +152,18 @@ def linearize(e: SymExpr) -> tuple:
     raise NonLinear(f"not linear: {render(e)}")
 
 
+def _lin_diff(a: SymExpr, b: SymExpr) -> tuple:
+    """Linear normal form (coeffs, const) of a - b."""
+    c1, k1 = linearize(a)
+    c2, k2 = linearize(b)
+    coeffs = dict(c1)
+    for n, c in c2.items():
+        coeffs[n] = coeffs.get(n, Fraction(0)) - c
+        if coeffs[n] == 0:
+            del coeffs[n]
+    return coeffs, k1 - k2
+
+
 def simplify(e: SymExpr) -> SymExpr:
     """Sound rewriting: constant folding, double negation, ground-term
     evaluation, and linear-difference folding for comparisons (so that
@@ -193,17 +211,10 @@ def simplify(e: SymExpr) -> SymExpr:
                 _sort_of(a) == "num":
             sa, sb = simplify(a), simplify(b)
             try:
-                c1, k1 = linearize(sa)
-                c2, k2 = linearize(sb)
+                diff, k = _lin_diff(sa, sb)  # lhs - rhs
             except NonLinear:
                 return SymBin(op, sa, sb)
-            diff = dict(c1)
-            for n, c in c2.items():
-                diff[n] = diff.get(n, Fraction(0)) - c
-                if diff[n] == 0:
-                    del diff[n]
             if not diff:
-                k = k1 - k2  # lhs - rhs == k
                 truth = {"=": k == 0, "<": k < 0, "<=": k <= 0,
                          ">": k > 0, ">=": k >= 0}[op]
                 return TRUE if truth else FALSE
@@ -433,17 +444,7 @@ class _Infeasible(Exception):
 
 
 def _lin_atoms(atoms: list) -> list:
-    out = []
-    for _, op, a, b in atoms:
-        c1, k1 = linearize(a)
-        c2, k2 = linearize(b)
-        coeffs = dict(c1)
-        for n, c in c2.items():
-            coeffs[n] = coeffs.get(n, Fraction(0)) - c
-            if coeffs[n] == 0:
-                del coeffs[n]
-        out.append((coeffs, k1 - k2, op))
-    return out
+    return [(*_lin_diff(a, b), op) for _, op, a, b in atoms]
 
 
 def _check_ground(coeffs: dict, const: Fraction, op: str) -> Optional[bool]:
@@ -452,18 +453,25 @@ def _check_ground(coeffs: dict, const: Fraction, op: str) -> Optional[bool]:
     return {"=": const == 0, "<=": const <= 0, "<": const < 0}[op]
 
 
-def _substitute(atoms: list, name: str, value: Fraction) -> list:
+def _substitute(atoms: list, name: str, coeffs: dict, const: Fraction) -> list:
+    """Replace `name` by sum(coeffs[v]*v) + const.  Atoms that become ground
+    are decided: true ones are dropped, a false one raises _Infeasible."""
     out = []
-    for coeffs, const, op in atoms:
-        if name in coeffs:
-            coeffs = dict(coeffs)
-            const = const + coeffs.pop(name) * value
-        g = _check_ground(coeffs, const, op)
-        if g is False:
-            raise _Infeasible()
-        if g is True:
-            continue
-        out.append((coeffs, const, op))
+    for c2, k2, op in atoms:
+        if name in c2:
+            c = c2[name]
+            merged = {n: v for n, v in c2.items() if n != name}
+            for n, v in coeffs.items():
+                merged[n] = merged.get(n, Fraction(0)) + c * v
+                if merged[n] == 0:
+                    del merged[n]
+            c2, k2 = merged, k2 + c * const
+            g = _check_ground(c2, k2, op)
+            if g is False:
+                raise _Infeasible()
+            if g is True:
+                continue
+        out.append((c2, k2, op))
     return out
 
 
@@ -473,28 +481,7 @@ def _eliminate(atoms: list, name: str) -> list:
         if op == "=" and name in coeffs:
             cv = coeffs[name]
             rest = {n: -c / cv for n, c in coeffs.items() if n != name}
-            rconst = -const / cv
-            out = []
-            for j, (c2, k2, op2) in enumerate(atoms):
-                if j == i:
-                    continue
-                if name not in c2:
-                    out.append((c2, k2, op2))
-                    continue
-                c = c2[name]
-                merged = {n: v for n, v in c2.items() if n != name}
-                for n, v in rest.items():
-                    merged[n] = merged.get(n, Fraction(0)) + c * v
-                    if merged[n] == 0:
-                        del merged[n]
-                k = k2 + c * rconst
-                g = _check_ground(merged, k, op2)
-                if g is False:
-                    raise _Infeasible()
-                if g is True:
-                    continue
-                out.append((merged, k, op2))
-            return out
+            return _substitute(atoms[:i] + atoms[i + 1:], name, rest, -const / cv)
     uppers, lowers, rest = [], [], []
     for coeffs, const, op in atoms:
         c = coeffs.get(name, Fraction(0))
@@ -526,20 +513,26 @@ def _eliminate(atoms: list, name: str) -> list:
     return rest
 
 
+def _project(atoms: list, keep: Optional[str] = None) -> list:
+    """Eliminate every variable but `keep`, in name order.  Raises
+    _Infeasible when the system has no rational solution; otherwise returns
+    the remaining atoms, each over `keep` alone."""
+    for v in sorted({n for coeffs, _, _ in atoms for n in coeffs} - {keep}):
+        atoms = _eliminate(atoms, v)
+    out = []
+    for coeffs, const, op in atoms:
+        if coeffs:
+            out.append((coeffs, const, op))
+        elif _check_ground(coeffs, const, op) is False:
+            raise _Infeasible()
+    return out
+
+
 def _bounds_of(atoms: list, name: str) -> tuple:
     """Project all other variables away and read off bounds for `name`:
     (lo, lo_strict, hi, hi_strict), None meaning unbounded."""
-    sys = atoms
-    others = sorted({n for coeffs, _, _ in atoms for n in coeffs} - {name})
-    for v in others:
-        sys = _eliminate(sys, v)
     lo, lo_strict, hi, hi_strict = None, False, None, False
-    for coeffs, const, op in sys:
-        if name not in coeffs:
-            g = _check_ground(coeffs, const, op)
-            if g is False:
-                raise _Infeasible()
-            continue
+    for coeffs, const, op in _project(atoms, name):
         c = coeffs[name]
         bound = -const / c
         if op == "=":
@@ -561,45 +554,26 @@ def _bounds_of(atoms: list, name: str) -> tuple:
     return lo, lo_strict, hi, hi_strict
 
 
-def _feasible(atoms: list) -> bool:
-    sys = atoms
-    try:
-        for v in sorted({n for coeffs, _, _ in atoms for n in coeffs}):
-            sys = _eliminate(sys, v)
-        for coeffs, const, op in sys:
-            if _check_ground(coeffs, const, op) is False:
-                return False
-        return True
-    except _Infeasible:
-        return False
-
-
-def _int_window_empty(lo, lo_strict, hi, hi_strict) -> bool:
-    if lo is None or hi is None:
-        return False
-    ilo = (lo.numerator + (1 if lo_strict else 0)) if lo.denominator == 1 \
-        else int(lo.__ceil__())
-    ihi = (hi.numerator - (1 if hi_strict else 0)) if hi.denominator == 1 \
-        else int(hi.__floor__())
-    return ilo > ihi
-
-
-def _int_candidates(lo, lo_strict, hi, hi_strict, budget: _Budget) -> Iterator[int]:
-    """Integers within the bounds in order of |x|, ties toward nonnegative."""
-    if lo is None:
-        ilo = None
-    elif lo.denominator == 1:
-        ilo = lo.numerator + 1 if lo_strict else lo.numerator
-    else:
-        ilo = int(lo.__ceil__())
-    if hi is None:
-        ihi = None
-    elif hi.denominator == 1:
-        ihi = hi.numerator - 1 if hi_strict else hi.numerator
-    else:
-        ihi = int(hi.__floor__())
+def _int_window(lo, lo_strict, hi, hi_strict) -> Optional[tuple]:
+    """The integers within the bounds as (ilo, ihi), None meaning unbounded;
+    None in place of the pair when the bounds hold no integer."""
+    ilo = ihi = None
+    if lo is not None:
+        ilo = math.ceil(lo)
+        if lo_strict and ilo == lo:
+            ilo += 1
+    if hi is not None:
+        ihi = math.floor(hi)
+        if hi_strict and ihi == hi:
+            ihi -= 1
     if ilo is not None and ihi is not None and ilo > ihi:
-        return
+        return None
+    return ilo, ihi
+
+
+def _int_candidates(ilo, ihi, budget: _Budget) -> Iterator[int]:
+    """Integers within a nonempty window in order of |x|, ties toward
+    nonnegative."""
     if ilo is not None and ilo > 0:
         k = ilo
         while ihi is None or k <= ihi:
@@ -631,47 +605,32 @@ def _int_candidates(lo, lo_strict, hi, hi_strict, budget: _Budget) -> Iterator[i
 
 
 def _pick_rational(lo, lo_strict, hi, hi_strict) -> Fraction:
-    def inside(x: Fraction) -> bool:
-        if lo is not None and (x < lo or (x == lo and lo_strict)):
-            return False
-        if hi is not None and (x > hi or (x == hi and hi_strict)):
-            return False
-        return True
-
-    if inside(Fraction(0)):
-        return Fraction(0)
-    # Prefer the integer of least magnitude inside the interval.
-    if lo is not None and (hi is None or lo >= 0):
-        i = Fraction(int(lo.__ceil__()))
-        if i == lo and lo_strict:
-            i += 1
-        if inside(i):
-            return i
-    if hi is not None and (lo is None or hi <= 0):
-        i = Fraction(int(hi.__floor__()))
-        if i == hi and hi_strict:
-            i -= 1
-        if inside(i):
-            return i
-    if lo is not None and hi is not None:
+    """The value of least magnitude among 0 and the integers inside the
+    nonempty window, else the window's midpoint."""
+    window = _int_window(lo, lo_strict, hi, hi_strict)
+    if window is None:
         return (lo + hi) / 2
-    if lo is not None:
-        return lo + 1
-    assert hi is not None
-    return hi - 1
+    ilo, ihi = window
+    k = 0 if ilo is None else max(0, ilo)
+    return Fraction(k if ihi is None else min(k, ihi))
 
 
 def _solve_linear(atoms: list, order: list, budget: _Budget) -> Optional[dict]:
     """Assign the ordered variables; `order` is [(name, is_int), ...].
     Returns a partial model over mentioned variables, or None."""
-    mentioned = {n for coeffs, _, _ in atoms for n in coeffs}
-    for coeffs, const, op in atoms:
-        if _check_ground(coeffs, const, op) is False:
-            return None
-    if not _feasible(atoms):
+    try:
+        _project(atoms)
+    except _Infeasible:
         return None
+    mentioned = {n for coeffs, _, _ in atoms for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
 
+    # Invariant: `system` has a rational solution.  FM projection is exact,
+    # so every value inside a variable's projected window extends to a
+    # rational solution of the rest, and substituting it keeps the
+    # invariant: `_bounds_of` and `_substitute` cannot raise _Infeasible
+    # here.  Only integrality can fail, which the window pruning and the
+    # candidate backtracking handle.
     def go(system: list, pending: list, acc: dict) -> Optional[dict]:
         if not pending:
             return acc
@@ -683,39 +642,23 @@ def _solve_linear(atoms: list, order: list, budget: _Budget) -> Optional[dict]:
         for n, n_int in pending:
             if not n_int or n not in still:
                 continue
-            try:
-                b = _bounds_of(system, n)
-            except _Infeasible:
-                return None
-            windows[n] = b
-            if _int_window_empty(*b):
+            windows[n] = _int_window(*_bounds_of(system, n))
+            if windows[n] is None:
                 return None
         name, is_int = pending[0]
         if name not in still:
             # Dropped by simplification along the way; value is free.
             return go(system, pending[1:], acc)
-        try:
-            lo, los, hi, his = windows.get(name) or _bounds_of(system, name)
-        except _Infeasible:
-            return None
         if is_int:
-            for c in _int_candidates(lo, los, hi, his, budget):
-                try:
-                    nxt = _substitute(system, name, Fraction(c))
-                except _Infeasible:
-                    continue
-                if not _feasible(nxt):
-                    continue
-                out = go(nxt, pending[1:], {**acc, name: Fraction(c)})
+            for c in _int_candidates(*windows[name], budget):
+                x = Fraction(c)
+                out = go(_substitute(system, name, {}, x), pending[1:],
+                         {**acc, name: x})
                 if out is not None:
                     return out
             return None
-        x = _pick_rational(lo, los, hi, his)
-        try:
-            nxt = _substitute(system, name, x)
-        except _Infeasible:
-            return None
-        return go(nxt, pending[1:], {**acc, name: x})
+        x = _pick_rational(*_bounds_of(system, name))
+        return go(_substitute(system, name, {}, x), pending[1:], {**acc, name: x})
 
     return go(atoms, todo, {})
 
@@ -803,22 +746,18 @@ def _solve_branch(branch: list, decls: tuple, enum_decls: dict,
              if l.ty != BOOL and not isinstance(l.ty, EnumT)]
     order += [(aux, True) for aux, _, _ in specs]
 
-    solution: Optional[dict] = None
-    if specs:
-        for case in _round_cases(specs):
-            budget.spend()
-            sol = _solve_linear(_lin_atoms(num_atoms + case), order, budget)
-            if sol is not None:
-                solution = sol
-                break
-        if solution is None:
-            return None
-    else:
-        solution = _solve_linear(_lin_atoms(num_atoms), order, budget)
-        if solution is None:
-            return None
-
-    return _fill_model(decls, bools, allowed, solution, retain)
+    # Each Round/Floor case costs one unit of budget, charged before the
+    # branch's atoms are linearized (a NonLinear atom still pays for it).
+    split_cost = 1 if specs else 0
+    base = None
+    for case in _round_cases(specs):
+        budget.spend(split_cost)
+        if base is None:
+            base = _lin_atoms(num_atoms)
+        solution = _solve_linear(base + _lin_atoms(case), order, budget)
+        if solution is not None:
+            return _fill_model(decls, bools, allowed, solution, retain)
+    return None
 
 
 def _fill_model(decls: tuple, bools: dict, allowed: dict, nums: dict,

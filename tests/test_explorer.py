@@ -11,7 +11,7 @@ from defcalc.lang import (
 from defcalc.concolic import BranchRecord, Origin
 from defcalc.explorer import (
     ExploreConfig, Frontier, PrefixInvariantViolation, explore, filter_trivial,
-    path_fingerprint,
+    literal_key, path_fingerprint,
 )
 from defcalc.interp import OutcomeKind
 from defcalc.symbolic import SymBin, SymConst, SymNot, SymVar, TRUE, render
@@ -190,21 +190,43 @@ def test_prefix_divergence_restarts_with_early_error():
 
 
 def test_filter_trivial_drops_constant_true():
-    assert filter_trivial(rec(TRUE, trivial=True), []) is False
+    assert filter_trivial(rec(TRUE, trivial=True), literal_key(TRUE), False) is False
 
 
 def test_filter_trivial_drops_repeat_of_earlier():
     gt = SymBin(">", X, SymConst(VInt(0)))
-    assert filter_trivial(rec(gt), [rec(gt)]) is False
+    assert filter_trivial(rec(gt), literal_key(gt), True) is False
+    f = Frontier()
+    f.reconcile([rec(gt), rec(gt)], early_error=False)
+    assert f.next_target(True) == 0
 
 
 def test_filter_trivial_keeps_input_dependent():
-    assert filter_trivial(rec(SymNot(XEQ0), taken=False), []) is True
+    lit = SymNot(XEQ0)
+    assert filter_trivial(rec(lit, taken=False), literal_key(lit), False) is True
 
 
 def test_filter_trivial_drops_ground_simplifiable():
     lit = SymBin("=", SymBin("+", X, SymConst(VInt(0))), X)
-    assert filter_trivial(rec(lit), []) is False
+    assert literal_key(lit) is None
+    assert filter_trivial(rec(lit), literal_key(lit), False) is False
+
+
+def test_trivial_filter_keys_follow_replaced_entries():
+    # Every key is cached by the first next_target; flip and a truncating
+    # early-error reconcile then put new records at those positions.
+    gt = SymBin(">", X, SymConst(VInt(0)))
+    f = Frontier()
+    f.reconcile([rec(gt), rec(XEQ0)], early_error=False)
+    assert f.next_target(True) == 1
+    f.flip(1)  # position 1 now holds !(x = 0)
+    f.reconcile([rec(gt), rec(SymNot(XEQ0), taken=False), rec(XEQ0)],
+                early_error=False)
+    assert f.next_target(True) == 2  # x = 0 repeats no earlier literal now
+    f.reconcile([rec(gt), rec(B), rec(XEQ0), rec(B)], early_error=True)
+    assert [e.record.constraint for e in f.entries] == [gt, B, XEQ0, B]
+    assert f.next_target(True) == 2  # the second b repeats position 1
+    assert f.entries[3].done
 
 
 def test_trivial_repeat_site_saves_solver_calls():

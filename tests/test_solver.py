@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle_fm
+from defcalc import solver
 from defcalc.lang import (
     BOOL, INT, MONEY, RAT,
     EnumT, VBool, VEnum, VInt, VMoney, VRat,
@@ -12,8 +15,8 @@ from defcalc.solver import (
     Query, Sat, SolverSession, SolverUsageError, Unknown, Unsat, simplify,
 )
 from defcalc.symbolic import (
-    FALSE, Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
-    TRUE, render, sym_eval, sym_eval_bool,
+    FALSE, Leaf, SymBin, SymConst, SymFloor, SymIsVariant, SymNot, SymRound,
+    SymVar, TRUE, render, sym_eval, sym_eval_bool,
 )
 
 
@@ -337,3 +340,70 @@ def test_budget_exhaustion_returns_unknown():
     res = s.check()
     assert isinstance(res, (Unknown, Unsat))
     assert not isinstance(res, Sat)
+
+
+# -- differential against the pre-refactor Fourier-Motzkin core ----------------
+
+
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _linear_systems(draw):
+    names = "abcd"[:draw(st.integers(2, 4))]
+    order = [(n, draw(st.booleans())) for n in names]
+    atom = st.tuples(st.dictionaries(st.sampled_from(names), _coeff),
+                     _coeff, st.sampled_from(["=", "<=", "<"]))
+    atoms = [({n: k for n, k in coeffs.items() if k}, const, op)
+             for coeffs, const, op in draw(st.lists(atom, min_size=1, max_size=5))]
+    return atoms, order, draw(st.integers(1, 24))
+
+
+def _run_linear(solve, atoms, order, limit):
+    budget = solver._Budget(limit)
+    try:
+        out = solve([(dict(c), k, op) for c, k, op in atoms], order, budget)
+    except solver._OutOfBudget:
+        return "out of budget"
+    return out, budget.left
+
+
+@settings(max_examples=400, deadline=None)
+@given(_linear_systems())
+def test_linear_core_matches_fm_oracle(system):
+    assert _run_linear(solver._solve_linear, *system) == \
+        _run_linear(oracle_fm._solve_linear, *system)
+
+
+ZONE = EnumT("Zone", (("A", None), ("B", None), ("C", None)))
+_MIXED_LEAVES = (Leaf("b", BOOL), Leaf("x", INT), Leaf("y", INT),
+                 Leaf("q", RAT), Leaf("m", MONEY), Leaf("z", ZONE))
+
+
+def _random_mixed_literal(rng):
+    """`_random_literal` plus Round, Floor, rational, money and enum atoms."""
+    kind = rng.random()
+    if kind < 0.4:
+        return _random_literal(rng)
+    if kind < 0.55:
+        tag = SymIsVariant(SymVar("z", ZONE), rng.choice("ABC"))
+        return SymNot(tag) if rng.random() < 0.5 else tag
+    if kind < 0.65:
+        return SymBin("=", SymVar("z", ZONE), SymConst(VEnum("Zone", rng.choice("ABC"))))
+    arg = SymBin(rng.choice(["*", "/"]), rng.choice([v("x"), v("q", RAT), v("m", MONEY)]),
+                 c(Fraction(rng.randrange(1, 8), rng.randrange(1, 4))))
+    if rng.random() < 0.5:
+        arg = SymBin("+", arg, v("y"))
+    term = SymRound(arg) if rng.random() < 0.6 else SymFloor(arg)
+    lit = SymBin(rng.choice(["=", "<", "<=", ">", ">="]), term, c(rng.randrange(-5, 6)))
+    return SymNot(lit) if rng.random() < 0.3 else lit
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([4, 16, 64, 4096]))
+def test_builtin_check_matches_fm_oracle_pipeline(rng, limit):
+    lits = tuple(_random_mixed_literal(rng) for _ in range(rng.randrange(1, 5)))
+    retain = {"x": VInt(rng.randrange(-3, 4)), "z": VEnum("Zone", "C")}
+    got = solver._builtin_check(_MIXED_LEAVES, lits, retain, limit)
+    want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, limit)
+    assert got == want
