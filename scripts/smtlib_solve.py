@@ -1,12 +1,22 @@
 #!/usr/bin/env python3
 """Standalone SMT-LIB solver shim.
 
-Reads an SMT-LIB v2 script on stdin (the dialect the package emits:
-declare-datatypes for enum tags, declare-const, dfc_round/to_int, linear
-arithmetic) and answers ``sat`` plus a ``(define-fun ...)`` model, or
-``unsat``/``unknown``.  Decisions are delegated to the package's builtin
-procedure, which makes the shim a drop-in external backend for exercising
-the ``--solver smtlib:CMD`` protocol without any third-party solver:
+Reads SMT-LIB v2 commands on stdin, in the dialect the package emits
+(declare-datatypes for enum tags, declare-const, dfc_round/to_int, linear
+arithmetic), and runs each one as soon as it is complete:
+
+- ``declare-datatypes``, ``declare-const`` and ``assert`` add to the
+  current query; ``define-fun`` and every other command are ignored;
+- ``check-sat`` answers ``sat``, ``unsat`` or ``unknown`` and flushes;
+- ``get-model`` answers the last check's model as ``(define-fun ...)``
+  entries, or ``(error "model is not available")`` if that check was not
+  ``sat``;
+- ``reset`` forgets the current query.
+
+It exits 0 at end of input, so a whole script can be piped in as well.
+Decisions are delegated to the package's builtin procedure, which makes the
+shim a drop-in external backend for exercising the ``--solver smtlib:CMD``
+protocol without any third-party solver:
 
     defcalc run prog.dfc --scope S --solver "smtlib:python3 scripts/smtlib_solve.py"
 """
@@ -18,7 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from defcalc.lang import BOOL, EnumT, INT, RAT, VBool, VEnum, VInt, VRat
-from defcalc.smtlib import _const, _sort_of_leaf, _symname, parse_sexprs
+from defcalc.smtlib import _const, _sexpr_end, _sort_of_leaf, _symname, parse_sexprs
 from defcalc.solver import Sat, Unknown, _builtin_check
 from defcalc.symbolic import (
     Leaf, SymBin, SymConst, SymFloor, SymIsVariant, SymNot, SymRound, SymVar,
@@ -75,51 +85,70 @@ def _to_sym(node, sorts, enums):
     raise ValueError(f"cannot translate {node!r}")
 
 
-def main() -> int:
-    text = sys.stdin.read()
-    sexprs = parse_sexprs(text)
-    sorts: dict = {}
-    enums: dict = {}
-    literals = []
-    for node in sexprs:
-        if not isinstance(node, list) or not node:
-            continue
+_SORTS = {"Bool": BOOL, "Int": INT, "Real": RAT}
+
+
+class _Query:
+    """The declarations and assertions since the last ``reset``."""
+
+    def __init__(self):
+        self.sorts: dict = {}
+        self.enums: dict = {}
+        self.literals: list = []
+
+    def declare(self, node) -> None:
         if node[0] == "declare-datatypes":
             ename = node[1][0][0]
             ctors = tuple((c[0], None) for c in node[2][0])
-            enums[ename] = EnumT(ename, ctors)
+            self.enums[ename] = EnumT(ename, ctors)
         elif node[0] == "declare-const":
-            name = _name(node[1])
             sort = node[2]
-            if sort == "Bool":
-                sorts[name] = BOOL
-            elif sort == "Int":
-                sorts[name] = INT
-            elif sort == "Real":
-                sorts[name] = RAT
-            else:
-                sorts[name] = enums[sort]
+            self.sorts[_name(node[1])] = (
+                _SORTS[sort] if sort in _SORTS else self.enums[sort])
         elif node[0] == "assert":
-            literals.append(node[1])
-    try:
-        lits = tuple(_to_sym(n, sorts, enums) for n in literals)
-    except ValueError as e:
-        print("unknown")
-        print(f"; {e}", file=sys.stderr)
-        return 0
-    decls = tuple(Leaf(n, t) for n, t in sorts.items())
-    res = _builtin_check(decls, lits, retain={})
-    if isinstance(res, Sat):
-        print("sat")
-        print("(")
-        for leaf in decls:
-            print(f"  (define-fun {_symname(leaf.name)} () {_sort_of_leaf(leaf.ty)} "
-                  f"{_const(res.model[leaf.name])})")
-        print(")")
-    elif isinstance(res, Unknown):
-        print("unknown")
-    else:
-        print("unsat")
+            self.literals.append(node[1])
+
+    def check(self):
+        """The verdict word and, on sat, the model reply."""
+        try:
+            lits = tuple(_to_sym(n, self.sorts, self.enums) for n in self.literals)
+        except ValueError as e:
+            print(f"; {e}", file=sys.stderr)
+            return "unknown", None
+        decls = tuple(Leaf(n, t) for n, t in self.sorts.items())
+        res = _builtin_check(decls, lits, retain={})
+        if isinstance(res, Sat):
+            rows = "".join(
+                f"  (define-fun {_symname(leaf.name)} () {_sort_of_leaf(leaf.ty)} "
+                f"{_const(res.model[leaf.name])})\n" for leaf in decls)
+            return "sat", f"(\n{rows})"
+        return ("unknown" if isinstance(res, Unknown) else "unsat"), None
+
+
+def _commands(stream):
+    """Yield each top-level S-expression of `stream` once it is complete."""
+    pending = ""
+    for line in stream:
+        pending += line
+        while (end := _sexpr_end(pending)) is not None:
+            yield from parse_sexprs(pending[:end])
+            pending = pending[end:]
+
+
+def main() -> int:
+    query, model = _Query(), None
+    for node in _commands(sys.stdin):
+        if not isinstance(node, list) or not node:
+            continue
+        if node[0] == "check-sat":
+            verdict, model = query.check()
+            print(verdict, flush=True)
+        elif node[0] == "get-model":
+            print(model or '(error "model is not available")', flush=True)
+        elif node[0] == "reset":
+            query, model = _Query(), None
+        else:
+            query.declare(node)
     return 0
 
 

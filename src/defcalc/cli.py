@@ -125,7 +125,11 @@ def cmd_run(args) -> int:
         config.progress = lambda i, st, d, t: print(
             f"iter={i} {st} depth={d} tests={t}", file=sys.stderr)
 
-    suite = explore(program, args.scope, config)
+    try:
+        suite = explore(program, args.scope, config)
+    finally:
+        if config.backend is not None:
+            config.backend.close()
 
     for tc in suite.testcases:
         ins = ", ".join(f"{n} = {print_value(v)}" for n, v in tc.inputs.items())

@@ -11,15 +11,27 @@ symbols (``|h.income|``).  Rounding is the function
 with floor via the Real-to-Int conversion, defined in the preamble whenever
 a query mentions it.
 
-The external backend spawns a user-configured command per check, writes the
-query to its stdin, and parses ``sat``/``unsat``/``unknown`` plus the
-``(get-model)`` S-expression reply.
+The external backend keeps one user-configured solver process running and
+talks to it interactively.  Each check writes the query's script and
+``(check-sat)`` and reads one verdict token (``sat``/``unsat``/``unknown``);
+only on ``sat`` does it write ``(get-model)`` and read one balanced
+S-expression.  A reused process gets ``(reset)`` before the next script, so
+every query is solved on its own.  Replies are read under the check's
+deadline; a timeout, a closed pipe or an unexpected reply kills the process,
+and the next check starts a new one.
 """
 
 from __future__ import annotations
 
+import codecs
+import os
+import re
+import selectors
 import shlex
 import subprocess
+import tempfile
+import time
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -146,8 +158,9 @@ def _mentions_round(e: SymExpr) -> bool:
     return any(_mentions_round(c) for c in sym_children(e))
 
 
-def emit_smtlib(query: Query) -> str:
-    """Render a query as solver-ready SMT-LIB v2 text."""
+def emit_smtlib(query: Query, get_model: bool = True) -> str:
+    """Render a query as solver-ready SMT-LIB v2 text: the script, then
+    ``(check-sat)`` and, unless `get_model` is false, ``(get-model)``."""
     em = _Emitter(query)
     lines = ["(set-logic ALL)", "(set-option :produce-models true)"]
     seen_enums = []
@@ -164,7 +177,8 @@ def emit_smtlib(query: Query) -> str:
     for lit in query.literals:
         lines.append(f"(assert {em.emit(lit)})")
     lines.append("(check-sat)")
-    lines.append("(get-model)")
+    if get_model:
+        lines.append("(get-model)")
     return "\n".join(lines) + "\n"
 
 
@@ -198,6 +212,40 @@ def _tokenize_sexpr(text: str):
                 j += 1
             yield text[i:j]
             i = j
+
+
+_SKIP = re.compile(r"(?:\s+|;[^\n]*\n)*")
+_DELIM = re.compile(r'[()|";]')
+_ATOM_END = re.compile(r"[\s()]")
+
+
+def _sexpr_end(text: str) -> Optional[int]:
+    """End index of the first complete S-expression in `text` (an atom
+    counts once a delimiter follows it), or None while it is incomplete."""
+    i = _SKIP.match(text).end()
+    if i == len(text) or text[i] == ";":
+        return None
+    if text[i] not in '()|"':
+        m = _ATOM_END.search(text, i)
+        return None if m is None else m.start()
+    depth = 0
+    while True:
+        m = _DELIM.search(text, i)
+        if m is None:
+            return None
+        c, i = m.group(), m.end()
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        else:
+            close = "\n" if c == ";" else c
+            j = text.find(close, i)
+            if j < 0:
+                return None
+            i = j + 1
+        if depth <= 0:
+            return i
 
 
 def parse_sexprs(text: str) -> list:
@@ -248,12 +296,15 @@ def _atom_value(node, ty) -> Value:
 
 def parse_model(reply: str, query: Query) -> dict:
     """Extract a leaf model from a get-model reply; missing leaves get their
-    type default (solvers omit don't-care constants)."""
+    type default (solvers omit don't-care constants).  An ``(error ...)``
+    reply raises `SolverFailure`."""
     sexprs = parse_sexprs(reply)
     assignments: dict = {}
     for node in sexprs:
         if not isinstance(node, list):
             continue
+        if node and node[0] == "error":
+            raise SolverFailure(f"solver error in model reply: {reply.strip()[:200]}")
         entries = node
         if entries and entries[0] == "model":
             entries = entries[1:]
@@ -275,35 +326,133 @@ def parse_model(reply: str, query: Query) -> dict:
     return model
 
 
+def _stop_process(proc: subprocess.Popen, stderr) -> None:
+    proc.kill()
+    proc.wait()
+    proc.stdin.close()
+    proc.stdout.close()
+    stderr.close()
+
+
 class ExternalSolver:
-    """Backend speaking SMT-LIB over a subprocess, one process per check."""
+    """Backend speaking SMT-LIB to one long-lived solver process.
+
+    The command must run interactively: answer each ``(check-sat)`` as it
+    arrives and accept ``(reset)`` (``z3 -in``, or the bundled
+    ``scripts/smtlib_solve.py``).  The process starts on the first check and
+    serves every later one, also across the sessions and `explore` calls
+    that share this backend.  `close` (or leaving a ``with`` block) kills
+    it, and the next check starts a new one; a backend dropped or left open
+    at exit kills its process too.
+
+    A check writes the query's script and ``(check-sat)``, preceded by
+    ``(reset)`` on a reused process, and reads one verdict; on ``sat`` it
+    writes ``(get-model)`` and reads one S-expression.  Reading waits at
+    most `timeout` seconds per check.  A timeout, the solver closing its
+    output, a pipe error or a reply that is not a verdict kills the process
+    and raises `SolverFailure`.  The solver's stderr goes to a temporary
+    file, whose tail is quoted in the failure message.
+    """
 
     def __init__(self, command: str, timeout: float = 30.0):
         self.argv = shlex.split(command)
         self.timeout = timeout
+        self._proc = None
+        self._stderr = None
+        self._stop = None  # kills the process; also runs if self is dropped
+        self._decoder = None
+        self._out = ""  # decoded solver output not yet consumed
+        self._used = False  # a query was sent since the process started
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Kill and reap the solver process, if one is running."""
+        if self._proc is not None:
+            self._stop()
+            self._proc = self._stderr = self._stop = None
 
     def check(self, query: Query):
-        text = emit_smtlib(query)
         try:
-            proc = subprocess.run(
-                self.argv, input=text, capture_output=True, text=True,
-                timeout=self.timeout,
-            )
-        except (OSError, subprocess.TimeoutExpired) as e:
-            raise SolverFailure(f"external solver failed: {e}")
-        words = proc.stdout.split()
-        if not words:
-            raise SolverFailure(
-                f"external solver produced no output (stderr: {proc.stderr[:200]})")
-        verdict = words[0]
+            return self._check(query, time.monotonic() + self.timeout)
+        except (OSError, ValueError, SolverFailure) as e:
+            message = f"external solver failed: {e}{self._stderr_tail()}"
+            self.close()
+            raise SolverFailure(message) from e
+        except BaseException:
+            self.close()
+            raise
+
+    def _check(self, query: Query, deadline: float):
+        if self._proc is None:
+            self._start()
+        script = emit_smtlib(query, get_model=False)
+        verdict = self._ask(("(reset)\n" if self._used else "") + script, deadline)
+        self._used = True
         if verdict == "unsat":
             return UNSAT
         if verdict == "unknown":
             return Unknown("external solver returned unknown")
         if verdict != "sat":
-            raise SolverFailure(f"unexpected solver reply {verdict!r}")
-        body = proc.stdout[proc.stdout.index("sat") + 3:]
-        return Sat(parse_model(body, query))
+            raise SolverFailure(f"unexpected solver reply {verdict[:200]!r}")
+        return Sat(parse_model(self._ask("(get-model)\n", deadline), query))
+
+    def _start(self) -> None:
+        stderr = tempfile.TemporaryFile()
+        try:
+            proc = subprocess.Popen(
+                self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=stderr, bufsize=0)
+        except OSError:
+            stderr.close()
+            raise
+        self._proc, self._stderr = proc, stderr
+        self._stop = weakref.finalize(self, _stop_process, proc, stderr)
+        os.set_blocking(proc.stdin.fileno(), False)
+        self._decoder = codecs.getincrementaldecoder("utf-8")()
+        self._out = ""
+        self._used = False
+
+    def _ask(self, text: str, deadline: float) -> str:
+        """Write `text`, then read until the output holds one complete
+        S-expression (a verdict is an atom) and return it.  Writing and
+        reading are interleaved, so neither pipe can fill up and block."""
+        proc = self._proc
+        pending = text.encode()
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdout, selectors.EVENT_READ)
+            sel.register(proc.stdin, selectors.EVENT_WRITE)
+            while True:
+                if not pending:
+                    end = _sexpr_end(self._out)
+                    if end is not None:
+                        reply, self._out = self._out[:end], self._out[end:]
+                        return reply.strip()
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise SolverFailure(f"no reply within {self.timeout} s")
+                for key, _ in sel.select(left):
+                    if key.fileobj is proc.stdout:
+                        chunk = os.read(key.fd, 65536)
+                        if not chunk:
+                            raise SolverFailure("the solver closed its output")
+                        self._out += self._decoder.decode(chunk)
+                    else:
+                        pending = pending[os.write(key.fd, pending):]
+                        if not pending:
+                            sel.unregister(proc.stdin)
+
+    def _stderr_tail(self) -> str:
+        if self._stderr is None:
+            return ""
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        tail = os.pread(fd, 200, max(0, size - 200)).decode(errors="replace").strip()
+        return f" (stderr: {tail})" if tail else ""
 
 
 class SmtlibEmitter:

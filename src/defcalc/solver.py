@@ -125,16 +125,20 @@ def linearize(e: SymExpr) -> tuple:
                 case VMoney(c):
                     return {}, Fraction(c)
             raise NonLinear(f"non-numeric constant {v!r}")
-        case SymBin("+" | "-" as op, lhs, rhs):
+        case SymBin("+", lhs, rhs):
             c1, k1 = linearize(lhs)
             c2, k2 = linearize(rhs)
-            sign = 1 if op == "+" else -1
             out = dict(c1)
             for n, c in c2.items():
-                out[n] = out.get(n, Fraction(0)) + sign * c
-                if out[n] == 0:
+                if n not in out:
+                    out[n] = c
+                elif s := out[n] + c:
+                    out[n] = s
+                else:
                     del out[n]
-            return out, k1 + sign * k2
+            return out, k1 + k2
+        case SymBin("-", lhs, rhs):
+            return _lin_diff(lhs, rhs)
         case SymBin("*", lhs, rhs):
             c1, k1 = linearize(lhs)
             c2, k2 = linearize(rhs)
@@ -158,8 +162,11 @@ def _lin_diff(a: SymExpr, b: SymExpr) -> tuple:
     c2, k2 = linearize(b)
     coeffs = dict(c1)
     for n, c in c2.items():
-        coeffs[n] = coeffs.get(n, Fraction(0)) - c
-        if coeffs[n] == 0:
+        if n not in coeffs:
+            coeffs[n] = -c
+        elif d := coeffs[n] - c:
+            coeffs[n] = d
+        else:
             del coeffs[n]
     return coeffs, k1 - k2
 
@@ -865,19 +872,20 @@ class SolverSession:
     # -- solving ----------------------------------------------------------
 
     def _decide(self, decls: tuple, lits: tuple) -> object:
-        """Issue one query: emit it, solve it, model-check a builtin Sat and
-        count the verdict."""
+        """Issue one query: emit it, solve it, model-check a Sat and count
+        the verdict.  A builtin model that violates the query is a bug here
+        (AssertionError); an external one is a `SolverFailure`."""
         query = Query(decls, lits)
         if self.on_query is not None:
             self.on_query(query)
         self.stats.checks += 1
         if self.backend is None:
             res = _builtin_check(decls, lits, self.retain, self.budget)
-            if isinstance(res, Sat):
-                _assert_model(res.model, lits)
         else:
             res = self.backend.check(query)
         if isinstance(res, Sat):
+            _assert_model(res.model, lits,
+                          AssertionError if self.backend is None else SolverFailure)
             self.stats.sat += 1
         elif isinstance(res, Unsat):
             self.stats.unsat += 1
@@ -909,12 +917,11 @@ class SolverSession:
         return hard
 
 
-def _assert_model(model: dict, literals) -> None:
+def _assert_model(model: dict, literals, error=AssertionError) -> None:
     for lit in literals:
         try:
             ok = sym_eval_bool(lit, model)
         except ZeroDivisionError:
             ok = False
         if not ok:
-            raise AssertionError(
-                f"solver produced a model violating {render(lit)}")
+            raise error(f"solver produced a model violating {render(lit)}")

@@ -1,15 +1,21 @@
+import gc
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from conftest import load_program
+from defcalc.explorer import OPT_NAMES, ExploreConfig, explore
 from defcalc.lang import BOOL, INT, MONEY, RAT, EnumT, VBool, VInt, VMoney, VRat
 from defcalc.smtlib import ExternalSolver, emit_smtlib, parse_model, parse_sexprs
-from defcalc.solver import Query, Sat, SolverSession, Unsat
+from defcalc.solver import Query, Sat, SolverFailure, SolverSession, Unsat
 from defcalc.symbolic import (
     Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
 )
+from defcalc.testkit import emit_suite
 
 
 def q_simple():
@@ -93,6 +99,11 @@ def test_model_parsing_covers_sorts():
     assert model["z"].variant == "B"
 
 
+def test_error_reply_is_not_a_model():
+    with pytest.raises(SolverFailure, match="model generation failed"):
+        parse_model('(error "model generation failed")', q_simple())
+
+
 def test_missing_defs_fall_back_to_defaults():
     q = Query((Leaf("x", INT),), ())
     model = parse_model("( )", q)
@@ -104,7 +115,8 @@ def test_missing_defs_fall_back_to_defaults():
 
 @pytest.fixture(scope="module")
 def shim(scripts_dir):
-    return ExternalSolver(f"{sys.executable} {scripts_dir / 'smtlib_solve.py'}")
+    with ExternalSolver(f"{sys.executable} {scripts_dir / 'smtlib_solve.py'}") as ext:
+        yield ext
 
 
 def test_shim_agrees_with_builtin_on_sat(shim):
@@ -136,7 +148,194 @@ def test_shim_handles_round_and_money(shim):
 
 
 def test_external_failure_raises(tmp_path):
-    from defcalc.solver import SolverFailure
     bad = ExternalSolver(f"{sys.executable} -c 'import sys; sys.exit(3)'")
     with pytest.raises(SolverFailure):
         bad.check(q_simple())
+
+
+# -- one long-lived solver process ----------------------------------------------
+
+
+def fake_solver(tmp_path, body: str, timeout: float = 30.0) -> ExternalSolver:
+    """An ExternalSolver over a tiny Python script that logs its pid to
+    `pids.txt` on start and then runs `body`."""
+    script = tmp_path / "fake_solver.py"
+    script.write_text(
+        "import os, sys, time\n"
+        f"with open({str(tmp_path / 'pids.txt')!r}, 'a') as fh:\n"
+        "    fh.write(f'{os.getpid()}\\n')\n" + body)
+    return ExternalSolver(f"{sys.executable} {script}", timeout=timeout)
+
+
+def pids(tmp_path) -> list:
+    return [int(p) for p in (tmp_path / "pids.txt").read_text().split()]
+
+
+ANSWER_UNSAT = """
+for line in sys.stdin:
+    if line.startswith("(check-sat)"):
+        print("unsat", flush=True)
+"""
+
+
+def test_one_process_serves_every_check(tmp_path):
+    with fake_solver(tmp_path, ANSWER_UNSAT) as ext:
+        for _ in range(3):
+            assert isinstance(ext.check(q_simple()), Unsat)
+    assert len(pids(tmp_path)) == 1
+
+
+def test_close_is_idempotent_and_a_dropped_solver_is_stopped(tmp_path):
+    ext = fake_solver(tmp_path, ANSWER_UNSAT)
+    ext.check(q_simple())
+    ext.close()
+    ext.close()
+    assert isinstance(ext.check(q_simple()), Unsat)  # on a new process
+    del ext  # never closed: dropping it must still stop its process
+    gc.collect()
+    first, second = pids(tmp_path)
+    for pid in (first, second):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_solver_exiting_fails_one_check_then_restarts(tmp_path):
+    body = """
+for line in sys.stdin:
+    if line.startswith("(check-sat)"):
+        print("unsat", flush=True)
+        sys.exit(0)
+"""
+    with fake_solver(tmp_path, body) as ext:
+        assert isinstance(ext.check(q_simple()), Unsat)
+        with pytest.raises(SolverFailure):
+            ext.check(q_simple())
+        assert isinstance(ext.check(q_simple()), Unsat)
+    first, second = pids(tmp_path)
+    assert first != second
+
+
+def test_silent_solver_times_out_and_is_killed(tmp_path):
+    ext = fake_solver(tmp_path, "time.sleep(60)\n", timeout=0.5)
+    t0 = time.monotonic()
+    with pytest.raises(SolverFailure, match="no reply within"):
+        ext.check(q_simple())
+    assert time.monotonic() - t0 < 2.0
+    (pid,) = pids(tmp_path)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)  # killed and reaped, so not even a zombie is left
+    ext.close()  # closing again is harmless
+
+
+def test_unknown_verdict_word_fails_and_next_check_recovers(tmp_path):
+    body = f"""
+first = not os.path.exists({str(tmp_path / 'answered')!r})
+open({str(tmp_path / 'answered')!r}, "w").close()
+for line in sys.stdin:
+    if line.startswith("(check-sat)"):
+        print("maybe" if first else "unsat", flush=True)
+"""
+    with fake_solver(tmp_path, body) as ext:
+        with pytest.raises(SolverFailure, match="maybe"):
+            ext.check(q_simple())
+        assert isinstance(ext.check(q_simple()), Unsat)
+    assert len(pids(tmp_path)) == 2
+
+
+def test_failure_message_quotes_solver_stderr(tmp_path):
+    body = "sys.stderr.write('bad licence file\\n')\nsys.exit(2)\n"
+    with fake_solver(tmp_path, body) as ext:
+        with pytest.raises(SolverFailure, match="bad licence file"):
+            ext.check(q_simple())
+
+
+def test_reset_separates_queries_on_one_process(shim):
+    zone = EnumT("Zone", (("A", None), ("B", None)))
+    first = Query((Leaf("z", zone), Leaf("x", INT)),
+                  (SymIsVariant(SymVar("z", zone), "A"),
+                   SymBin(">", SymVar("x", INT), SymConst(VInt(2)))))
+    # The same enum and the same name `x`, now a rational.
+    second = Query((Leaf("z", zone), Leaf("x", RAT)),
+                   (SymIsVariant(SymVar("z", zone), "B"),
+                    SymBin("=", SymBin("*", SymConst(VInt(2)), SymVar("x", RAT)),
+                           SymConst(VInt(1)))))
+    a, b = shim.check(first), shim.check(second)
+    assert (a.model["z"].variant, a.model["x"]) == ("A", VInt(3))
+    assert (b.model["z"].variant, b.model["x"]) == ("B", VRat(Fraction(1, 2)))
+
+
+def test_shim_answers_a_whole_script_piped_in(scripts_dir):
+    p = subprocess.run([sys.executable, str(scripts_dir / "smtlib_solve.py")],
+                       input=emit_smtlib(q_simple()), capture_output=True,
+                       text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    verdict, model = p.stdout.split("\n", 1)
+    assert verdict == "sat"
+    assert parse_model(model, q_simple()) == {"x": VInt(1)}
+
+
+def test_shim_refuses_a_model_after_unsat(scripts_dir):
+    lit = SymBin(">", SymVar("x", INT), SymConst(VInt(0)))
+    text = emit_smtlib(Query((Leaf("x", INT),), (lit, SymNot(lit))))
+    p = subprocess.run([sys.executable, str(scripts_dir / "smtlib_solve.py")],
+                       input=text, capture_output=True, text=True, timeout=60)
+    assert p.stdout.split() == ["unsat", "(error", '"model', "is", "not", 'available")']
+
+
+def test_emit_smtlib_is_the_script_plus_check_and_model():
+    q = q_simple()
+    script = emit_smtlib(q, get_model=False)
+    assert script.endswith("(check-sat)\n")
+    assert emit_smtlib(q) == script + "(get-model)\n"
+
+
+# -- external models are checked ------------------------------------------------
+
+
+SAT_WITH_BAD_MODEL = """
+for line in sys.stdin:
+    if line.startswith("(check-sat)"):
+        print("sat", flush=True)
+    elif line.startswith("(get-model)"):
+        print("((define-fun x () Int (- 5)))", flush=True)
+"""
+
+
+def test_external_model_violating_the_query_is_a_failure(tmp_path):
+    with fake_solver(tmp_path, SAT_WITH_BAD_MODEL) as ext:
+        sess = SolverSession((Leaf("x", INT),), backend=ext)
+        lit = SymBin(">", SymVar("x", INT), SymConst(VInt(0)))
+        with pytest.raises(SolverFailure, match="violating"):
+            sess.check([lit])
+
+
+def test_explore_counts_violating_external_models(tmp_path, fig5):
+    with fake_solver(tmp_path, SAT_WITH_BAD_MODEL) as ext:
+        suite = explore(fig5, "Main", ExploreConfig(backend=ext))
+    assert not suite.complete
+    assert suite.stats.solver_failures > 0
+
+
+# -- differential: the shim backend reproduces the builtin suites ---------------
+
+
+BUNDLED = (("fig5.dfc", "Main"), ("income_tax.dfc", "IncomeTax"),
+           ("geo_match.dfc", "Housing"), ("trivial_just.dfc", "Fees"),
+           ("soft_money.dfc", "Subsidy"), ("benefits_medium.dfc", "Benefits"))
+
+
+def emitted(suite, directory) -> dict:
+    emit_suite(suite, str(directory))
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("opts", [(), ("soft",), OPT_NAMES],
+                         ids=["none", "soft", "all"])
+def test_shim_suites_equal_builtin_suites(shim, opts, tmp_path):
+    for name, scope in BUNDLED:
+        prog = load_program(name)
+        want = explore(prog, scope, ExploreConfig.from_opt_names(opts))
+        got = explore(prog, scope, ExploreConfig.from_opt_names(opts, backend=shim))
+        assert got.complete, name
+        assert (emitted(got, tmp_path / f"{name}.shim")
+                == emitted(want, tmp_path / f"{name}.builtin")), name

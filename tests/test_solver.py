@@ -342,6 +342,48 @@ def test_budget_exhaustion_returns_unknown():
     assert not isinstance(res, Sat)
 
 
+def _add(a, b):
+    return SymBin("+", a, b)
+
+
+def _sub(a, b):
+    return SymBin("-", a, b)
+
+
+def test_linearize_nested_sums_and_differences_cancel():
+    x, y = v("x"), v("y", RAT)
+    assert solver.linearize(_sub(x, x)) == ({}, 0)
+    assert solver.linearize(_add(x, _sub(y, _add(x, y)))) == ({}, 0)
+    # (x + 2y) - ((3 - x) + y) = 2x + y - 3
+    lin = solver.linearize(_sub(_add(x, SymBin("*", c(2), y)), _add(_sub(c(3), x), y)))
+    assert lin == ({"x": 2, "y": 1}, -3)
+    # (x/2 - y) + (y + x/2) = x
+    half_x = SymBin("/", x, c(2))
+    assert solver.linearize(_add(_sub(half_x, y), _add(y, half_x))) == ({"x": 1}, 0)
+
+
+def _random_sum(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([v("x"), v("y"), v("q", RAT),
+                           c(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))])
+    if rng.random() < 0.2:
+        return SymBin("*", c(rng.randrange(-2, 3)), _random_sum(rng, depth - 1))
+    op = rng.choice([_add, _sub])
+    return op(_random_sum(rng, depth - 1), _random_sum(rng, depth - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_linearize_agrees_with_evaluation(rng):
+    e = _random_sum(rng, 5)
+    coeffs, const = solver.linearize(e)
+    assert all(coeffs.values())
+    env = {"x": VInt(rng.randrange(-9, 10)), "y": VInt(rng.randrange(-9, 10)),
+           "q": VRat(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))}
+    value = {n: sym_eval(v(n), env) for n in env}
+    assert sum((k * value[n] for n, k in coeffs.items()), const) == sym_eval(e, env)
+
+
 # -- differential against the pre-refactor Fourier-Motzkin core ----------------
 
 
