@@ -13,7 +13,9 @@ arithmetic), and runs each one as soon as it is complete:
   ``sat``;
 - ``reset`` forgets the current query.
 
-It exits 0 at end of input, so a whole script can be piped in as well.
+A command it cannot read or run (an unknown sort, a stray parenthesis)
+answers ``(error "...")`` and the shim goes on with the next one.  It exits
+0 at end of input, so a whole script can be piped in as well.
 Decisions are delegated to the package's builtin procedure, which makes the
 shim a drop-in external backend for exercising the ``--solver smtlib:CMD``
 protocol without any third-party solver:
@@ -103,6 +105,8 @@ class _Query:
             self.enums[ename] = EnumT(ename, ctors)
         elif node[0] == "declare-const":
             sort = node[2]
+            if sort not in _SORTS and sort not in self.enums:
+                raise ValueError(f"unknown sort {sort}")
             self.sorts[_name(node[1])] = (
                 _SORTS[sort] if sort in _SORTS else self.enums[sort])
         elif node[0] == "assert":
@@ -126,29 +130,36 @@ class _Query:
 
 
 def _commands(stream):
-    """Yield each top-level S-expression of `stream` once it is complete."""
+    """Yield the text of each top-level S-expression of `stream` once it is
+    complete."""
     pending = ""
     for line in stream:
         pending += line
         while (end := _sexpr_end(pending)) is not None:
-            yield from parse_sexprs(pending[:end])
+            yield pending[:end]
             pending = pending[end:]
 
 
 def main() -> int:
     query, model = _Query(), None
-    for node in _commands(sys.stdin):
-        if not isinstance(node, list) or not node:
-            continue
-        if node[0] == "check-sat":
-            verdict, model = query.check()
-            print(verdict, flush=True)
-        elif node[0] == "get-model":
-            print(model or '(error "model is not available")', flush=True)
-        elif node[0] == "reset":
-            query, model = _Query(), None
-        else:
-            query.declare(node)
+    for text in _commands(sys.stdin):
+        try:
+            for node in parse_sexprs(text):
+                if not isinstance(node, list) or not node:
+                    continue
+                if node[0] == "check-sat":
+                    model = None  # no stale model if this check fails
+                    verdict, model = query.check()
+                    print(verdict, flush=True)
+                elif node[0] == "get-model":
+                    print(model or '(error "model is not available")', flush=True)
+                elif node[0] == "reset":
+                    query, model = _Query(), None
+                else:
+                    query.declare(node)
+        except Exception as e:
+            message = f"{text.strip()}: {e}".replace('"', '""')
+            print(f'(error "{message}")', flush=True)
     return 0
 
 

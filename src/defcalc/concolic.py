@@ -3,19 +3,19 @@ of branch constraints.
 
 Every conditional site appends a *branch record* whose constraint is the
 as-taken literal (already negated when the false side was taken), so the
-explorer can flip a record by negating a single term.  Default terms
-accumulate their exception constraints into a *local* constraint list, kept
-on a stack that nests with the default terms themselves; the local list is
-flushed into the enclosing context when the default resolves.  Flush order
-is chronological: constraints appear in χ in the order execution produced
-them, which is what keeps the previous path a prefix of the next one during
-depth-first exploration.
+explorer can flip a record by negating a single term.  All records go to
+one trail, in the order execution produces them; a default term's
+exceptions, justification and consequence append to it like any other
+code.  Chronological order is what keeps the previous path a prefix of the
+next one during depth-first exploration.
 
 With the early-conflict option enabled, an exception that evaluates to the
-conflict value drops the local constraints accumulated so far and keeps only
-the erroring exception's own trail; this prunes redundant conflict paths but
-breaks the DFS prefix invariant, so the explorer must be prepared to restart
-its bookkeeping (see explorer.py).
+conflict value cuts the trail back to where its default term started, so
+the records of the exceptions before it are dropped and only the erroring
+exception's own records stay.  Nested cuts compose: an inner default only
+deletes records at or after the outer exception's start.  This prunes
+redundant conflict paths but breaks the DFS prefix invariant, so the
+explorer must be prepared to restart its bookkeeping (see explorer.py).
 """
 
 from __future__ import annotations
@@ -99,10 +99,6 @@ class CEnum:
 CVal = Union[CV, CStruct, CEnum]
 
 
-def cv_value(cv: CVal) -> Value:
-    return cv.value
-
-
 def lift_value(v: Value) -> CVal:
     """Concolic view of a literal: constants stay symbolic as constants."""
     match v:
@@ -180,16 +176,14 @@ def _enum_ty_variants(a: CEnum, b: CEnum):
 
 
 class ConcolicState:
-    """Path trail plus the stack of local constraint lists.  At the top
-    level the stack is empty and records append straight to the path."""
+    """The branch trail of one run."""
 
     def __init__(self):
         self.path: list = []
-        self.frames: list = []
         self.hard_mode = False
 
     def emit(self, record: BranchRecord) -> None:
-        (self.frames[-1] if self.frames else self.path).append(record)
+        self.path.append(record)
 
     def emit_cond(self, sym: Optional[SymExpr], taken: bool, origin: Origin,
                   span: Optional[Span]) -> None:
@@ -211,16 +205,6 @@ class ConcolicState:
         # construct with no symbolic form.
         self.emit(BranchRecord(TRUE, True, Origin.OPAQUE_CONCRETIZED,
                                trivial=True, hard=self.hard_mode, span=span))
-
-    def push_frame(self) -> None:
-        self.frames.append([])
-
-    def pop_frame(self) -> list:
-        return self.frames.pop()
-
-    def extend(self, records: list) -> None:
-        for r in records:
-            self.emit(r)
 
 
 @dataclass(frozen=True)
@@ -245,14 +229,14 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
             return _ceval_binop(expr, cenv, state, ctx)
         case Not(arg):
             cv = ceval(arg, cenv, state, ctx)
-            v = cv_value(cv)
+            v = cv.value
             if is_error(v):
                 return cv
             assert isinstance(v, VBool) and isinstance(cv, CV)
             return CV(VBool(not v.b), sym_not(cv.sym) if cv.sym is not None else None)
         case If(cond, then, els):
             ccv = ceval(cond, cenv, state, ctx)
-            v = cv_value(ccv)
+            v = ccv.value
             if is_error(v):
                 return ccv
             assert isinstance(v, VBool)
@@ -266,7 +250,7 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
             vals = []
             for f, fe in fields:
                 fcv = ceval(fe, cenv, state, ctx)
-                fv = cv_value(fcv)
+                fv = fcv.value
                 if is_error(fv):
                     return fcv
                 out[f] = fcv
@@ -274,7 +258,7 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
             return CStruct(VStruct(name, tuple(vals)), out)
         case FieldGet(arg, fname):
             acv = ceval(arg, cenv, state, ctx)
-            av = cv_value(acv)
+            av = acv.value
             if is_error(av):
                 return acv
             if isinstance(acv, CStruct):
@@ -285,13 +269,13 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
             if payload is None:
                 return CEnum(VEnum(ename, variant), None, None)
             pcv = ceval(payload, cenv, state, ctx)
-            pv = cv_value(pcv)
+            pv = pcv.value
             if is_error(pv):
                 return pcv
             return CEnum(VEnum(ename, variant, pv), None, pcv)
         case Let(name, bound, body):
             bcv = ceval(bound, cenv, state, ctx)
-            if is_error(cv_value(bcv)):
+            if is_error(bcv.value):
                 return bcv
             return ceval(body, {**cenv, name: bcv}, state, ctx)
         case Call(fname, args):
@@ -299,7 +283,7 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
             callee_env = {}
             for (pname, _), a in zip(fn.params, args):
                 acv = ceval(a, cenv, state, ctx)
-                if is_error(cv_value(acv)):
+                if is_error(acv.value):
                     return acv
                 callee_env[pname] = acv
             return ceval(fn.body, callee_env, state, ctx)
@@ -307,7 +291,7 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
             return _ceval_default(expr, cenv, state, ctx)
         case Assert(cond, body):
             ccv = ceval(cond, cenv, state, ctx)
-            v = cv_value(ccv)
+            v = ccv.value
             if is_error(v):
                 return ccv
             assert isinstance(v, VBool)
@@ -320,7 +304,7 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
             vals = []
             for a in args:
                 acv = ceval(a, cenv, state, ctx)
-                av = cv_value(acv)
+                av = acv.value
                 if is_error(av):
                     return acv
                 vals.append(av)
@@ -337,11 +321,11 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
 
 def _ceval_binop(expr: BinOp, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
     lcv = ceval(expr.lhs, cenv, state, ctx)
-    lv = cv_value(lcv)
+    lv = lcv.value
     if is_error(lv):
         return lcv
     rcv = ceval(expr.rhs, cenv, state, ctx)
-    rv = cv_value(rcv)
+    rv = rcv.value
     if is_error(rv):
         return rcv
 
@@ -402,7 +386,7 @@ def _zero_like(v: Value) -> Value:
 
 def _ceval_match(expr: Match, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
     scv = ceval(expr.scrutinee, cenv, state, ctx)
-    sv = cv_value(scv)
+    sv = scv.value
     if is_error(sv):
         return scv
     assert isinstance(sv, VEnum)
@@ -450,52 +434,37 @@ def _ceval_match(expr: Match, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CV
 
 
 def _ceval_default(expr: Default, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
-    state.push_frame()  # local constraints C for this default term
+    start = len(state.path)
     non_empty: list = []
 
     for exc in expr.exceptions:
-        state.push_frame()  # this exception's own trail χ'
+        mark = len(state.path)
         cv = ceval(exc, cenv, state, ctx)
-        kappa = state.pop_frame()
-        v = cv_value(cv)
+        v = cv.value
         if isinstance(v, VConflict):
-            local = state.pop_frame()
-            if not ctx.opts.early_error:
-                state.extend(local)
-            state.extend(kappa)
+            if ctx.opts.early_error:
+                del state.path[start:mark]  # keep only this exception's trail
             return cv
         if not isinstance(v, VEmpty):
             non_empty.append((cv, exc.span))
             if ctx.opts.lazy and len(non_empty) == 2:
-                local = state.pop_frame()
-                state.extend(local)
-                state.extend(kappa)
                 spans = tuple(s for _, s in non_empty if s)
                 return CV(VConflict(spans=spans), None)
-        state.extend([*kappa])  # merge into C (frame still on top)
 
     if len(non_empty) >= 2:
-        local = state.pop_frame()
-        state.extend(local)
         spans = tuple(s for _, s in non_empty[:2] if s)
         return CV(VConflict(spans=spans), None)
     if len(non_empty) == 1:
-        local = state.pop_frame()
-        state.extend(local)
         return non_empty[0][0]
 
     # All exceptions abstained: branch on the justification.
     jcv = ceval(expr.just, cenv, state, ctx)
-    jv = cv_value(jcv)
+    jv = jcv.value
     if is_error(jv):
-        local = state.pop_frame()
-        state.extend(local)
         return jcv
     assert isinstance(jv, VBool)
     jsym = jcv.sym if isinstance(jcv, CV) else None
     state.emit_cond(jsym, jv.b, Origin.JUSTIFICATION, expr.just.span or expr.span)
-    local = state.pop_frame()
-    state.extend(local)
     if jv.b:
         return ceval(expr.cons, cenv, state, ctx)
     return CV(EMPTY, None)
@@ -519,28 +488,24 @@ def run_scope_concolic(program: Program, scope_name: str, inputs: dict,
     state.hard_mode = True
     for a in scope.assertions:
         ccv = ceval(a, cenv, state, ctx)
-        v = cv_value(ccv)
+        v = ccv.value
         if isinstance(v, VBool):
             sym = ccv.sym if isinstance(ccv, CV) else None
             state.emit_cond(sym, v.b, Origin.ASSERTION, a.span)
             if not v.b:
-                state.hard_mode = False
                 return Outcome(OutcomeKind.PRECONDITION, span=a.span), state.path
         else:
             # Assertion crashed or abstained: treat the input as invalid.
-            state.hard_mode = False
             return Outcome(OutcomeKind.PRECONDITION, span=a.span), state.path
     state.hard_mode = False
 
     env_for_output = {}
     for b in scope.bindings:
         cv = ceval(b.expr, cenv, state, ctx)
-        v = cv_value(cv)
+        v = cv.value
         if isinstance(v, VEmpty):
-            _check_flushed(state)
             return Outcome(OutcomeKind.EMPTY), state.path
         if isinstance(v, VConflict):
-            _check_flushed(state)
             span = v.spans[0] if v.spans else None
             return Outcome(OutcomeKind.CONFLICT, span=span), state.path
         cenv[b.name] = cv
@@ -548,12 +513,6 @@ def run_scope_concolic(program: Program, scope_name: str, inputs: dict,
 
     for n, ty in scope.inputs:
         env_for_output.setdefault(n, inputs[n])
-    _check_flushed(state)
     outcome = Outcome(OutcomeKind.VALUE,
                       tuple((o, env_for_output[o]) for o in scope.outputs))
     return outcome, state.path
-
-
-def _check_flushed(state: ConcolicState) -> None:
-    if state.frames:
-        raise ConcolicError("local constraint stack not flushed at top level")

@@ -31,7 +31,7 @@ from .concolic import (
     BranchRecord, ConcolicOpts, Origin, run_scope_concolic,
 )
 from .solver import (
-    DEFAULT_BUDGET, SOFT_TIERS, Sat, SolverFailure, SolverSession, Unknown,
+    SOFT_TIERS, Sat, SolverFailure, SolverSession, Unknown,
     Unsat, simplify,
 )
 from .symbolic import (
@@ -62,7 +62,6 @@ class ExploreConfig:
     incremental: bool = True
     max_iters: int = 10_000
     timeout: Optional[float] = None
-    solver_budget: int = DEFAULT_BUDGET
     backend: object = None  # None for builtin, else an ExternalSolver
     on_query: Optional[Callable] = None
     progress: Optional[Callable] = None
@@ -87,10 +86,7 @@ class Testcase:
     path: tuple  # tuple[BranchRecord, ...]
     soft_tier: Optional[str]
     iteration: int
-
-    @property
-    def path_fp(self) -> str:
-        return path_fingerprint(self.path)
+    path_fp: str  # path_fingerprint(path)
 
 
 @dataclass
@@ -252,12 +248,11 @@ def explore(program: Program, scope_name: str,
                       opts=config.opt_names(), depth_trace=[])
 
     inputs = initial_inputs(scope, config.initial)
-    session = SolverSession(leaves, backend=config.backend,
-                            budget=config.solver_budget, on_query=config.on_query,
+    session = SolverSession(leaves, backend=config.backend, on_query=config.on_query,
                             retain=leaf_env_of_inputs(scope, inputs))
 
     # Bootstrap past assertion-violating starting inputs.
-    inputs, ok = _bootstrap(work, scope, inputs, session, copts, stats, suite)
+    inputs, ok = _bootstrap(work, scope, inputs, session, copts, suite)
     if not ok:
         _sync_stats(stats, session)
         return suite
@@ -282,7 +277,7 @@ def explore(program: Program, scope_name: str,
             if fp not in seen_fps:
                 seen_fps.add(fp)
                 tc = Testcase(scope_name, dict(inputs), outcome, tuple(path),
-                              tier, stats.iterations)
+                              tier, stats.iterations, fp)
                 suite.testcases.append(tc)
                 stats.tests += 1
                 if outcome.kind is OutcomeKind.CONFLICT:
@@ -306,7 +301,6 @@ def explore(program: Program, scope_name: str,
             try:
                 res = _query(session, config, prefix, negation, money_leaves)
             except SolverFailure:
-                stats.solver_failures += 1
                 suite.complete = False
                 frontier.entries[k].done = True
                 continue
@@ -364,10 +358,11 @@ def _sync_frames(session: SolverSession, prefix: list) -> None:
 
 
 def _bootstrap(work: Program, scope, inputs: dict, session: SolverSession,
-               copts: ConcolicOpts, stats: SuiteStats, suite: TestSuite):
+               copts: ConcolicOpts, suite: TestSuite):
     """Find a starting input satisfying the scope assertions.  Returns
     (inputs, ok); an unsatisfiable assertion system gives ok=False with the
-    suite left empty and complete."""
+    suite left empty and complete, and an Unknown or a solver failure gives
+    ok=False with the suite marked incomplete."""
     for _ in range(8):
         outcome, path = run_scope_concolic(work, scope.name, inputs, copts)
         if outcome.kind is not OutcomeKind.PRECONDITION:
@@ -381,6 +376,9 @@ def _bootstrap(work: Program, scope, inputs: dict, session: SolverSession,
         session.push(required)
         try:
             res = session.check()
+        except SolverFailure:
+            suite.complete = False
+            return inputs, False
         finally:
             session.pop()
         if isinstance(res, Sat):
@@ -399,5 +397,6 @@ def _sync_stats(stats: SuiteStats, session: SolverSession) -> None:
     stats.sat = session.stats.sat
     stats.unsat = session.stats.unsat
     stats.unknown = session.stats.unknown
+    stats.solver_failures = session.stats.failures
     stats.pushes = session.stats.pushes
     stats.pops = session.stats.pops

@@ -54,10 +54,6 @@ class Outcome:
                 return v
         raise KeyError(name)
 
-    @property
-    def is_value(self) -> bool:
-        return self.kind is OutcomeKind.VALUE
-
 
 OK = OutcomeKind.VALUE
 
@@ -79,9 +75,8 @@ def round_rat(q: Fraction) -> int:
 
 
 def apply_binop(op: str, lv: Value, rv: Value) -> Value:
-    """Total operator table shared by the interpreter, the concolic engine,
-    and the solver's model check.  Returns the conflict value on division by
-    zero."""
+    """Total operator table shared by the interpreter and the concolic
+    engine.  Returns the conflict value on division by zero."""
     match (op, lv, rv):
         case ("&&", VBool(a), VBool(b)):
             return VBool(a and b)

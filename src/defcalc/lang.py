@@ -355,9 +355,6 @@ class Scope:
     bindings: tuple  # tuple[Binding, ...]
     outputs: tuple  # tuple[str, ...]
 
-    def input_types(self) -> dict:
-        return dict(self.inputs)
-
 
 @dataclass(frozen=True)
 class Function:

@@ -214,9 +214,6 @@ class _Parser:
             return self.take()
         raise _Bail(Diagnostic(f"expected {what}, got {t.text!r}", t.span))
 
-    def error_here(self, message: str):
-        self.diags.append(Diagnostic(message, self.peek().span))
-
     def sync_to(self, stops: tuple):
         # Error recovery: skip tokens until one of `stops` (consumed when it
         # is a ';') or a closing brace / EOF.

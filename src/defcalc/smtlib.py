@@ -459,13 +459,11 @@ class SmtlibEmitter:
     """Writes one numbered .smt2 file per query (the --emit-smtlib option)."""
 
     def __init__(self, directory):
-        import os
         self.dir = directory
         self.count = 0
         os.makedirs(directory, exist_ok=True)
 
     def __call__(self, query: Query) -> None:
-        import os
         path = os.path.join(self.dir, f"q{self.count:06d}.smt2")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(emit_smtlib(query))

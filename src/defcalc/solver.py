@@ -81,6 +81,7 @@ class SolverStats:
     sat: int = 0
     unsat: int = 0
     unknown: int = 0
+    failures: int = 0  # SolverFailure from the backend or its model check
     pushes: int = 0
     pops: int = 0
 
@@ -829,17 +830,14 @@ def divisibility_constraints(decls, money_vars, unit: int) -> tuple:
 class SolverSession:
     """Incremental assertion stack over a fixed set of declarations.
 
-    `base` literals (scope assertions) are conjoined to every check and are
-    not affected by push/pop.  The builtin backend re-decides the current
-    conjunction on every check, so a check after any push/pop sequence is
-    observationally identical to a fresh session with the same net
-    assertions.
+    The builtin backend re-decides the current conjunction on every check,
+    so a check after any push/pop sequence is observationally identical to
+    a fresh session with the same net assertions.
     """
 
-    def __init__(self, decls, base=(), backend=None, budget: int = DEFAULT_BUDGET,
+    def __init__(self, decls, backend=None, budget: int = DEFAULT_BUDGET,
                  on_query=None, retain=None):
         self.decls = tuple(decls)
-        self.base = list(base)
         self.frames: list = []
         self.retain: dict = {} if retain is None else retain
         self.backend = backend  # None -> builtin; else an ExternalSolver
@@ -864,7 +862,7 @@ class SolverSession:
         return len(self.frames)
 
     def literals(self) -> tuple:
-        out = list(self.base)
+        out = []
         for f in self.frames:
             out.extend(f)
         return tuple(out)
@@ -873,19 +871,26 @@ class SolverSession:
 
     def _decide(self, decls: tuple, lits: tuple) -> object:
         """Issue one query: emit it, solve it, model-check a Sat and count
-        the verdict.  A builtin model that violates the query is a bug here
-        (AssertionError); an external one is a `SolverFailure`."""
+        the verdict, or the `SolverFailure` that ended it, so `checks` is
+        always sat + unsat + unknown + failures.  A builtin model that
+        violates the query is a bug here (AssertionError); an external one is
+        a `SolverFailure`."""
         query = Query(decls, lits)
         if self.on_query is not None:
             self.on_query(query)
         self.stats.checks += 1
-        if self.backend is None:
-            res = _builtin_check(decls, lits, self.retain, self.budget)
-        else:
-            res = self.backend.check(query)
+        try:
+            if self.backend is None:
+                res = _builtin_check(decls, lits, self.retain, self.budget)
+            else:
+                res = self.backend.check(query)
+            if isinstance(res, Sat):
+                _assert_model(res.model, lits,
+                              AssertionError if self.backend is None else SolverFailure)
+        except SolverFailure:
+            self.stats.failures += 1
+            raise
         if isinstance(res, Sat):
-            _assert_model(res.model, lits,
-                          AssertionError if self.backend is None else SolverFailure)
             self.stats.sat += 1
         elif isinstance(res, Unsat):
             self.stats.unsat += 1

@@ -5,7 +5,7 @@ import pytest
 
 from defcalc.lang import (
     BOOL, INT,
-    BinOp, Binding, Default, Lit, Opaque, Program, Scope, Var, VBool, VInt,
+    BinOp, Binding, Default, If, Lit, Opaque, Program, Scope, Var, VBool, VInt,
     VMoney, VRat,
 )
 from defcalc.concolic import (
@@ -16,7 +16,11 @@ from defcalc.symbolic import (
     leaf_env_of_inputs, render, sym_eval_bool,
 )
 
-from genutil import gen_default_term, gen_env, term_program, TERM_VARS
+from conftest import load_program
+from genutil import (
+    enumerate_inputs, gen_default_term, gen_env, gen_scope_program, term_program,
+    TERM_VARS,
+)
 
 
 def rule(j, c):
@@ -168,6 +172,57 @@ def test_early_error_drops_exactly_the_local_constraints():
     assert rendered(path) == ["b", "b"]
 
 
+def pair_conflict(var):
+    # two firing exceptions: a conflict that is not an erroring exception
+    return Default((rule(Var(var), Lit(VInt(1))), rule(Var(var), Lit(VInt(2)))),
+                   Lit(VBool(False)), Lit(VInt(0)))
+
+
+def bools_program(names, bindings):
+    scope = Scope("M", tuple((n, BOOL) for n in names), (),
+                  tuple(Binding(n, INT, e) for n, e in bindings),
+                  (bindings[-1][0],))
+    return Program(scopes=(scope,))
+
+
+def test_early_error_cuts_an_earlier_exceptions_nested_default():
+    # y's second exception is a default whose first exception (itself a
+    # default) fires and whose second conflicts: both cuts drop everything
+    # y recorded before the conflict, and z's record before y stays.
+    inner = Default((Default((rule(Var("a"), Lit(VInt(1))),), Var("b"), Lit(VInt(5))),
+                     pair_conflict("c")),
+                    Lit(VBool(True)), Lit(VInt(4)))
+    y = Default((rule(Var("d"), Lit(VInt(7))), inner), Lit(VBool(True)), Lit(VInt(0)))
+    prog = bools_program("abcde", [("z", If(Var("e"), Lit(VInt(1)), Lit(VInt(2)))),
+                                   ("y", y)])
+    env = {"a": VBool(False), "b": VBool(True), "c": VBool(True),
+           "d": VBool(False), "e": VBool(True)}
+    out, path = run(prog, "M", env)
+    assert out.kind is OutcomeKind.CONFLICT
+    assert rendered(path) == ["e", "!d", "!a", "b", "c", "c"]
+    out, path = run(prog, "M", env, early_error=True)
+    assert out.kind is OutcomeKind.CONFLICT
+    assert rendered(path) == ["e", "c", "c"]
+
+
+def test_early_error_nested_cut_inside_the_erroring_exception_goes_first():
+    # The erroring exception records e, then its own nested default cuts !b
+    # before the outer default cuts !a: e, recorded by the erroring
+    # exception before its nested default started, stays.
+    nested = Default((rule(Var("b"), Lit(VInt(1))), pair_conflict("c")),
+                     Lit(VBool(True)), Lit(VInt(3)))
+    y = Default((rule(Var("a"), Lit(VInt(1))), If(Var("e"), nested, Lit(VInt(0)))),
+                Lit(VBool(True)), Lit(VInt(0)))
+    prog = bools_program("abce", [("y", y)])
+    env = {"a": VBool(False), "b": VBool(False), "c": VBool(True), "e": VBool(True)}
+    out, path = run(prog, "M", env)
+    assert out.kind is OutcomeKind.CONFLICT
+    assert rendered(path) == ["!a", "e", "!b", "c", "c"]
+    out, path = run(prog, "M", env, early_error=True)
+    assert out.kind is OutcomeKind.CONFLICT
+    assert rendered(path) == ["e", "c", "c"]
+
+
 def test_lazy_conflict_stops_at_second_firing_exception():
     term = Default((rule(Var("a"), Lit(VInt(1))),
                     rule(Var("b"), Lit(VInt(2))),
@@ -232,11 +287,61 @@ def test_lazy_path_is_prefix_of_eager_on_conflicts():
     assert checked > 10, "corpus should include conflicting runs"
 
 
-def test_local_stack_flushed_at_top_level():
+def _records(path):
+    return [(r.constraint, r.taken, r.origin, r.trivial, r.hard, r.span) for r in path]
+
+
+BUNDLED = (("fig5.dfc", "Main"), ("income_tax.dfc", "IncomeTax"),
+           ("geo_match.dfc", "Housing"), ("trivial_just.dfc", "Fees"),
+           ("soft_money.dfc", "Subsidy"), ("benefits_medium.dfc", "Benefits"))
+
+
+def test_trail_matches_the_frame_stack_oracle(monkeypatch):
+    """The one-trail engine gives the same outcome and the same records,
+    spans included, as the local-constraint stack it replaced, on random
+    default terms, random scopes with assertions, and the bundled programs
+    at their explored inputs, with lazy and early-error on and off."""
+    import oracle_concolic
+    from defcalc import concolic
+    from defcalc.explorer import explore
+
     rng = random.Random(2028)
-    for _ in range(100):
+    cases = []
+    for _ in range(500):
         prog = term_program(gen_default_term(rng))
-        run(prog, "T", gen_env(rng))  # ConcolicError would propagate
+        cases += [(prog, "T", gen_env(rng)) for _ in range(4)]
+    for _ in range(100):
+        prog = gen_scope_program(rng)
+        grid = list(enumerate_inputs(prog.scopes[0]))
+        cases += [(prog, "Rand", env) for env in rng.sample(grid, 4)]
+    for name, scope in BUNDLED:
+        prog = load_program(name)
+        cases += [(prog, scope, tc.inputs) for tc in explore(prog, scope).testcases]
+    opts = [ConcolicOpts(lazy=lazy, early_error=early)
+            for lazy in (False, True) for early in (False, True)]
+
+    def runs():
+        return [run_scope_concolic(p, s, env, o) for p, s, env in cases for o in opts]
+
+    want = runs()
+    states = []
+
+    def oracle_state():
+        states.append(oracle_concolic.ConcolicState())
+        return states[-1]
+
+    monkeypatch.setattr(concolic, "ConcolicState", oracle_state)
+    monkeypatch.setattr(concolic, "_ceval_default", oracle_concolic._ceval_default)
+    got = runs()
+    assert len(states) == len(got) and not any(s.frames for s in states)
+    for (out_w, path_w), (out_g, path_g) in zip(want, got):
+        assert out_w == out_g
+        assert _records(path_w) == _records(path_g)
+    # opts[0] is eager, opts[1] the same with early-error
+    cut = sum(len(want[i + 1][1]) < len(want[i][1]) for i in range(0, len(want), len(opts)))
+    assert cut > 50, "the corpus should exercise early-error cuts"
+    assert any(r.hard for _, path in want for r in path)
+    assert any(r.span is not None for _, path in want for r in path)
 
 
 def test_income_tax_zero_inputs_path(income_tax):

@@ -335,6 +335,17 @@ def test_solver_failure_is_recorded_and_exploration_continues(fig5):
     assert len(suite.testcases) == 1  # the initial run still counts
 
 
+def test_bootstrap_solver_failure_gives_incomplete_suite():
+    from defcalc.parser import parse_or_raise
+    prog = parse_or_raise(
+        "scope S { input x: int; assert x > 5; def y: int = x; output y; }")
+    suite = explore(prog, "S", ExploreConfig(backend=_BrokenBackend()))
+    assert not suite.complete and suite.testcases == []
+    s = suite.stats
+    assert s.solver_failures == s.solver_calls == 1
+    assert s.solver_calls == s.sat + s.unsat + s.unknown + s.solver_failures
+
+
 def test_wall_clock_timeout_flags_incomplete(benefits_medium):
     suite = explore(benefits_medium, "Benefits", ExploreConfig(timeout=0.0))
     assert not suite.complete

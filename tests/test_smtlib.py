@@ -274,6 +274,18 @@ def test_shim_answers_a_whole_script_piped_in(scripts_dir):
     assert parse_model(model, q_simple()) == {"x": VInt(1)}
 
 
+def test_shim_answers_unreadable_commands_with_errors_and_goes_on(scripts_dir):
+    text = "(declare-const y Foo)\n)\n" + emit_smtlib(q_simple())
+    p = subprocess.run([sys.executable, str(scripts_dir / "smtlib_solve.py")],
+                       input=text, capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    lines = p.stdout.split("\n", 3)
+    assert lines[0].startswith('(error "') and "unknown sort Foo" in lines[0]
+    assert lines[1].startswith('(error "')
+    assert lines[2] == "sat"
+    assert parse_model(lines[3], q_simple()) == {"x": VInt(1)}
+
+
 def test_shim_refuses_a_model_after_unsat(scripts_dir):
     lit = SymBin(">", SymVar("x", INT), SymConst(VInt(0)))
     text = emit_smtlib(Query((Leaf("x", INT),), (lit, SymNot(lit))))
@@ -313,7 +325,9 @@ def test_explore_counts_violating_external_models(tmp_path, fig5):
     with fake_solver(tmp_path, SAT_WITH_BAD_MODEL) as ext:
         suite = explore(fig5, "Main", ExploreConfig(backend=ext))
     assert not suite.complete
-    assert suite.stats.solver_failures > 0
+    s = suite.stats
+    assert s.solver_failures > 0
+    assert s.solver_calls == s.sat + s.unsat + s.unknown + s.solver_failures
 
 
 # -- differential: the shim backend reproduces the builtin suites ---------------

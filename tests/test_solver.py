@@ -32,8 +32,8 @@ def c(x):
     return SymConst(VInt(x))
 
 
-def session(*leaves, base=()):
-    return SolverSession(tuple(leaves), base=base)
+def session(*leaves):
+    return SolverSession(tuple(leaves))
 
 
 B = Leaf("b", BOOL)
@@ -228,7 +228,8 @@ def test_soft_tier_maximality_independent_check():
     res = s.check_soft(["x"])
     assert res.tier == "T10"  # no multiple of $100 inside the open window
     decls, lits = divisibility_constraints(s.decls, ["x"], 10000)
-    probe = SolverSession(decls, base=s.literals())
+    probe = SolverSession(decls)
+    probe.push(s.literals())
     probe.push(list(lits))
     assert isinstance(probe.check(), Unsat)
 
