@@ -139,6 +139,7 @@ def cmd_run(args) -> int:
     if args.stats:
         s = suite.stats
         print(f"solver_calls={s.solver_calls} sat={s.sat} unsat={s.unsat} "
+              f"unknown={s.unknown} solver_failures={s.solver_failures} "
               f"tests={s.tests} conflicts={s.conflicts} empties={s.empties}")
     if not suite.complete:
         print("exploration incomplete (budget or solver limits)", file=sys.stderr)

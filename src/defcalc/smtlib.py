@@ -249,6 +249,7 @@ def _sexpr_end(text: str) -> Optional[int]:
 
 
 def parse_sexprs(text: str) -> list:
+    """The S-expressions of `text` as nested token lists; ValueError if unbalanced."""
     stack: list = [[]]
     for tok in _tokenize_sexpr(text):
         if tok == "(":
@@ -256,12 +257,12 @@ def parse_sexprs(text: str) -> list:
         elif tok == ")":
             done = stack.pop()
             if not stack:
-                raise SolverFailure("unbalanced parenthesis in solver reply")
+                raise ValueError("unbalanced parenthesis")
             stack[-1].append(done)
         else:
             stack[-1].append(tok)
     if len(stack) != 1:
-        raise SolverFailure("unbalanced parenthesis in solver reply")
+        raise ValueError("unbalanced parenthesis")
     return stack[0]
 
 
@@ -298,7 +299,10 @@ def parse_model(reply: str, query: Query) -> dict:
     """Extract a leaf model from a get-model reply; missing leaves get their
     type default (solvers omit don't-care constants).  An ``(error ...)``
     reply raises `SolverFailure`."""
-    sexprs = parse_sexprs(reply)
+    try:
+        sexprs = parse_sexprs(reply)
+    except ValueError as e:
+        raise SolverFailure(f"{e} in model reply") from None
     assignments: dict = {}
     for node in sexprs:
         if not isinstance(node, list):

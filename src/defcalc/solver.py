@@ -5,12 +5,14 @@ over exact rationals, integers, money (integer cents), booleans, and finite
 enum tags, with Round/Floor occurrences.  The pipeline is:
 
 1. simplify each literal (ground folding, double negation, linear-difference
-   folding);
-2. lazily enumerate case-split branches (disjunctions, disequalities, bool
-   and enum equalities, and one sign split per Round occurrence), in a fixed
-   deterministic order;
-3. per branch, replace Round/Floor terms with integer auxiliaries,
-   linearize the branch's atoms once, and for each Round sign case add the
+   folding) and list its case-split alternatives (disjunctions, disequalities,
+   bool and enum equalities) with their atoms' linear forms, once a session;
+2. search the alternatives depth first, literal by literal, so complete
+   branches come in DNF order; at each choice and at the last literal, cut
+   a partial branch whose linear atoms (Round/Floor left out) have no
+   rational solution (`_project`), which loses no solution;
+3. per branch, replace Round/Floor terms with integer auxiliaries, split
+   once per Round occurrence on its sign, and for each sign case add the
    defining inequalities and solve the linear core: one Fourier-Motzkin
    projection (`_project`) decides rational feasibility on entry and gives
    each variable's window; variables are then fixed in order by one
@@ -22,8 +24,10 @@ Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
 variables not mentioned by any literal keep their retained value (the
 session holds the exploration's initial input for this), so models stay
-close to the user's starting point.  A case-split/candidate budget bounds
-the search; when it runs out the answer is Unknown, never a wrong model.
+close to the user's starting point.  One budget bounds the whole search:
+every complete branch, every cut, every Round sign case and every integer
+candidate costs one unit.  When it runs out the answer is Unknown, never a
+wrong model.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .symbolic import (
 )
 
 DEFAULT_BUDGET = 1 << 16
-_BRANCH_CAP = 4096
 
 
 class SolverUsageError(Exception):
@@ -399,14 +402,7 @@ def _strip_rounds(atoms: list) -> tuple:
             case _:
                 return e
 
-    out = []
-    for atom in atoms:
-        if atom[0] == "num":
-            _, op, a, b = atom
-            out.append(("num", op, rewrite(a), rewrite(b)))
-        else:
-            out.append(atom)
-    return out, specs
+    return [("num", op, rewrite(a), rewrite(b)) for _, op, a, b in atoms], specs
 
 
 _HALF = Fraction(1, 2)
@@ -451,8 +447,15 @@ class _Infeasible(Exception):
     pass
 
 
-def _lin_atoms(atoms: list) -> list:
-    return [(*_lin_diff(a, b), op) for _, op, a, b in atoms]
+def _lin_form(atom: tuple, memo: dict) -> Optional[tuple]:
+    """The linear atom of a numeric branch atom, None when it does not
+    linearize; computed once per memo."""
+    if atom not in memo:
+        try:
+            memo[atom] = (*_lin_diff(atom[2], atom[3]), atom[1])
+        except NonLinear:
+            memo[atom] = None
+    return memo[atom]
 
 
 def _check_ground(coeffs: dict, const: Fraction, op: str) -> Optional[bool]:
@@ -676,60 +679,68 @@ def _solve_linear(atoms: list, order: list, budget: _Budget) -> Optional[dict]:
 
 
 def _builtin_check(decls: tuple, literals: tuple, retain: dict,
-                   budget_limit: int = DEFAULT_BUDGET) -> object:
-    budget = _Budget(budget_limit)
-    literals = tuple(simplify(l) for l in literals)
-    if any(l == FALSE for l in literals):
-        return UNSAT
-    literals = tuple(l for l in literals if l != TRUE)
-
-    leaf_by_name = {l.name: l for l in decls}
-    enum_decls = {l.name: l.ty for l in decls if isinstance(l.ty, EnumT)}
-
-    conj: Optional[SymExpr] = None
-    for l in literals:
-        conj = l if conj is None else SymBin("&&", conj, l)
-    if conj is None:
-        return Sat(_fill_model(decls, {}, {}, {}, retain))
-
-    had_unknown = False
+                   budget_limit: int = DEFAULT_BUDGET,
+                   memo: Optional[dict] = None) -> object:
+    """Decide the conjunction of `literals`.  `memo` keeps what is derived
+    from one literal or atom alone across calls; None gives a fresh one."""
+    memo = {} if memo is None else memo
     try:
-        branch_iter = _branches(conj, True)
+        alts = [_alternatives(l, memo) for l in literals]
     except NonLinear as e:
         return Unknown(str(e))
-
-    count = 0
-    while True:
-        try:
-            branch = next(branch_iter)
-        except StopIteration:
-            break
-        except NonLinear as e:
-            return Unknown(str(e))
-        count += 1
-        if count > _BRANCH_CAP:
-            had_unknown = True
-            break
-        try:
+    if [] in alts:  # a literal simplified to false
+        return UNSAT
+    budget = _Budget(budget_limit)
+    had_unknown = False
+    try:
+        for branch in _search(alts, 0, [], [], budget):
             budget.spend()
-            result = _solve_branch(branch, decls, enum_decls, retain, budget)
-        except _OutOfBudget:
-            had_unknown = True
-            break
-        except NonLinear:
-            had_unknown = True
-            continue
-        if result is not None:
-            return Sat(result)
-    if had_unknown:
-        return Unknown("case-split budget exhausted")
-    return UNSAT
+            try:
+                result = _solve_branch(branch, decls, retain, budget, memo)
+            except NonLinear:
+                had_unknown = True
+                continue
+            if result is not None:
+                return Sat(result)
+    except _OutOfBudget:
+        had_unknown = True
+    return Unknown("case-split budget exhausted") if had_unknown else UNSAT
 
 
-def _solve_branch(branch: list, decls: tuple, enum_decls: dict,
-                  retain: dict, budget: _Budget) -> Optional[dict]:
+def _alternatives(lit: SymExpr, memo: dict) -> list:
+    """The simplified literal's case-split alternatives in DNF order, each
+    paired with the linear forms of its numeric atoms that linearize."""
+    alts = memo.get(lit)
+    if alts is None:
+        alts = memo[lit] = [
+            (alt, [f for a in alt if a[0] == "num" and (f := _lin_form(a, memo))])
+            for alt in _branches(simplify(lit), True)]
+    return alts
+
+
+def _search(alts: list, i: int, branch: list, lin: list,
+            budget: _Budget) -> Iterator[list]:
+    """The complete branches that extend `branch` (alternatives of the first
+    `i` literals, linear atoms `lin`) in DNF order.  At a choice, and at the
+    last literal, a partial branch with no rational solution is cut for one
+    unit of budget, which each branch it stands for would cost at least."""
+    if i == len(alts):
+        yield branch
+        return
+    for alt, forms in alts[i]:
+        if forms and (len(alts[i]) > 1 or i + 1 == len(alts)):
+            try:
+                _project(lin + forms)
+            except _Infeasible:
+                budget.spend()
+                continue
+        yield from _search(alts, i + 1, branch + alt, lin + forms, budget)
+
+
+def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
+                  memo: dict) -> Optional[dict]:
     bools: dict = {}
-    allowed = {n: set(t.variant_names()) for n, t in enum_decls.items()}
+    allowed = {l.name: set(l.ty.variant_names()) for l in decls if isinstance(l.ty, EnumT)}
     num_atoms = []
     for atom in branch:
         match atom:
@@ -757,12 +768,12 @@ def _solve_branch(branch: list, decls: tuple, enum_decls: dict,
     # Each Round/Floor case costs one unit of budget, charged before the
     # branch's atoms are linearized (a NonLinear atom still pays for it).
     split_cost = 1 if specs else 0
-    base = None
     for case in _round_cases(specs):
         budget.spend(split_cost)
-        if base is None:
-            base = _lin_atoms(num_atoms)
-        solution = _solve_linear(base + _lin_atoms(case), order, budget)
+        system = [_lin_form(a, memo) for a in num_atoms + case]
+        if None in system:
+            raise NonLinear("branch atom is not linear")
+        solution = _solve_linear(system, order, budget)
         if solution is not None:
             return _fill_model(decls, bools, allowed, solution, retain)
     return None
@@ -788,8 +799,7 @@ def _fill_model(decls: tuple, bools: dict, allowed: dict, nums: dict,
                 model[name] = retain.get(name, VBool(False))
         else:
             if name in nums:
-                f = nums[name]
-                model[name] = _num_value(ty, f)
+                model[name] = _num_value(ty, nums[name])
             else:
                 model[name] = retain.get(name, default_value(ty))
     return model
@@ -832,7 +842,9 @@ class SolverSession:
 
     The builtin backend re-decides the current conjunction on every check,
     so a check after any push/pop sequence is observationally identical to
-    a fresh session with the same net assertions.
+    a fresh session with the same net assertions.  `_memo` keeps what it
+    derives from one literal alone (alternatives, linear forms) for the
+    session's life, so no check prepares a literal a second time.
     """
 
     def __init__(self, decls, backend=None, budget: int = DEFAULT_BUDGET,
@@ -844,6 +856,7 @@ class SolverSession:
         self.budget = budget
         self.stats = SolverStats()
         self.on_query = on_query  # callback(Query) for SMT-LIB emission
+        self._memo: dict = {}
 
     # -- stack ------------------------------------------------------------
 
@@ -862,10 +875,7 @@ class SolverSession:
         return len(self.frames)
 
     def literals(self) -> tuple:
-        out = []
-        for f in self.frames:
-            out.extend(f)
-        return tuple(out)
+        return tuple(lit for frame in self.frames for lit in frame)
 
     # -- solving ----------------------------------------------------------
 
@@ -881,7 +891,7 @@ class SolverSession:
         self.stats.checks += 1
         try:
             if self.backend is None:
-                res = _builtin_check(decls, lits, self.retain, self.budget)
+                res = _builtin_check(decls, lits, self.retain, self.budget, self._memo)
             else:
                 res = self.backend.check(query)
             if isinstance(res, Sat):

@@ -2,10 +2,11 @@
 it stood before the core was reduced to one projection, one substitution and
 one integer window, together with the branch pipeline that drives it.
 
-The code below the imports is kept verbatim so that tests can require the
+The code below `_BRANCH_CAP` is kept verbatim so that tests can require the
 live solver to return the same verdicts, models and budget exhaustion.  Do
 not edit it to follow changes in `defcalc.solver`; a difference is the
-thing the tests look for.
+thing the tests look for.  `_BRANCH_CAP` itself came from `defcalc.solver`
+until the live search dropped the cap and kept one budget.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from typing import Iterator, Optional
 
 from defcalc.lang import BOOL, INT, MONEY, EnumT
 from defcalc.solver import (
-    _BRANCH_CAP, DEFAULT_BUDGET, UNSAT, NonLinear, Sat, Unknown, _branches,
-    _Budget, _fill_model, _OutOfBudget, _round_cases, _strip_rounds, linearize,
-    simplify,
+    DEFAULT_BUDGET, UNSAT, NonLinear, Sat, Unknown, _branches, _Budget,
+    _fill_model, _OutOfBudget, _round_cases, _strip_rounds, linearize, simplify,
 )
 from defcalc.symbolic import FALSE, TRUE, SymBin, SymExpr
+
+_BRANCH_CAP = 4096
 
 # ---------------------------------------------------------------------------
 # Linear core: Fourier-Motzkin + branch-and-bound over the integers

@@ -52,8 +52,20 @@ def test_stats_line_matches_manifest(income_tax, programs_dir, tmp_path):
     assert int(parts["tests"]) == manifest["stats"]["tests"]
     assert int(parts["conflicts"]) == manifest["stats"]["conflicts"]
     assert int(parts["empties"]) == manifest["stats"]["empties"]
+    assert int(parts["solver_calls"]) == sum(
+        int(parts[k]) for k in ("sat", "unsat", "unknown", "solver_failures"))
     files = [f for f in os.listdir(out) if f.startswith("tc")]
     assert len(files) == 4
+
+
+def test_stats_line_counts_solver_failures(programs_dir):
+    p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
+                 "--solver", "smtlib:false", "--stats", "--quiet"])
+    assert p.returncode == 2, p.stderr
+    stats_line = [l for l in p.stdout.splitlines() if l.startswith("solver_calls=")][0]
+    parts = dict(kv.split("=") for kv in stats_line.split())
+    assert parts["solver_calls"] == parts["solver_failures"] == "2"
+    assert parts["unknown"] == "0"
 
 
 def test_replay_subcommand(programs_dir, tmp_path):

@@ -281,7 +281,8 @@ def test_shim_answers_unreadable_commands_with_errors_and_goes_on(scripts_dir):
     assert p.returncode == 0, p.stderr
     lines = p.stdout.split("\n", 3)
     assert lines[0].startswith('(error "') and "unknown sort Foo" in lines[0]
-    assert lines[1].startswith('(error "')
+    assert lines[1].startswith('(error "') and "unbalanced parenthesis" in lines[1]
+    assert "solver reply" not in lines[1]
     assert lines[2] == "sat"
     assert parse_model(lines[3], q_simple()) == {"x": VInt(1)}
 

@@ -331,6 +331,28 @@ def test_stats_count_checks():
     assert s.stats.sat == 2
 
 
+def test_unsat_past_four_thousand_branches():
+    # 2**13 case-split branches, each refuted by the first literal: too many
+    # to enumerate one by one, so the answer needs the search's cuts.
+    def both_above(i):
+        return SymBin("&&", SymBin(">", v("x"), c(i)), SymBin(">", v("y"), c(i)))
+    lits = (both_above(20),) + tuple(SymNot(both_above(i)) for i in range(1, 14))
+    assert solver._builtin_check((X, Leaf("y", INT)), lits, {}) == solver.UNSAT
+
+
+def test_session_prepares_each_literal_once(monkeypatch):
+    calls = []
+    real = solver.simplify
+    monkeypatch.setattr(solver, "simplify", lambda e: calls.append(e) or real(e))
+    s = session(X, Leaf("y", INT))
+    s.push([SymBin(">", v("x"), c(3)), SymNot(SymBin("=", v("x"), v("y")))])
+    first = s.check()
+    assert isinstance(first, Sat) and calls
+    calls.clear()
+    assert s.check() == first
+    assert calls == []
+
+
 def test_budget_exhaustion_returns_unknown():
     # forcing a huge enumeration with a tiny budget must degrade to Unknown,
     # never to a wrong verdict
@@ -445,8 +467,12 @@ def _random_mixed_literal(rng):
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([4, 16, 64, 4096]))
 def test_builtin_check_matches_fm_oracle_pipeline(rng, limit):
-    lits = tuple(_random_mixed_literal(rng) for _ in range(rng.randrange(1, 5)))
+    lits = tuple(_random_mixed_literal(rng) for _ in range(rng.randrange(1, 7)))
     retain = {"x": VInt(rng.randrange(-3, 4)), "z": VEnum("Zone", "C")}
     got = solver._builtin_check(_MIXED_LEAVES, lits, retain, limit)
     want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, limit)
+    if isinstance(want, Unknown) and got != want:
+        # The search skips branches the oracle pays for, so it may decide
+        # what the oracle leaves Unknown: then as the oracle does unbounded.
+        want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, 1 << 20)
     assert got == want
