@@ -15,6 +15,12 @@ The early-conflict option breaks the prefix invariant by design; when the
 observed path diverges from the expected prefix, bookkeeping restarts from
 the longest common prefix and already-seen paths are deduplicated by
 fingerprint.
+
+The frontier owns the prefix.  With `incremental` on, the solver session's
+stack holds the literals of a prefix of the frontier, one per entry: a
+query pops it to the flip point and pushes what it lacks, and every cut of
+the frontier pops it below the cut.  With `incremental` off, a query
+passes the prefix as extra literals.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .lang import MONEY, Program, validate
@@ -111,7 +117,7 @@ class TestSuite:
     stats: SuiteStats
     complete: bool
     opts: list
-    depth_trace: list  # |path| per iteration, mirrors incremental stack use
+    depth_trace: list  # |path| per iteration
 
 
 def path_fingerprint(path) -> str:
@@ -132,10 +138,12 @@ class _Entry:
 
 
 class Frontier:
-    """The last explored path with per-position negation bookkeeping."""
+    """The last explored path with per-position negation bookkeeping; with a
+    `session`, its stack holds the literals of `entries[:len(session.stack)]`."""
 
-    def __init__(self):
+    def __init__(self, session: Optional[SolverSession] = None):
         self.entries: list = []
+        self.session = session
 
     def reconcile(self, path: list, early_error: bool) -> None:
         """Match the new path against the expected prefix and absorb the new
@@ -154,6 +162,7 @@ class Frontier:
                 raise PrefixInvariantViolation(
                     f"path diverged from expected prefix at depth {diverged}")
             del self.entries[diverged:]
+            self._pop_to(diverged)
         for rec in path[len(self.entries):]:
             self.entries.append(_Entry(rec))
 
@@ -180,10 +189,27 @@ class Frontier:
     def flip(self, k: int) -> None:
         flipped = self.entries[k].record.negated()
         del self.entries[k:]
+        self._pop_to(k)
         self.entries.append(_Entry(flipped, done=True))
 
-    def prefix_literals(self, k: int) -> list:
-        return [e.record.constraint for e in self.entries[:k]]
+    def query(self, k: int, decide: Callable):
+        """Decide the literals of `entries[:k]` and the negation of entry `k`
+        with `decide(extra)`, a session's `check` or bound `check_soft`."""
+        lits = [e.record.constraint for e in self.entries[:k]]
+        lits.append(sym_not(self.entries[k].record.constraint))
+        if self.session is None:
+            return decide(lits)
+        self._pop_to(k)
+        for lit in lits[len(self.session.stack):]:
+            self.session.push(lit)
+        try:
+            return decide()
+        finally:
+            self.session.pop()
+
+    def _pop_to(self, n: int) -> None:
+        while self.session is not None and len(self.session.stack) > n:
+            self.session.pop()
 
 
 def literal_key(constraint) -> Optional[str]:
@@ -257,7 +283,9 @@ def explore(program: Program, scope_name: str,
         _sync_stats(stats, session)
         return suite
 
-    frontier = Frontier()
+    frontier = Frontier(session if config.incremental else None)
+    decide = partial(session.check_soft, money_leaves) \
+        if config.soft and money_leaves else session.check
     seen_fps = set()
     tier = tier_of_inputs(leaf_env_of_inputs(scope, inputs), money_leaves) \
         if config.soft else None
@@ -296,10 +324,8 @@ def explore(program: Program, scope_name: str,
             k = frontier.next_target(config.trivial)
             if k is None:
                 break
-            prefix = frontier.prefix_literals(k)
-            negation = sym_not(frontier.entries[k].record.constraint)
             try:
-                res = _query(session, config, prefix, negation, money_leaves)
+                res = frontier.query(k, decide)
             except SolverFailure:
                 suite.complete = False
                 frontier.entries[k].done = True
@@ -323,40 +349,6 @@ def explore(program: Program, scope_name: str,
     return suite
 
 
-def _query(session: SolverSession, config: ExploreConfig, prefix: list,
-           negation, money_leaves: list):
-    """Decide prefix + negation: on the push/pop stack when incremental,
-    else as extra literals over the session's empty stack."""
-    if config.incremental:
-        _sync_frames(session, prefix)
-        session.push([negation])
-        extra = ()
-    else:
-        extra = prefix + [negation]
-    try:
-        if config.soft and money_leaves:
-            return session.check_soft(money_leaves, extra)
-        return session.check(extra)
-    finally:
-        if config.incremental:
-            session.pop()
-
-
-def _sync_frames(session: SolverSession, prefix: list) -> None:
-    """Mirror the DFS prefix on the incremental stack: one frame per branch
-    record, popped and pushed as the flip point moves."""
-    common = 0
-    for frame, lit in zip(session.frames, prefix):
-        if len(frame) == 1 and frame[0] == lit:
-            common += 1
-        else:
-            break
-    while session.depth > common:
-        session.pop()
-    for lit in prefix[common:]:
-        session.push([lit])
-
-
 def _bootstrap(work: Program, scope, inputs: dict, session: SolverSession,
                copts: ConcolicOpts, suite: TestSuite):
     """Find a starting input satisfying the scope assertions.  Returns
@@ -373,14 +365,11 @@ def _bootstrap(work: Program, scope, inputs: dict, session: SolverSession,
             if rec.origin is Origin.ASSERTION and not rec.taken:
                 lit = sym_not(lit)  # require the assertion to hold
             required.append(lit)
-        session.push(required)
         try:
-            res = session.check()
+            res = session.check(required)
         except SolverFailure:
             suite.complete = False
             return inputs, False
-        finally:
-            session.pop()
         if isinstance(res, Sat):
             inputs = inputs_of_leaf_env(scope, dict(res.model))
             continue

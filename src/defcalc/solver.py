@@ -691,20 +691,20 @@ def _builtin_check(decls: tuple, literals: tuple, retain: dict,
     if [] in alts:  # a literal simplified to false
         return UNSAT
     budget = _Budget(budget_limit)
-    had_unknown = False
+    reason = None  # why the search cannot answer Unsat, if it cannot
     try:
         for branch in _search(alts, 0, [], [], budget):
             budget.spend()
             try:
                 result = _solve_branch(branch, decls, retain, budget, memo)
-            except NonLinear:
-                had_unknown = True
+            except NonLinear as e:
+                reason = reason or str(e)
                 continue
             if result is not None:
                 return Sat(result)
     except _OutOfBudget:
-        had_unknown = True
-    return Unknown("case-split budget exhausted") if had_unknown else UNSAT
+        reason = reason or "case-split budget exhausted"
+    return UNSAT if reason is None else Unknown(reason)
 
 
 def _alternatives(lit: SymExpr, memo: dict) -> list:
@@ -770,9 +770,11 @@ def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
     split_cost = 1 if specs else 0
     for case in _round_cases(specs):
         budget.spend(split_cost)
-        system = [_lin_form(a, memo) for a in num_atoms + case]
+        atoms = num_atoms + case
+        system = [_lin_form(a, memo) for a in atoms]
         if None in system:
-            raise NonLinear("branch atom is not linear")
+            _, op, a, b = atoms[system.index(None)]
+            raise NonLinear(f"not linear: {render(SymBin(op, a, b))}")
         solution = _solve_linear(system, order, budget)
         if solution is not None:
             return _fill_model(decls, bools, allowed, solution, retain)
@@ -838,11 +840,11 @@ def divisibility_constraints(decls, money_vars, unit: int) -> tuple:
 
 
 class SolverSession:
-    """Incremental assertion stack over a fixed set of declarations.
+    """An assertion stack, one literal per `push`, over fixed declarations.
 
-    The builtin backend re-decides the current conjunction on every check,
-    so a check after any push/pop sequence is observationally identical to
-    a fresh session with the same net assertions.  `_memo` keeps what it
+    `check(extra)` decides the stack's literals and `extra` as one whole
+    query: the builtin backend re-decides the conjunction every time, so a
+    check's answer depends on its literals alone.  `_memo` keeps what it
     derives from one literal alone (alternatives, linear forms) for the
     session's life, so no check prepares a literal a second time.
     """
@@ -850,7 +852,7 @@ class SolverSession:
     def __init__(self, decls, backend=None, budget: int = DEFAULT_BUDGET,
                  on_query=None, retain=None):
         self.decls = tuple(decls)
-        self.frames: list = []
+        self.stack: list = []
         self.retain: dict = {} if retain is None else retain
         self.backend = backend  # None -> builtin; else an ExternalSolver
         self.budget = budget
@@ -860,22 +862,15 @@ class SolverSession:
 
     # -- stack ------------------------------------------------------------
 
-    def push(self, literals) -> None:
-        self.frames.append(list(literals))
+    def push(self, literal) -> None:
+        self.stack.append(literal)
         self.stats.pushes += 1
 
     def pop(self) -> None:
-        if not self.frames:
+        if not self.stack:
             raise SolverUsageError("pop on empty assertion stack")
-        self.frames.pop()
+        self.stack.pop()
         self.stats.pops += 1
-
-    @property
-    def depth(self) -> int:
-        return len(self.frames)
-
-    def literals(self) -> tuple:
-        return tuple(lit for frame in self.frames for lit in frame)
 
     # -- solving ----------------------------------------------------------
 
@@ -909,7 +904,7 @@ class SolverSession:
         return res
 
     def check(self, extra=()) -> object:
-        return self._decide(self.decls, self.literals() + tuple(extra))
+        return self._decide(self.decls, (*self.stack, *extra))
 
     def check_soft(self, money_vars, extra=()) -> object:
         """Hard check first; on Sat, walk the soft ladder for the given
@@ -921,7 +916,7 @@ class SolverSession:
         money_vars = [m for m in money_vars if any(l.name == m for l in self.decls)]
         if not money_vars:
             return hard
-        lits = self.literals() + tuple(extra)
+        lits = (*self.stack, *extra)
         for tier_name, unit in SOFT_TIERS:
             decls, tier_lits = divisibility_constraints(self.decls, money_vars, unit)
             res = self._decide(decls, lits + tier_lits)

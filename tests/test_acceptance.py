@@ -298,9 +298,9 @@ def test_c10_soft_constraint_ladder(soft_money, tmp_path_factory):
         # the recorded path condition
         decls, tier_lits = divisibility_constraints(
             scope_leaves(scope), [l.name for l in money_leaves], _tier_unit(nxt))
-        probe = SolverSession(decls)
-        probe.push([r.constraint for r in tc.path] + list(tier_lits))
-        ok = ok and isinstance(probe.check(), Unsat)
+        verdict = SolverSession(decls).check(
+            [r.constraint for r in tc.path] + list(tier_lits))
+        ok = ok and isinstance(verdict, Unsat)
 
     d = tmp_path_factory.mktemp("c10")
     emit_suite(suite, str(d))

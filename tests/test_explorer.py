@@ -14,7 +14,10 @@ from defcalc.explorer import (
     literal_key, path_fingerprint,
 )
 from defcalc.interp import OutcomeKind
-from defcalc.symbolic import SymBin, SymConst, SymNot, SymVar, TRUE, render
+from defcalc.solver import SolverSession
+from defcalc.symbolic import (
+    Leaf, SymBin, SymConst, SymNot, SymVar, TRUE, render, scope_leaves,
+)
 
 from genutil import brute_force_classes, gen_scope_program, outcome_class
 
@@ -186,6 +189,25 @@ def test_prefix_divergence_restarts_with_early_error():
     assert [e.record.constraint for e in f.entries] == [B, SymNot(XEQ0), B]
 
 
+def test_early_error_cut_pops_the_session_below_it():
+    queries = []
+    session = SolverSession((Leaf("b", BOOL), Leaf("x", INT)),
+                            on_query=lambda q: queries.append(list(q.literals)))
+    f = Frontier(session)
+    gt = SymBin(">", X, SymConst(VInt(0)))
+    f.reconcile([rec(B), rec(SymNot(XEQ0), taken=False), rec(gt)], early_error=False)
+    f.query(2, session.check)
+    assert session.stack == [B, SymNot(XEQ0)]
+    d = 1  # the early-error path leaves the prefix at depth 1 < 2
+    f.reconcile([rec(B), rec(XEQ0), rec(gt)], early_error=True)
+    assert len(session.stack) <= d
+    assert session.stack == [e.record.constraint for e in f.entries[:len(session.stack)]]
+    f.query(2, session.check)
+    assert queries[-1] == [B, XEQ0, SymNot(gt)]
+    f.flip(1)  # so does the cut that flips a shallower record
+    assert session.stack == [B]
+
+
 # -- trivial filtering -----------------------------------------------------------
 
 
@@ -346,6 +368,25 @@ def test_bootstrap_solver_failure_gives_incomplete_suite():
     assert s.solver_calls == s.sat + s.unsat + s.unknown + s.solver_failures
 
 
+def test_bootstrap_leaves_the_assertion_stack_empty():
+    from defcalc.concolic import ConcolicOpts
+    from defcalc.explorer import TestSuite, SuiteStats, _bootstrap, initial_inputs
+    from defcalc.parser import parse_or_raise
+    prog = parse_or_raise("scope S { input x: int; assert x > 5; "
+                          "def y: int = if x > 10 then 1 else 0; output y; }")
+    scope = prog.scope("S")
+    session = SolverSession(scope_leaves(scope))
+    suite = TestSuite("S", [], SuiteStats(), True, [], [])
+    inputs, ok = _bootstrap(prog, scope, initial_inputs(scope, {}), session,
+                            ConcolicOpts(), suite)
+    assert ok and inputs["x"].i > 5
+    assert session.stack == [] and session.stats.checks == 1
+    assert session.stats.pushes == session.stats.pops == 0
+    # the one flip after bootstrap pushes the hard prefix and the negation
+    s = explore(prog, "S", ExploreConfig()).stats
+    assert (s.pushes, s.pops, s.solver_calls) == (2, 1, 2)
+
+
 def test_wall_clock_timeout_flags_incomplete(benefits_medium):
     suite = explore(benefits_medium, "Benefits", ExploreConfig(timeout=0.0))
     assert not suite.complete
@@ -354,7 +395,7 @@ def test_wall_clock_timeout_flags_incomplete(benefits_medium):
 def test_incremental_mode_drives_the_assertion_stack(fig5):
     cfg = ExploreConfig(initial={"b": VBool(True), "x": VInt(3)})
     inc = explore(fig5, "Main", cfg)
-    assert inc.stats.pushes > 0 and inc.stats.pops > 0
+    assert (inc.stats.pushes, inc.stats.pops, inc.stats.solver_calls) == (7, 6, 4)
     one = explore(fig5, "Main",
                   ExploreConfig(initial={"b": VBool(True), "x": VInt(3)},
                                 incremental=False))

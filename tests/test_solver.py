@@ -45,7 +45,8 @@ X = Leaf("x", INT)
 
 def test_check_b_and_x_equals_zero():
     s = session(B, X)
-    s.push([v("b", BOOL), SymBin("=", v("x"), c(0))])
+    s.push(v("b", BOOL))
+    s.push(SymBin("=", v("x"), c(0)))
     res = s.check()
     assert isinstance(res, Sat)
     assert res.model == {"b": VBool(True), "x": VInt(0)}
@@ -53,14 +54,14 @@ def test_check_b_and_x_equals_zero():
 
 def test_contradiction_is_unsat():
     s = session(X)
-    s.push([SymBin(">", v("x"), c(0)), SymNot(SymBin(">", v("x"), c(0)))])
-    assert isinstance(s.check(), Unsat)
+    s.push(SymBin(">", v("x"), c(0)))
+    assert isinstance(s.check([SymNot(SymBin(">", v("x"), c(0)))]), Unsat)
 
 
 def test_money_strict_threshold_minimal_model():
     m = Leaf("x", MONEY)
     s = session(m)
-    s.push([SymNot(SymBin("<=", SymVar("x", MONEY), SymConst(VMoney(1000000))))])
+    s.push(SymNot(SymBin("<=", SymVar("x", MONEY), SymConst(VMoney(1000000)))))
     res = s.check()
     assert isinstance(res, Sat)
     assert res.model["x"].cents >= 1000001
@@ -70,10 +71,10 @@ def test_money_strict_threshold_minimal_model():
 def test_model_determinism_same_stack_same_model():
     for _ in range(3):
         s = session(B, X)
-        s.push([SymBin("<", c(2), v("x"))])
+        s.push(SymBin("<", c(2), v("x")))
         r1 = s.check()
         s2 = session(B, X)
-        s2.push([SymBin("<", c(2), v("x"))])
+        s2.push(SymBin("<", c(2), v("x")))
         r2 = s2.check()
         assert r1.model == r2.model == {"b": VBool(False), "x": VInt(3)}
 
@@ -81,7 +82,7 @@ def test_model_determinism_same_stack_same_model():
 def test_retained_values_survive_when_unconstrained():
     s = session(B, X)
     s.retain = {"b": VBool(True), "x": VInt(3)}
-    s.push([SymNot(v("b", BOOL))])
+    s.push(SymNot(v("b", BOOL)))
     res = s.check()
     assert res.model == {"b": VBool(False), "x": VInt(3)}
 
@@ -90,19 +91,19 @@ def test_enum_constraints():
     zone = EnumT("Zone", (("A", None), ("B", None), ("C", None)))
     z = Leaf("z", zone)
     s = session(z)
-    s.push([SymNot(SymIsVariant(SymVar("z", zone), "A"))])
+    s.push(SymNot(SymIsVariant(SymVar("z", zone), "A")))
     res = s.check()
     assert res.model["z"] == VEnum("Zone", "B")
-    s.push([SymNot(SymIsVariant(SymVar("z", zone), "B")),
-            SymNot(SymIsVariant(SymVar("z", zone), "C"))])
+    s.push(SymNot(SymIsVariant(SymVar("z", zone), "B")))
+    s.push(SymNot(SymIsVariant(SymVar("z", zone), "C")))
     assert isinstance(s.check(), Unsat)
 
 
 def test_rational_variable_solution_is_exact():
     r = Leaf("r", RAT)
     s = session(r)
-    s.push([SymBin("<", c(Fraction(1, 3)), SymVar("r", RAT)),
-            SymBin("<", SymVar("r", RAT), c(Fraction(2, 3)))])
+    s.push(SymBin("<", c(Fraction(1, 3)), SymVar("r", RAT)))
+    s.push(SymBin("<", SymVar("r", RAT), c(Fraction(2, 3))))
     res = s.check()
     q = res.model["r"].q
     assert Fraction(1, 3) < q < Fraction(2, 3)
@@ -113,16 +114,19 @@ def test_round_term_solved_consistently_with_evaluator():
     x = Leaf("x", INT)
     s = session(x)
     lit = SymBin("=", SymRound(SymBin("*", v("x"), c(Fraction(1, 5)))), c(7))
-    s.push([lit])
+    s.push(lit)
     res = s.check()
     assert isinstance(res, Sat)
     assert sym_eval_bool(lit, res.model)
 
 
 def test_nonlinear_returns_unknown():
-    s = session(X, Leaf("y", INT))
-    s.push([SymBin("=", SymBin("*", v("x"), v("y")), c(6))])
-    assert isinstance(s.check(), Unknown)
+    xy = SymBin("*", v("x"), v("y"))
+    for lit in (SymBin("=", xy, c(6)), SymBin(">", xy, c(1))):
+        res = session(X, Leaf("y", INT)).check([lit])
+        assert isinstance(res, Unknown)
+        # the reason names the atom that failed to linearize, not the budget
+        assert "x * y" in res.reason and "budget" not in res.reason
 
 
 def test_undeclared_variable_rejected():
@@ -135,12 +139,12 @@ def test_undeclared_variable_rejected():
 
 def test_push_pop_restores_exactly():
     s = session(B, X)
-    s.push([v("b", BOOL)])
-    s.push([SymBin("=", v("x"), c(0))])
+    s.push(v("b", BOOL))
+    s.push(SymBin("=", v("x"), c(0)))
     s.pop()
     res = s.check()
     fresh = session(B, X)
-    fresh.push([v("b", BOOL)])
+    fresh.push(v("b", BOOL))
     assert res.model == fresh.check().model
 
 
@@ -160,7 +164,7 @@ def test_incremental_equals_fresh_over_random_sequences():
     for _ in range(60):
         action = rng.random()
         if action < 0.45 or not stack:
-            chosen = [rng.choice(lits)]
+            chosen = rng.choice(lits)
             s.push(chosen)
             stack.append(chosen)
         elif action < 0.7:
@@ -169,8 +173,8 @@ def test_incremental_equals_fresh_over_random_sequences():
         else:
             res = s.check()
             fresh = session(B, X)
-            for frame in stack:
-                fresh.push(frame)
+            for lit in stack:
+                fresh.push(lit)
             ref = fresh.check()
             assert type(res) is type(ref)
             if isinstance(res, Sat):
@@ -189,7 +193,7 @@ def money_sym():
 
 def test_soft_tier_t100_when_satisfiable():
     s = session(M)
-    s.push([SymBin(">", money_sym(), SymConst(VMoney(1000000)))])
+    s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
     res = s.check_soft(["x"])
     assert isinstance(res, Sat) and res.tier == "T100"
     assert res.model["x"].cents % 10000 == 0
@@ -198,7 +202,7 @@ def test_soft_tier_t100_when_satisfiable():
 
 def test_soft_tier_none_when_pinned_to_cents():
     s = session(M)
-    s.push([SymBin("=", money_sym(), SymConst(VMoney(1000001)))])
+    s.push(SymBin("=", money_sym(), SymConst(VMoney(1000001))))
     res = s.check_soft(["x"])
     assert isinstance(res, Sat) and res.tier is None
     assert res.model["x"] == VMoney(1000001)
@@ -213,8 +217,8 @@ def test_soft_tier_narrow_window_falls_to_t1():
     t1 = [x for x in cents if x % 100 == 0]
     assert t1 and min(t1) == 1000100
     s = session(M)
-    s.push([SymBin(">", money_sym(), SymConst(VMoney(1000000))),
-            SymBin("<", money_sym(), SymConst(VMoney(1000500)))])
+    s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
+    s.push(SymBin("<", money_sym(), SymConst(VMoney(1000500))))
     res = s.check_soft(["x"])
     assert res.tier == "T1"
     assert res.model["x"] == VMoney(1000100)
@@ -223,15 +227,12 @@ def test_soft_tier_narrow_window_falls_to_t1():
 def test_soft_tier_maximality_independent_check():
     from defcalc.solver import divisibility_constraints
     s = session(M)
-    s.push([SymBin(">", money_sym(), SymConst(VMoney(1000000))),
-            SymBin("<", money_sym(), SymConst(VMoney(1010000)))])
+    s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
+    s.push(SymBin("<", money_sym(), SymConst(VMoney(1010000))))
     res = s.check_soft(["x"])
     assert res.tier == "T10"  # no multiple of $100 inside the open window
     decls, lits = divisibility_constraints(s.decls, ["x"], 10000)
-    probe = SolverSession(decls)
-    probe.push(s.literals())
-    probe.push(list(lits))
-    assert isinstance(probe.check(), Unsat)
+    assert isinstance(SolverSession(decls).check((*s.stack, *lits)), Unsat)
 
 
 # -- simplify ---------------------------------------------------------------
@@ -311,9 +312,7 @@ def test_builtin_matches_brute_force_on_small_domains():
     for _ in range(120):
         lits = tuple(bound_lits + [_random_literal(rng)
                                    for _ in range(rng.randrange(1, 4))])
-        s = SolverSession(leaves)
-        s.push(list(lits))
-        res = s.check()
+        res = SolverSession(leaves).check(lits)
         expected_sat = any(
             all(sym_eval_bool(l, m) for l in lits) for m in _enum_models(leaves))
         assert not isinstance(res, Unknown)
@@ -324,7 +323,7 @@ def test_builtin_matches_brute_force_on_small_domains():
 
 def test_stats_count_checks():
     s = session(B)
-    s.push([v("b", BOOL)])
+    s.push(v("b", BOOL))
     s.check()
     s.check()
     assert s.stats.checks == 2
@@ -345,7 +344,8 @@ def test_session_prepares_each_literal_once(monkeypatch):
     real = solver.simplify
     monkeypatch.setattr(solver, "simplify", lambda e: calls.append(e) or real(e))
     s = session(X, Leaf("y", INT))
-    s.push([SymBin(">", v("x"), c(3)), SymNot(SymBin("=", v("x"), v("y")))])
+    s.push(SymBin(">", v("x"), c(3)))
+    s.push(SymNot(SymBin("=", v("x"), v("y"))))
     first = s.check()
     assert isinstance(first, Sat) and calls
     calls.clear()
@@ -357,10 +357,9 @@ def test_budget_exhaustion_returns_unknown():
     # forcing a huge enumeration with a tiny budget must degrade to Unknown,
     # never to a wrong verdict
     s = SolverSession((X, Leaf("y", INT)), budget=16)
-    s.push([SymBin(">", v("x"), c(10 ** 7)),
-            SymBin("=", SymBin("+", v("x"), v("y")), c(3)),
-            SymBin(">", v("y"), c(0))])
-    res = s.check()
+    res = s.check([SymBin(">", v("x"), c(10 ** 7)),
+                   SymBin("=", SymBin("+", v("x"), v("y")), c(3)),
+                   SymBin(">", v("y"), c(0))])
     assert isinstance(res, (Unknown, Unsat))
     assert not isinstance(res, Sat)
 
