@@ -105,6 +105,10 @@ def _outcome_summary(tc) -> str:
 def cmd_run(args) -> int:
     program = _load_program(args.file)
     try:
+        program.scope(args.scope)
+    except KeyError:
+        raise SystemExit(f"error: no scope {args.scope} in {args.file}")
+    try:
         opts = _parse_opts(args.opts)
         if args.soft and "soft" not in opts:
             opts.append("soft")
@@ -149,7 +153,10 @@ def cmd_run(args) -> int:
 
 def cmd_replay(args) -> int:
     program = _load_program(args.file)
-    results = replay_dir(program, args.tests)
+    try:
+        results = replay_dir(program, args.tests)
+    except OSError as e:
+        raise SystemExit(f"error: cannot read {args.tests}: {e}")
     passed = sum(1 for _, r in results if r.passed)
     for name, r in results:
         if not r.passed:

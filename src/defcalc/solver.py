@@ -13,12 +13,14 @@ enum tags, with Round/Floor occurrences.  The pipeline is:
    rational solution (`_project`), which loses no solution;
 3. per branch, replace Round/Floor terms with integer auxiliaries, split
    once per Round occurrence on its sign, and for each sign case add the
-   defining inequalities and solve the linear core: one Fourier-Motzkin
-   projection (`_project`) decides rational feasibility on entry and gives
-   each variable's window; variables are then fixed in order by one
-   substitution routine, integers by branch-and-bound over their rounded
-   window (`_int_window`).  A value inside a projected window always
-   extends over the rationals, so only integrality can force a backtrack.
+   defining inequalities and solve the linear core over primitive integer
+   rows (`_row`), so Fourier-Motzkin combines rows in ints: one projection
+   (`_project`) decides rational feasibility on entry; variables are then
+   fixed in order by one substitution routine, integers by branch-and-bound
+   over their rounded window (`_int_window`), with every pending window
+   from one divide-and-conquer pass (`_windows`).  A value inside a
+   projected window always extends over the rationals, so only
+   integrality can force a backtrack.
 
 Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
@@ -437,115 +439,124 @@ def _round_cases(specs: list) -> Iterator[list]:
 
 
 # ---------------------------------------------------------------------------
-# Linear core: Fourier-Motzkin + branch-and-bound over the integers
+# Linear core: integer-row Fourier-Motzkin + branch-and-bound over the integers
 
-# A linear atom is (coeffs: dict, const: Fraction, op: str) standing for
-# sum(coeffs[v]*v) + const OP 0, op in {"=", "<=", "<"}.
+# A row is (coeffs: dict, const: int, op: str) standing for
+# sum(coeffs[v]*v) + const OP 0, op in {"=", "<=", "<"}, with integer
+# entries whose gcd is 1.  A positive multiple of a row stands for the same
+# atom, so elimination combines rows in ints and divides by the gcd; a bound
+# becomes a Fraction only when a window is read off.
 
 
 class _Infeasible(Exception):
     pass
 
 
+def _row(coeffs: dict, const, op: str) -> tuple:
+    """The row of sum(coeffs[v]*v) + const OP 0 over rationals: denominators
+    cleared with their lcm, then divided by the gcd of the entries."""
+    m = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+    ints = {n: c.numerator * (m // c.denominator) for n, c in coeffs.items()}
+    k = const.numerator * (m // const.denominator)
+    g = math.gcd(k, *ints.values()) or 1
+    return {n: c // g for n, c in ints.items()}, k // g, op
+
+
 def _lin_form(atom: tuple, memo: dict) -> Optional[tuple]:
-    """The linear atom of a numeric branch atom, None when it does not
-    linearize; computed once per memo."""
+    """The row of a numeric branch atom, None when it does not linearize;
+    computed once per memo."""
     if atom not in memo:
         try:
-            memo[atom] = (*_lin_diff(atom[2], atom[3]), atom[1])
+            memo[atom] = _row(*_lin_diff(atom[2], atom[3]), atom[1])
         except NonLinear:
             memo[atom] = None
     return memo[atom]
 
 
-def _check_ground(coeffs: dict, const: Fraction, op: str) -> Optional[bool]:
-    if coeffs:
-        return None
+def _holds(const: int, op: str) -> bool:
     return {"=": const == 0, "<=": const <= 0, "<": const < 0}[op]
 
 
-def _substitute(atoms: list, name: str, coeffs: dict, const: Fraction) -> list:
-    """Replace `name` by sum(coeffs[v]*v) + const.  Atoms that become ground
-    are decided: true ones are dropped, a false one raises _Infeasible."""
+def _combine(a: int, r: tuple, b: int, s: tuple, op: str) -> Optional[tuple]:
+    """The row a*r + b*s under `op`, b nonzero.  None when it is ground and
+    true; a ground false one raises _Infeasible."""
+    coeffs = {n: a * c for n, c in r[0].items()}
+    for n, c in s[0].items():
+        if d := coeffs.get(n, 0) + b * c:
+            coeffs[n] = d
+        else:
+            del coeffs[n]
+    k = a * r[1] + b * s[1]
+    if not coeffs:
+        if _holds(k, op):
+            return None
+        raise _Infeasible()
+    g = math.gcd(k, *coeffs.values())
+    if g > 1:
+        coeffs, k = {n: c // g for n, c in coeffs.items()}, k // g
+    return coeffs, k, op
+
+
+def _substitute(rows: list, name: str, eq: tuple) -> list:
+    """Eliminate `name` with the equality row `eq`: each row r holding it
+    becomes |cv|*r - sign(cv)*c*eq, c its coefficient and cv eq's."""
+    cv = eq[0][name]
     out = []
-    for c2, k2, op in atoms:
-        if name in c2:
-            c = c2[name]
-            merged = {n: v for n, v in c2.items() if n != name}
-            for n, v in coeffs.items():
-                merged[n] = merged.get(n, Fraction(0)) + c * v
-                if merged[n] == 0:
-                    del merged[n]
-            c2, k2 = merged, k2 + c * const
-            g = _check_ground(c2, k2, op)
-            if g is False:
-                raise _Infeasible()
-            if g is True:
+    for r in rows:
+        if name in r[0]:
+            r = _combine(abs(cv), r, -r[0][name] if cv > 0 else r[0][name], eq, r[2])
+            if r is None:
                 continue
-        out.append((c2, k2, op))
+        out.append(r)
     return out
 
 
-def _eliminate(atoms: list, name: str) -> list:
+def _eliminate(rows: list, name: str) -> list:
     """Project `name` out of the system (exact FM; equalities substitute)."""
-    for i, (coeffs, const, op) in enumerate(atoms):
-        if op == "=" and name in coeffs:
-            cv = coeffs[name]
-            rest = {n: -c / cv for n, c in coeffs.items() if n != name}
-            return _substitute(atoms[:i] + atoms[i + 1:], name, rest, -const / cv)
+    for i, r in enumerate(rows):
+        if r[2] == "=" and name in r[0]:
+            return _substitute(rows[:i] + rows[i + 1:], name, r)
     uppers, lowers, rest = [], [], []
-    for coeffs, const, op in atoms:
-        c = coeffs.get(name, Fraction(0))
-        if c > 0:
-            uppers.append((coeffs, const, op))
-        elif c < 0:
-            lowers.append((coeffs, const, op))
-        else:
-            rest.append((coeffs, const, op))
-    for (cu, ku, opu) in uppers:
-        for (cl, kl, opl) in lowers:
-            a, b = cu[name], -cl[name]  # a, b > 0
-            merged: dict = {}
-            for n, v in cu.items():
-                if n != name:
-                    merged[n] = merged.get(n, Fraction(0)) + b * v
-            for n, v in cl.items():
-                if n != name:
-                    merged[n] = merged.get(n, Fraction(0)) + a * v
-            merged = {n: v for n, v in merged.items() if v != 0}
-            k = b * ku + a * kl
-            op = "<" if "<" in (opu, opl) and (opu == "<" or opl == "<") else "<="
-            g = _check_ground(merged, k, op)
-            if g is False:
-                raise _Infeasible()
-            if g is True:
-                continue
-            rest.append((merged, k, op))
+    for r in rows:
+        c = r[0].get(name, 0)
+        (uppers if c > 0 else lowers if c < 0 else rest).append(r)
+    for u in uppers:
+        for l in lowers:
+            op = "<" if "<" in (u[2], l[2]) else "<="
+            if (r := _combine(-l[0][name], u, u[0][name], l, op)) is not None:
+                rest.append(r)
     return rest
 
 
-def _project(atoms: list, keep: Optional[str] = None) -> list:
-    """Eliminate every variable but `keep`, in name order.  Raises
+def _project(rows: list, keep=()) -> list:
+    """Eliminate every variable not in `keep`, in name order.  Raises
     _Infeasible when the system has no rational solution; otherwise returns
-    the remaining atoms, each over `keep` alone."""
-    for v in sorted({n for coeffs, _, _ in atoms for n in coeffs} - {keep}):
-        atoms = _eliminate(atoms, v)
+    the remaining rows, each over variables of `keep` alone."""
+    for v in sorted({n for coeffs, _, _ in rows for n in coeffs} - set(keep)):
+        rows = _eliminate(rows, v)
     out = []
-    for coeffs, const, op in atoms:
-        if coeffs:
-            out.append((coeffs, const, op))
-        elif _check_ground(coeffs, const, op) is False:
+    for r in rows:
+        if r[0]:
+            out.append(r)
+        elif not _holds(r[1], r[2]):
             raise _Infeasible()
     return out
 
 
-def _bounds_of(atoms: list, name: str) -> tuple:
-    """Project all other variables away and read off bounds for `name`:
-    (lo, lo_strict, hi, hi_strict), None meaning unbounded."""
+def _windows(rows: list, names: list) -> dict:
+    """Each of `names`' window over the rows' rational solutions:
+    {name: (lo, lo_strict, hi, hi_strict)}, None meaning unbounded.  The
+    other variables are projected out once, then each half of `names`
+    projects out the other half, so k names take O(k log k) eliminations."""
+    rows = _project(rows, names)
+    if len(names) > 1:
+        half = len(names) // 2
+        return {**_windows(rows, names[:half]), **_windows(rows, names[half:])}
+    name = names[0]
     lo, lo_strict, hi, hi_strict = None, False, None, False
-    for coeffs, const, op in _project(atoms, name):
+    for coeffs, const, op in rows:
         c = coeffs[name]
-        bound = -const / c
+        bound = Fraction(-const, c)
         if op == "=":
             if (lo is None or bound > lo or (bound == lo and not lo_strict)):
                 lo, lo_strict = bound, False
@@ -562,7 +573,7 @@ def _bounds_of(atoms: list, name: str) -> tuple:
     if lo is not None and hi is not None:
         if lo > hi or (lo == hi and (lo_strict or hi_strict)):
             raise _Infeasible()
-    return lo, lo_strict, hi, hi_strict
+    return {name: (lo, lo_strict, hi, hi_strict)}
 
 
 def _int_window(lo, lo_strict, hi, hi_strict) -> Optional[tuple]:
@@ -626,52 +637,53 @@ def _pick_rational(lo, lo_strict, hi, hi_strict) -> Fraction:
     return Fraction(k if ihi is None else min(k, ihi))
 
 
-def _solve_linear(atoms: list, order: list, budget: _Budget) -> Optional[dict]:
+def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
     """Assign the ordered variables; `order` is [(name, is_int), ...].
     Returns a partial model over mentioned variables, or None."""
     try:
-        _project(atoms)
+        _project(rows)
     except _Infeasible:
         return None
-    mentioned = {n for coeffs, _, _ in atoms for n in coeffs}
+    mentioned = {n for coeffs, _, _ in rows for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
 
     # Invariant: `system` has a rational solution.  FM projection is exact,
     # so every value inside a variable's projected window extends to a
     # rational solution of the rest, and substituting it keeps the
-    # invariant: `_bounds_of` and `_substitute` cannot raise _Infeasible
+    # invariant: `_windows` and `_substitute` cannot raise _Infeasible
     # here.  Only integrality can fail, which the window pruning and the
     # candidate backtracking handle.
     def go(system: list, pending: list, acc: dict) -> Optional[dict]:
         if not pending:
             return acc
         still = {n for coeffs, _, _ in system for n in coeffs}
-        # Integral-emptiness pruning: if any pending integer variable's
-        # projected window holds no integer, the branch is infeasible no
-        # matter what the enumeration on earlier variables does.
-        windows = {}
-        for n, n_int in pending:
-            if not n_int or n not in still:
-                continue
-            windows[n] = _int_window(*_bounds_of(system, n))
-            if windows[n] is None:
-                return None
         name, is_int = pending[0]
         if name not in still:
             # Dropped by simplification along the way; value is free.
             return go(system, pending[1:], acc)
+        # Integral-emptiness pruning: if any pending integer variable's
+        # projected window holds no integer, the branch is infeasible no
+        # matter what the enumeration on earlier variables does.  One pass
+        # gives every window, and none costs budget.
+        windows = _windows(system, [n for n, n_int in pending
+                                    if n in still and (n_int or n == name)])
+        ints = {n: _int_window(*windows[n]) for n, n_int in pending
+                if n_int and n in windows}
+        if None in ints.values():
+            return None
+
+        def fix(x: Fraction) -> Optional[dict]:
+            eq = ({name: x.denominator}, -x.numerator, "=")
+            return go(_substitute(system, name, eq), pending[1:], {**acc, name: x})
+
         if is_int:
-            for c in _int_candidates(*windows[name], budget):
-                x = Fraction(c)
-                out = go(_substitute(system, name, {}, x), pending[1:],
-                         {**acc, name: x})
-                if out is not None:
+            for c in _int_candidates(*ints[name], budget):
+                if (out := fix(Fraction(c))) is not None:
                     return out
             return None
-        x = _pick_rational(*_bounds_of(system, name))
-        return go(_substitute(system, name, {}, x), pending[1:], {**acc, name: x})
+        return fix(_pick_rational(*windows[name]))
 
-    return go(atoms, todo, {})
+    return go(rows, todo, {})
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,15 @@ def test_replay_subcommand(programs_dir, tmp_path):
     assert "4/4 pass" in p.stdout
 
 
+def test_replay_missing_tests_dir_is_usage_error(programs_dir, tmp_path):
+    missing = tmp_path / "missing"
+    p = run_cli(["replay", str(programs_dir / "income_tax.dfc"),
+                 "--tests", str(missing)])
+    assert p.returncode == 1
+    assert p.stderr.startswith(f"error: cannot read {missing}: ")
+    assert "Traceback" not in p.stderr
+
+
 def test_emit_smtlib_writes_query_files(programs_dir, tmp_path):
     out = tmp_path / "q"
     p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
@@ -96,6 +105,13 @@ def test_unknown_opt_is_usage_error(programs_dir):
                  "--opts", "warp-speed"])
     assert p.returncode == 1
     assert "unknown" in p.stderr.lower()
+
+
+def test_unknown_scope_is_usage_error(programs_dir):
+    path = programs_dir / "fig5.dfc"
+    p = run_cli(["run", str(path), "--scope", "Nope", "--quiet"])
+    assert p.returncode == 1
+    assert p.stderr == f"error: no scope Nope in {path}\n"
 
 
 def test_budget_truncation_exit_code(programs_dir):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -426,7 +427,7 @@ def _linear_systems(draw):
 def _run_linear(solve, atoms, order, limit):
     budget = solver._Budget(limit)
     try:
-        out = solve([(dict(c), k, op) for c, k, op in atoms], order, budget)
+        out = solve(atoms, order, budget)
     except solver._OutOfBudget:
         return "out of budget"
     return out, budget.left
@@ -435,8 +436,55 @@ def _run_linear(solve, atoms, order, limit):
 @settings(max_examples=400, deadline=None)
 @given(_linear_systems())
 def test_linear_core_matches_fm_oracle(system):
-    assert _run_linear(solver._solve_linear, *system) == \
-        _run_linear(oracle_fm._solve_linear, *system)
+    atoms, order, limit = system
+    rows = [solver._row(c, k, op) for c, k, op in atoms]
+    assert _run_linear(solver._solve_linear, rows, order, limit) == \
+        _run_linear(oracle_fm._solve_linear, [(dict(c), k, op) for c, k, op in atoms],
+                    order, limit)
+
+
+@st.composite
+def _feasible_systems(draw):
+    """Atoms over 2-5 variables that all hold at one drawn rational point."""
+    names = "abcde"[:draw(st.integers(2, 5))]
+    point = {n: draw(_coeff) for n in names}
+    atoms = []
+    for _ in range(draw(st.integers(1, 7))):
+        coeffs = {n: k for n, k in draw(st.dictionaries(st.sampled_from(names), _coeff)).items()
+                  if k}
+        op = draw(st.sampled_from(["=", "<=", "<"]))
+        slack = Fraction(0) if op == "=" else draw(
+            st.fractions(min_value=0, max_value=2, max_denominator=3).filter(
+                lambda x: x > 0 or op == "<="))
+        value = sum((k * point[n] for n, k in coeffs.items()), Fraction(0))
+        atoms.append((coeffs, -value - slack, op))
+    return atoms, list(names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_feasible_systems())
+def test_one_pass_windows_match_fm_oracle_bounds(system):
+    atoms, names = system
+    windows = solver._windows([solver._row(c, k, op) for c, k, op in atoms], names)
+    assert windows == {n: oracle_fm._bounds_of(atoms, n) for n in names}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from("xyz"), _coeff), _coeff,
+       st.sampled_from(["=", "<=", "<"]),
+       st.fixed_dictionaries({n: st.fractions(-5, 5, max_denominator=6) for n in "xyz"}))
+def test_row_keeps_truth_value(coeffs, const, op, point):
+    coeffs = {n: k for n, k in coeffs.items() if k}
+    row_coeffs, row_const, row_op = solver._row(coeffs, const, op)
+    assert row_op == op and set(row_coeffs) == set(coeffs)
+    assert all(isinstance(k, int) for k in (row_const, *row_coeffs.values()))
+    assert math.gcd(row_const, *row_coeffs.values()) in (0, 1)
+
+    def holds(coeffs, const):
+        total = sum((k * point[n] for n, k in coeffs.items()), const)
+        return {"=": total == 0, "<=": total <= 0, "<": total < 0}[op]
+
+    assert holds(row_coeffs, row_const) == holds(coeffs, const)
 
 
 ZONE = EnumT("Zone", (("A", None), ("B", None), ("C", None)))
