@@ -15,7 +15,11 @@ arithmetic), and runs each one as soon as it is complete:
 
 A command it cannot read or run (an unknown sort, a stray parenthesis)
 answers ``(error "...")`` and the shim goes on with the next one.  It exits
-0 at end of input, so a whole script can be piped in as well.
+0 at end of input, so a whole script can be piped in as well; text left at
+end of input that is neither blank, a comment nor a complete command (a
+missing ``)``, an unclosed ``|`` or string) answers
+``(error "incomplete command at end of input")``.  Commands are read with
+the package's own S-expression reader and tables (`defcalc.smtlib`).
 Decisions are delegated to the package's builtin procedure, which makes the
 shim a drop-in external backend for exercising the ``--solver smtlib:CMD``
 protocol without any third-party solver:
@@ -24,17 +28,26 @@ protocol without any third-party solver:
 """
 
 import sys
-from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from defcalc.lang import BOOL, EnumT, INT, RAT, VBool, VEnum, VInt, VRat
-from defcalc.smtlib import _const, _sexpr_end, _sort_of_leaf, _symname, parse_sexprs
+from defcalc.lang import MONEY, EnumT, VBool, VEnum, VInt, VRat
+from defcalc.smtlib import (
+    _BLANK, _OPS, _SORTS, _const, _numeral, _show, _sort_of_leaf, _symname,
+    read_sexpr,
+)
 from defcalc.solver import Sat, Unknown, _builtin_check
 from defcalc.symbolic import (
     Leaf, SymBin, SymConst, SymFloor, SymIsVariant, SymNot, SymRound, SymVar,
 )
+
+# The emitter's tables, inverted.  Money is written as Int (cents), and the
+# shim reads every Int as int.
+_TYPES = {sort: ty for ty, sort in _SORTS.items() if ty != MONEY}
+_BINARY = {smt: op for op, smt in _OPS.items()}
+_UNARY = {"not": SymNot, "to_int": SymFloor, "dfc_round": SymRound}
 
 
 def _name(tok: str) -> str:
@@ -42,52 +55,38 @@ def _name(tok: str) -> str:
 
 
 def _to_sym(node, sorts, enums):
+    if node in ("true", "false"):
+        return SymConst(VBool(node == "true"))
+    try:
+        q = _numeral(node)
+    except ValueError:
+        pass
+    else:
+        return SymConst(VInt(q.numerator) if q.denominator == 1 else VRat(q))
     if isinstance(node, str):
-        if node == "true":
-            return SymConst(VBool(True))
-        if node == "false":
-            return SymConst(VBool(False))
         name = _name(node)
         if name in sorts:
             return SymVar(name, sorts[name])
         for et in enums.values():
             if name in et.variant_names():
                 return SymConst(VEnum(et.name, name))
-        try:
-            return SymConst(VInt(int(node)))
-        except ValueError:
-            return SymConst(VRat(Fraction(node)))
-    head = node[0]
-    if head == "-" and len(node) == 2:
-        inner = _to_sym(node[1], sorts, enums)
-        return SymBin("-", SymConst(VInt(0)), inner)
-    if head == "/" and len(node) == 3 and all(isinstance(x, str) for x in node[1:]):
-        try:
-            return SymConst(VRat(Fraction(int(node[1]), int(node[2]))))
-        except ValueError:
-            pass
-    ops = {"and": "&&", "or": "||", "=": "=", "<": "<", "<=": "<=",
-           ">": ">", ">=": ">=", "+": "+", "-": "-", "*": "*", "/": "/"}
-    if head == "not":
-        return SymNot(_to_sym(node[1], sorts, enums))
+        raise ValueError(f"unknown symbol {node}")
+    head, *args = node
+    args = [_to_sym(a, sorts, enums) for a in args]
+    if head[:2] == ["_", "is"] and len(head) == 3:
+        return SymIsVariant(args[0], head[2])
+    if head == "-" and len(args) == 1:
+        return SymBin("-", SymConst(VInt(0)), args[0])
     if head == "to_real":
-        return _to_sym(node[1], sorts, enums)
-    if head == "to_int":
-        return SymFloor(_to_sym(node[1], sorts, enums))
-    if head == "dfc_round":
-        return SymRound(_to_sym(node[1], sorts, enums))
-    if isinstance(head, list) and len(head) == 3 and head[0] == "_" and head[1] == "is":
-        return SymIsVariant(_to_sym(node[1], sorts, enums), head[2])
-    if head in ops:
-        args = [_to_sym(a, sorts, enums) for a in node[1:]]
-        out = args[0]
-        for a in args[1:]:
-            out = SymBin(ops[head], out, a)
+        return args[0]
+    if head in _UNARY:
+        return _UNARY[head](args[0])
+    if head in _BINARY:
+        out, *rest = args
+        for a in rest:
+            out = SymBin(_BINARY[head], out, a)
         return out
-    raise ValueError(f"cannot translate {node!r}")
-
-
-_SORTS = {"Bool": BOOL, "Int": INT, "Real": RAT}
+    raise ValueError(f"cannot translate {_show(node)}")
 
 
 class _Query:
@@ -104,11 +103,10 @@ class _Query:
             ctors = tuple((c[0], None) for c in node[2][0])
             self.enums[ename] = EnumT(ename, ctors)
         elif node[0] == "declare-const":
-            sort = node[2]
-            if sort not in _SORTS and sort not in self.enums:
-                raise ValueError(f"unknown sort {sort}")
-            self.sorts[_name(node[1])] = (
-                _SORTS[sort] if sort in _SORTS else self.enums[sort])
+            ty = _TYPES.get(node[2]) or self.enums.get(node[2])
+            if ty is None:
+                raise ValueError(f"unknown sort {node[2]}")
+            self.sorts[_name(node[1])] = ty
         elif node[0] == "assert":
             self.literals.append(node[1])
 
@@ -130,35 +128,49 @@ class _Query:
 
 
 def _commands(stream):
-    """Yield the text of each top-level S-expression of `stream` once it is
-    complete."""
+    """Yield each top-level S-expression of `stream`, read, once it is
+    complete.  A stray ``)`` and, at end of input, an incomplete command are
+    yielded as the ValueError that describes them."""
     pending = ""
-    for line in stream:
-        pending += line
-        while (end := _sexpr_end(pending)) is not None:
-            yield pending[:end]
+    for chunk in chain(stream, ["\n"]):  # end of input completes a last atom
+        pending += chunk
+        while True:
+            try:
+                got = read_sexpr(pending)
+            except ValueError as e:  # a stray ")", the first token
+                yield e
+                pending = pending[_BLANK.match(pending).end() + 1:]
+                continue
+            if got is None:
+                break
+            node, end = got
             pending = pending[end:]
+            yield node
+    if not _BLANK.fullmatch(pending):
+        yield ValueError("incomplete command at end of input")
 
 
 def main() -> int:
     query, model = _Query(), None
-    for text in _commands(sys.stdin):
+    for node in _commands(sys.stdin):
         try:
-            for node in parse_sexprs(text):
-                if not isinstance(node, list) or not node:
-                    continue
-                if node[0] == "check-sat":
-                    model = None  # no stale model if this check fails
-                    verdict, model = query.check()
-                    print(verdict, flush=True)
-                elif node[0] == "get-model":
-                    print(model or '(error "model is not available")', flush=True)
-                elif node[0] == "reset":
-                    query, model = _Query(), None
-                else:
-                    query.declare(node)
+            if isinstance(node, ValueError):
+                raise node
+            if not isinstance(node, list) or not node:
+                continue
+            if node[0] == "check-sat":
+                model = None  # no stale model if this check fails
+                verdict, model = query.check()
+                print(verdict, flush=True)
+            elif node[0] == "get-model":
+                print(model or '(error "model is not available")', flush=True)
+            elif node[0] == "reset":
+                query, model = _Query(), None
+            else:
+                query.declare(node)
         except Exception as e:
-            message = f"{text.strip()}: {e}".replace('"', '""')
+            message = str(e) if node is e else f"{_show(node)}: {e}"
+            message = message.replace('"', '""')
             print(f'(error "{message}")', flush=True)
     return 0
 

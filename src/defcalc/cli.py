@@ -160,7 +160,7 @@ def cmd_replay(args) -> int:
     passed = sum(1 for _, r in results if r.passed)
     for name, r in results:
         if not r.passed:
-            print(f"{name}: FAIL expected={r.expected} got={r.got}")
+            print(f"{name}: FAIL {r.error or f'expected={r.expected} got={r.got}'}")
     print(f"{passed}/{len(results)} pass")
     return EXIT_OK if passed == len(results) else EXIT_ERROR
 
@@ -171,6 +171,8 @@ _OP_NAMES = ("remove", "duplicate", "negate")
 def cmd_mutate(args) -> int:
     program = _load_program(args.file)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
+    if not ops:
+        raise SystemExit("error: --ops names no mutation op")
     unknown = set(ops) - set(_OP_NAMES)
     if unknown:
         raise SystemExit(f"error: unknown mutation ops {sorted(unknown)}")

@@ -9,7 +9,17 @@ symbols (``|h.income|``).  Rounding is the function
     round(q) = if q >= 0 then floor(q + 1/2) else -floor(-q + 1/2)
 
 with floor via the Real-to-Int conversion, defined in the preamble whenever
-a query mentions it.
+a query mentions it.  The sorts, the operators and the numerals are each
+one table (`_SORTS`, `_OPS`, `_numeral`), which the bundled shim
+(``scripts/smtlib_solve.py``) reads back with.
+
+SMT-LIB text is read by one incremental reader, `read_sexpr`: it frames and
+parses in a single pass, returning the first S-expression with the index
+past it, or None while the text ends before it does.  Atoms keep their text
+(``|h.income|``, ``"a ""b"" c"``; a doubled quote is a quote inside a string,
+as in SMT-LIB 2.6), and an atom counts as complete only once a character
+follows it.  The external backend frames each reply with it, `parse_model`
+reads the node it returns, and the shim reads its commands with it.
 
 The external backend keeps one user-configured solver process running and
 talks to it interactively.  Each check writes the query's script and
@@ -32,7 +42,6 @@ import subprocess
 import tempfile
 import time
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -58,82 +67,66 @@ def _symname(name: str) -> str:
     return f"|{name}|"
 
 
+# One table per vocabulary: the emitter writes with these, and the bundled
+# shim reads with them.
+_SORTS = {BOOL: "Bool", INT: "Int", MONEY: "Int", RAT: "Real"}  # money in cents
+_OPS = {"&&": "and", "||": "or", "=": "=", "<": "<", "<=": "<=", ">": ">",
+        ">=": ">=", "+": "+", "-": "-", "*": "*", "/": "/"}
+
+
 def _sort_of_leaf(ty) -> str:
-    if ty == BOOL:
-        return "Bool"
-    if ty in (INT, MONEY):
-        return "Int"
-    if ty == RAT:
-        return "Real"
-    assert isinstance(ty, EnumT)
-    return ty.name
+    return ty.name if isinstance(ty, EnumT) else _SORTS[ty]
 
 
-@dataclass
-class _Emitter:
-    query: Query
-
-    def __post_init__(self):
-        self.sorts = {l.name: l.ty for l in self.query.decls}
-
-    def term_sort(self, e: SymExpr) -> str:
-        match e:
-            case SymVar(_, ty):
-                return "Int" if ty in (INT, MONEY) else (
-                    "Real" if ty == RAT else ("Bool" if ty == BOOL else "Enum"))
-            case SymConst(v):
-                match v:
-                    case VInt() | VMoney():
-                        return "Int"
-                    case VRat():
-                        return "Real"
-                    case VBool():
-                        return "Bool"
-                    case VEnum():
-                        return "Enum"
-            case SymBin(op, a, b):
-                if op in ("&&", "||", "=", "<", "<=", ">", ">="):
-                    return "Bool"
-                if op == "/":
+def _term_sort(e: SymExpr) -> str:
+    match e:
+        case SymVar(_, ty):
+            return _sort_of_leaf(ty)
+        case SymConst(v):
+            match v:
+                case VInt() | VMoney():
+                    return "Int"
+                case VRat():
                     return "Real"
-                sa, sb = self.term_sort(a), self.term_sort(b)
-                return "Real" if "Real" in (sa, sb) else "Int"
-            case SymNot(_) | SymIsVariant(_, _):
+                case VBool():
+                    return "Bool"
+                case VEnum():
+                    return "Enum"
+        case SymBin(op, a, b):
+            if op in ("&&", "||", "=", "<", "<=", ">", ">="):
                 return "Bool"
-            case SymRound(_) | SymFloor(_):
-                return "Int"
-        raise TypeError(f"no sort for {e!r}")
+            if op == "/":
+                return "Real"
+            return "Real" if "Real" in (_term_sort(a), _term_sort(b)) else "Int"
+        case SymNot(_) | SymIsVariant(_, _):
+            return "Bool"
+        case SymRound(_) | SymFloor(_):
+            return "Int"
+    raise TypeError(f"no sort for {e!r}")
 
-    def emit(self, e: SymExpr, want: Optional[str] = None) -> str:
-        s = self._emit(e)
-        if want == "Real" and self.term_sort(e) == "Int":
-            return f"(to_real {s})"
-        return s
 
-    def _emit(self, e: SymExpr) -> str:
-        match e:
-            case SymVar(name, _):
-                return _symname(name)
-            case SymConst(v):
-                return _const(v)
-            case SymBin(op, a, b):
-                smt_op = {"&&": "and", "||": "or", "=": "=", "<": "<",
-                          "<=": "<=", ">": ">", ">=": ">=", "+": "+",
-                          "-": "-", "*": "*", "/": "/"}[op]
-                if op == "/":
-                    return f"({smt_op} {self.emit(a, 'Real')} {self.emit(b, 'Real')})"
-                sa, sb = self.term_sort(a), self.term_sort(b)
-                want = "Real" if "Real" in (sa, sb) else None
-                return f"({smt_op} {self.emit(a, want)} {self.emit(b, want)})"
-            case SymNot(a):
-                return f"(not {self.emit(a)})"
-            case SymRound(a):
-                return f"(dfc_round {self.emit(a, 'Real')})"
-            case SymFloor(a):
-                return f"(to_int {self.emit(a, 'Real')})"
-            case SymIsVariant(a, v):
-                return f"((_ is {v}) {self.emit(a)})"
-        raise TypeError(f"cannot emit {e!r}")
+def _emit(e: SymExpr, want: Optional[str] = None) -> str:
+    """`e` as an SMT-LIB term, converted to Real if `want` is Real."""
+    if want == "Real" and _term_sort(e) == "Int":
+        return f"(to_real {_emit(e)})"
+    match e:
+        case SymVar(name, _):
+            return _symname(name)
+        case SymConst(v):
+            return _const(v)
+        case SymBin(op, a, b):
+            real = op == "/" or "Real" in (_term_sort(a), _term_sort(b))
+            want = "Real" if real else None
+            return f"({_OPS[op]} {_emit(a, want)} {_emit(b, want)})"
+        case SymNot(a):
+            return f"(not {_emit(a)})"
+        case SymRound(a):
+            return f"(dfc_round {_emit(a, 'Real')})"
+        case SymFloor(a):
+            return f"(to_int {_emit(a, 'Real')})"
+        case SymIsVariant(a, v):
+            return f"((_ is {v}) {_emit(a)})"
+    raise TypeError(f"cannot emit {e!r}")
 
 
 def _const(v: Value) -> str:
@@ -161,7 +154,6 @@ def _mentions_round(e: SymExpr) -> bool:
 def emit_smtlib(query: Query, get_model: bool = True) -> str:
     """Render a query as solver-ready SMT-LIB v2 text: the script, then
     ``(check-sat)`` and, unless `get_model` is false, ``(get-model)``."""
-    em = _Emitter(query)
     lines = ["(set-logic ALL)", "(set-option :produce-models true)"]
     seen_enums = []
     for leaf in query.decls:
@@ -175,7 +167,7 @@ def emit_smtlib(query: Query, get_model: bool = True) -> str:
     for leaf in query.decls:
         lines.append(f"(declare-const {_symname(leaf.name)} {_sort_of_leaf(leaf.ty)})")
     for lit in query.literals:
-        lines.append(f"(assert {em.emit(lit)})")
+        lines.append(f"(assert {_emit(lit)})")
     lines.append("(check-sat)")
     if get_model:
         lines.append("(get-model)")
@@ -183,141 +175,93 @@ def emit_smtlib(query: Query, get_model: bool = True) -> str:
 
 
 # ---------------------------------------------------------------------------
-# S-expression reader for (get-model) replies
+# The S-expression reader, for solver replies and (in the shim) commands
 
 
-def _tokenize_sexpr(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c
-            i += 1
-        elif c == "|":
-            j = text.index("|", i + 1)
-            yield text[i:j + 1]
-            i = j + 1
-        elif c == '"':
-            j = text.index('"', i + 1)
-            yield text[i:j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            yield text[i:j]
-            i = j
+# Blanks and comments, then one token: a parenthesis, or an atom, which is a
+# quoted symbol, a string (where ``""`` is a quote) or a run of other
+# characters up to a delimiter.
+_BLANK = re.compile(r"\s*(?:;[^\n]*\n\s*)*")
+_TOKEN = re.compile(_BLANK.pattern
+                    + r'(?:([()])|(\|[^|]*\||"(?:[^"]|"")*"(?!")|[^\s()|";]+))')
 
 
-_SKIP = re.compile(r"(?:\s+|;[^\n]*\n)*")
-_DELIM = re.compile(r'[()|";]')
-_ATOM_END = re.compile(r"[\s()]")
-
-
-def _sexpr_end(text: str) -> Optional[int]:
-    """End index of the first complete S-expression in `text` (an atom
-    counts once a delimiter follows it), or None while it is incomplete."""
-    i = _SKIP.match(text).end()
-    if i == len(text) or text[i] == ";":
-        return None
-    if text[i] not in '()|"':
-        m = _ATOM_END.search(text, i)
-        return None if m is None else m.start()
-    depth = 0
-    while True:
-        m = _DELIM.search(text, i)
-        if m is None:
-            return None
-        c, i = m.group(), m.end()
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        else:
-            close = "\n" if c == ";" else c
-            j = text.find(close, i)
-            if j < 0:
-                return None
-            i = j + 1
-        if depth <= 0:
-            return i
-
-
-def parse_sexprs(text: str) -> list:
-    """The S-expressions of `text` as nested token lists; ValueError if unbalanced."""
-    stack: list = [[]]
-    for tok in _tokenize_sexpr(text):
-        if tok == "(":
+def read_sexpr(text: str, start: int = 0) -> Optional[tuple]:
+    """Read the S-expression at `start` of `text`, after any blanks and
+    comments: ``(node, end)``, where an atom is its text (quotes kept), a
+    list is a Python list and `end` is the index just past it, or None while
+    `text` ends before the expression does.  An atom is complete only once
+    a character follows it.  A ``)`` that closes nothing raises ValueError.
+    """
+    stack: list = []
+    while m := _TOKEN.match(text, start):
+        paren, node = m.groups()
+        start = m.end()
+        if paren == "(":
             stack.append([])
-        elif tok == ")":
-            done = stack.pop()
+            continue
+        if paren:
             if not stack:
                 raise ValueError("unbalanced parenthesis")
-            stack[-1].append(done)
-        else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
-        raise ValueError("unbalanced parenthesis")
-    return stack[0]
+            node = stack.pop()
+        elif start == len(text):
+            return None  # the atom may go on
+        if not stack:
+            return node, start
+        stack[-1].append(node)
+    return None
+
+
+def _show(node) -> str:
+    """A node read by `read_sexpr`, written back as text."""
+    return node if isinstance(node, str) else f"({' '.join(map(_show, node))})"
+
+
+_NUMERAL = re.compile(r"-?\d+(?:\.\d+)?")
+
+
+def _numeral(node) -> Fraction:
+    """The value of a numeral node (``12``, ``1.5``, ``(- x)``, ``(/ x y)``);
+    ValueError if `node` is not one."""
+    if isinstance(node, str) and _NUMERAL.fullmatch(node):
+        return Fraction(node)
+    if isinstance(node, list) and len(node) == 2 and node[0] == "-":
+        return -_numeral(node[1])
+    if (isinstance(node, list) and len(node) == 3 and node[0] == "/"
+            and (den := _numeral(node[2]))):
+        return _numeral(node[1]) / den
+    raise ValueError(f"cannot read numeral {_show(node)}")
 
 
 def _atom_value(node, ty) -> Value:
-    def frac(x) -> Fraction:
-        if isinstance(x, list):
-            if len(x) == 2 and x[0] == "-":
-                return -frac(x[1])
-            if len(x) == 3 and x[0] == "/":
-                return frac(x[1]) / frac(x[2])
-            raise SolverFailure(f"cannot read numeral {x!r}")
-        return Fraction(x)
-
     if ty == BOOL:
         return VBool(node == "true")
     if ty == INT:
-        f = frac(node)
-        return VInt(f.numerator)
+        return VInt(_numeral(node).numerator)
     if ty == MONEY:
-        f = frac(node)
-        return VMoney(f.numerator)
+        return VMoney(_numeral(node).numerator)
     if ty == RAT:
-        return VRat(frac(node))
+        return VRat(_numeral(node))
     if isinstance(ty, EnumT):
-        name = node[0] if isinstance(node, list) else node
-        name = name.strip("|")
-        if name not in ty.variant_names():
-            raise SolverFailure(f"unknown variant {name!r} for enum {ty.name}")
-        return VEnum(ty.name, name)
+        name = node[0] if isinstance(node, list) and node else node
+        if not isinstance(name, str) or name.strip("|") not in ty.variant_names():
+            raise SolverFailure(f"unknown variant {_show(node)} for enum {ty.name}")
+        return VEnum(ty.name, name.strip("|"))
     raise SolverFailure(f"cannot read model value of type {ty}")
 
 
-def parse_model(reply: str, query: Query) -> dict:
-    """Extract a leaf model from a get-model reply; missing leaves get their
-    type default (solvers omit don't-care constants).  An ``(error ...)``
-    reply raises `SolverFailure`."""
-    try:
-        sexprs = parse_sexprs(reply)
-    except ValueError as e:
-        raise SolverFailure(f"{e} in model reply") from None
-    assignments: dict = {}
-    for node in sexprs:
-        if not isinstance(node, list):
-            continue
-        if node and node[0] == "error":
-            raise SolverFailure(f"solver error in model reply: {reply.strip()[:200]}")
-        entries = node
-        if entries and entries[0] == "model":
-            entries = entries[1:]
-        for entry in entries:
-            if (isinstance(entry, list) and len(entry) >= 5
-                    and entry[0] == "define-fun"):
-                name = entry[1].strip("|")
-                body = entry[4]
-                assignments[name] = body
+def parse_model(reply, query: Query) -> dict:
+    """The leaf model in a get-model reply, as read by `read_sexpr`: a list
+    of ``(define-fun NAME () SORT VALUE)`` entries, possibly headed by
+    ``model``.  Missing leaves get their type default (solvers omit don't-care
+    constants).  Any other reply, such as ``(error ...)``, raises
+    `SolverFailure`."""
+    if not isinstance(reply, list) or reply[:1] == ["error"]:
+        raise SolverFailure(f"no model in solver reply {_show(reply)[:200]}")
+    entries = reply[1:] if reply[:1] == ["model"] else reply
+    assignments = {entry[1].strip("|"): entry[4] for entry in entries
+                   if isinstance(entry, list) and len(entry) >= 5
+                   and entry[0] == "define-fun" and isinstance(entry[1], str)}
     model = {}
     for leaf in query.decls:
         if leaf.name in assignments:
@@ -360,6 +304,8 @@ class ExternalSolver:
 
     def __init__(self, command: str, timeout: float = 30.0):
         self.argv = shlex.split(command)
+        if not self.argv:
+            raise ValueError("empty solver command")
         self.timeout = timeout
         self._proc = None
         self._stderr = None
@@ -402,7 +348,7 @@ class ExternalSolver:
         if verdict == "unknown":
             return Unknown("external solver returned unknown")
         if verdict != "sat":
-            raise SolverFailure(f"unexpected solver reply {verdict[:200]!r}")
+            raise SolverFailure(f"unexpected solver reply {_show(verdict)[:200]!r}")
         return Sat(parse_model(self._ask("(get-model)\n", deadline), query))
 
     def _start(self) -> None:
@@ -421,21 +367,21 @@ class ExternalSolver:
         self._out = ""
         self._used = False
 
-    def _ask(self, text: str, deadline: float) -> str:
+    def _ask(self, text: str, deadline: float):
         """Write `text`, then read until the output holds one complete
-        S-expression (a verdict is an atom) and return it.  Writing and
-        reading are interleaved, so neither pipe can fill up and block."""
+        S-expression (a verdict is an atom) and return it as `read_sexpr`
+        reads it.  Writing and reading are interleaved, so neither pipe can
+        fill up and block."""
         proc = self._proc
         pending = text.encode()
         with selectors.DefaultSelector() as sel:
             sel.register(proc.stdout, selectors.EVENT_READ)
             sel.register(proc.stdin, selectors.EVENT_WRITE)
             while True:
-                if not pending:
-                    end = _sexpr_end(self._out)
-                    if end is not None:
-                        reply, self._out = self._out[:end], self._out[end:]
-                        return reply.strip()
+                if not pending and (got := read_sexpr(self._out)) is not None:
+                    reply, end = got
+                    self._out = self._out[end:]
+                    return reply
                 left = deadline - time.monotonic()
                 if left <= 0:
                     raise SolverFailure(f"no reply within {self.timeout} s")

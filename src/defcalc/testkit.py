@@ -144,6 +144,7 @@ class ReplayResult:
     passed: bool
     expected: object = None
     got: object = None
+    error: str = ""  # why the testcase file could not be replayed
 
     def __bool__(self) -> bool:
         return self.passed
@@ -166,10 +167,17 @@ def replay(program: Program, testcase_file: str) -> ReplayResult:
 
 
 def replay_dir(program: Program, directory: str) -> list:
+    """(name, result) for each testcase file of `directory`, in name order.
+    A file that cannot be replayed (not JSON, an unknown scope, inputs that
+    do not fit the scope) fails with the reason in `error`."""
     out = []
     for name in sorted(os.listdir(directory)):
         if name.startswith("tc") and name.endswith(".json"):
-            out.append((name, replay(program, os.path.join(directory, name))))
+            try:
+                result = replay(program, os.path.join(directory, name))
+            except (OSError, ValueError, LookupError, TypeError) as e:
+                result = ReplayResult(False, error=f"{type(e).__name__}: {e}")
+            out.append((name, result))
     return out
 
 

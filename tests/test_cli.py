@@ -87,6 +87,33 @@ def test_replay_missing_tests_dir_is_usage_error(programs_dir, tmp_path):
     assert "Traceback" not in p.stderr
 
 
+@pytest.mark.parametrize("kind, reason", [
+    ("bad-json", "JSONDecodeError: "),
+    ("unknown-scope", "KeyError: 'no scope Nope'"),
+    ("missing-inputs", "ValueError: scope IncomeTax: missing inputs ['nb_children']"),
+], ids=["bad-json", "unknown-scope", "missing-inputs"])
+def test_replay_reports_a_bad_testcase_file_as_a_failure(programs_dir, tmp_path,
+                                                         kind, reason):
+    out = tmp_path / "suite"
+    run_cli(["run", str(programs_dir / "income_tax.dfc"), "--scope", "IncomeTax",
+             "--emit-tests", str(out), "--quiet"])
+    bad = out / "tc0002.json"
+    data = json.loads(bad.read_text())
+    if kind == "bad-json":
+        bad.write_text("{not json")
+    elif kind == "unknown-scope":
+        bad.write_text(json.dumps(dict(data, scope="Nope")))
+    else:
+        del data["inputs"]["nb_children"]
+        bad.write_text(json.dumps(data))
+    p = run_cli(["replay", str(programs_dir / "income_tax.dfc"), "--tests", str(out)])
+    assert p.returncode == 1
+    assert "Traceback" not in p.stderr
+    fails = [l for l in p.stdout.splitlines() if "FAIL" in l]
+    assert len(fails) == 1 and fails[0].startswith(f"tc0002.json: FAIL {reason}")
+    assert "3/4 pass" in p.stdout
+
+
 def test_emit_smtlib_writes_query_files(programs_dir, tmp_path):
     out = tmp_path / "q"
     p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
@@ -112,6 +139,13 @@ def test_unknown_scope_is_usage_error(programs_dir):
     p = run_cli(["run", str(path), "--scope", "Nope", "--quiet"])
     assert p.returncode == 1
     assert p.stderr == f"error: no scope Nope in {path}\n"
+
+
+def test_empty_smtlib_command_is_usage_error(programs_dir):
+    p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
+                 "--solver", "smtlib:", "--quiet"])
+    assert p.returncode == 1
+    assert p.stderr == "error: empty solver command\n"
 
 
 def test_budget_truncation_exit_code(programs_dir):
@@ -150,6 +184,14 @@ def test_mutate_subcommand_writes_valid_programs(programs_dir, tmp_path):
     for f in files:
         prog = parse_or_raise((out / f).read_text())
         assert validate(prog) == []
+
+
+def test_mutate_with_no_ops_is_usage_error(programs_dir, tmp_path):
+    for ops in ("", " , "):
+        p = run_cli(["mutate", str(programs_dir / "fig5.dfc"), "--ops", ops,
+                     "--count", "2", "--out", str(tmp_path / "mutants")])
+        assert p.returncode == 1
+        assert p.stderr == "error: --ops names no mutation op\n"
 
 
 def test_campaign_subcommand(programs_dir):

@@ -6,14 +6,20 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_program
 from defcalc.explorer import OPT_NAMES, ExploreConfig, explore
-from defcalc.lang import BOOL, INT, MONEY, RAT, EnumT, VBool, VInt, VMoney, VRat
-from defcalc.smtlib import ExternalSolver, emit_smtlib, parse_model, parse_sexprs
+from defcalc.lang import (
+    BOOL, INT, MONEY, RAT, EnumT, VBool, VEnum, VInt, VMoney, VRat,
+)
+from defcalc.smtlib import (
+    ExternalSolver, _const, _show, _sort_of_leaf, _symname, emit_smtlib,
+    parse_model, read_sexpr,
+)
 from defcalc.solver import Query, Sat, SolverFailure, SolverSession, Unsat
 from defcalc.symbolic import (
-    Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
+    Leaf, SymBin, SymConst, SymFloor, SymIsVariant, SymNot, SymRound, SymVar,
 )
 from defcalc.testkit import emit_suite
 
@@ -21,6 +27,10 @@ from defcalc.testkit import emit_suite
 def q_simple():
     return Query((Leaf("x", INT),),
                  (SymBin(">", SymVar("x", INT), SymConst(VInt(0))),))
+
+
+def model_of(reply: str, query: Query) -> dict:
+    return parse_model(read_sexpr(reply)[0], query)
 
 
 def test_emission_declares_and_asserts():
@@ -76,8 +86,9 @@ def test_int_real_mixing_inserts_to_real():
 
 
 def test_sexpr_parser():
-    nodes = parse_sexprs("(model (define-fun x () Int (- 3)))")
-    assert nodes == [["model", ["define-fun", "x", [], "Int", ["-", "3"]]]]
+    text = "(model (define-fun x () Int (- 3)))"
+    want = ["model", ["define-fun", "x", [], "Int", ["-", "3"]]]
+    assert read_sexpr(text) == (want, len(text))
 
 
 def test_model_parsing_covers_sorts():
@@ -91,7 +102,7 @@ def test_model_parsing_covers_sorts():
       (define-fun b () Bool true)
       (define-fun z () Zone B) )
     """
-    model = parse_model(reply, q)
+    model = model_of(reply, q)
     assert model["x"] == VInt(-7)
     assert model["m"] == VMoney(1000001)
     assert model["r"] == VRat(Fraction(21, 2))
@@ -101,13 +112,134 @@ def test_model_parsing_covers_sorts():
 
 def test_error_reply_is_not_a_model():
     with pytest.raises(SolverFailure, match="model generation failed"):
-        parse_model('(error "model generation failed")', q_simple())
+        model_of('(error "model generation failed")', q_simple())
+
+
+@pytest.mark.parametrize("value", ["((B))", "()", "C", '"A"'])
+def test_unreadable_enum_value_is_a_solver_failure(value):
+    zone = EnumT("Zone", (("A", None), ("B", None)))
+    q = Query((Leaf("z", zone),), ())
+    assert model_of("((define-fun z () Zone (B)))", q)["z"].variant == "B"
+    with pytest.raises(SolverFailure, match="for enum Zone"):
+        model_of(f"((define-fun z () Zone {value}))", q)
 
 
 def test_missing_defs_fall_back_to_defaults():
     q = Query((Leaf("x", INT),), ())
-    model = parse_model("( )", q)
+    model = model_of("( )", q)
     assert model["x"] == VInt(0)
+    # An entry that is not (define-fun NAME () SORT VALUE) defines nothing.
+    assert model_of("((define-fun (x) () Int 5) (x 5))", q) == {"x": VInt(0)}
+
+
+# -- the S-expression reader ------------------------------------------------------
+
+
+def test_doubled_quote_is_a_quote_inside_one_string():
+    text = '(error "a ""b"" c")'
+    assert read_sexpr(text) == (["error", '"a ""b"" c"'], len(text))
+
+
+def test_reader_waits_for_the_end_of_an_atom_and_rejects_a_stray_paren():
+    assert read_sexpr("sat") is None  # "sat" may still become "satisfiable"
+    assert read_sexpr("sat\n") == ("sat", 3)
+    assert read_sexpr('"a"') is None and read_sexpr('"a""') is None
+    assert read_sexpr("(a ; comment )\n b) c", 0) == (["a", "b"], 18)
+    assert read_sexpr("(a) (b)", 3) == (["b"], 7)
+    with pytest.raises(ValueError, match="unbalanced parenthesis"):
+        read_sexpr(" ; comment )\n )")
+
+
+def read_whole(text: str) -> list:
+    nodes, end = [], 0
+    while (got := read_sexpr(text, end)) is not None:
+        node, end = got
+        nodes.append(node)
+    return nodes
+
+
+def read_in_chunks(text: str, cuts) -> list:
+    """What `ExternalSolver._ask` and the shim frame when `text` arrives in
+    pieces cut at `cuts`."""
+    nodes, pending, last = [], "", 0
+    for cut in sorted(cuts) + [len(text)]:
+        pending += text[last:cut]
+        last = cut
+        while (got := read_sexpr(pending)) is not None:
+            node, end = got
+            nodes.append(node)
+            pending = pending[end:]
+    return nodes
+
+
+ZONE = EnumT("Zone", (("A", None), ("B", None)))
+LEAVES = (Leaf("x", INT), Leaf("h.income", MONEY), Leaf("r", RAT),
+          Leaf("b", BOOL), Leaf("z", ZONE))
+VALUES = {
+    INT: st.integers(-10**12, 10**12).map(VInt),
+    MONEY: st.integers(-10**12, 10**12).map(VMoney),
+    RAT: st.fractions(max_denominator=10**6).map(VRat),
+    BOOL: st.booleans().map(VBool),
+    ZONE: st.sampled_from(("A", "B")).map(lambda v: VEnum("Zone", v)),
+}
+_nums = st.recursive(
+    st.one_of(st.sampled_from([SymVar(l.name, l.ty) for l in LEAVES[:3]]),
+              VALUES[INT].map(SymConst), VALUES[RAT].map(SymConst)),
+    lambda t: st.one_of(
+        st.builds(SymBin, st.sampled_from("+-*/"), t, t),
+        t.map(SymRound), t.map(SymFloor)),
+    max_leaves=6)
+_bools = st.recursive(
+    st.one_of(st.just(SymVar("b", BOOL)), VALUES[BOOL].map(SymConst),
+              st.builds(SymBin, st.sampled_from(["=", "<", "<=", ">", ">="]), _nums, _nums),
+              st.sampled_from("AB").map(lambda v: SymIsVariant(SymVar("z", ZONE), v))),
+    lambda t: st.one_of(t.map(SymNot), st.builds(SymBin, st.sampled_from(["&&", "||"]), t, t)),
+    max_leaves=4)
+QUERIES = st.lists(_bools, max_size=4).map(lambda lits: Query(LEAVES, tuple(lits)))
+MODELS = st.fixed_dictionaries({l.name: VALUES[l.ty] for l in LEAVES})
+
+
+def model_reply(model: dict) -> str:
+    """A get-model reply, laid out as the bundled shim writes it."""
+    rows = "".join(f"  (define-fun {_symname(l.name)} () {_sort_of_leaf(l.ty)} "
+                   f"{_const(model[l.name])})\n" for l in LEAVES)
+    return f"(\n{rows})\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), QUERIES)
+def test_emitted_scripts_frame_alike_whole_and_in_chunks(data, query):
+    text = emit_smtlib(query)
+    cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
+    nodes = read_whole(text)
+    assert len(nodes) == text.count("\n")  # one command a line
+    assert read_in_chunks(text, cuts) == nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), MODELS)
+def test_model_replies_frame_alike_whole_and_in_chunks(data, model):
+    text = "sat\n" + model_reply(model)
+    cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
+    nodes = read_whole(text)
+    assert read_in_chunks(text, cuts) == nodes
+    verdict, reply = nodes
+    assert verdict == "sat"
+    assert parse_model(reply, Query(LEAVES, ())) == model
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(st.sampled_from('()|"; \n\tab1-.'))),
+       st.integers(0, 4))
+def test_reader_on_arbitrary_text_gives_a_node_none_or_value_error(text, start):
+    try:
+        got = read_sexpr(text, start)
+    except ValueError:
+        return
+    if got is not None:
+        node, end = got
+        assert start < end <= len(text)
+        assert read_sexpr(_show(node) + "\n")[0] == node
 
 
 # -- external backend through the bundled shim ---------------------------------
@@ -145,6 +277,12 @@ def test_shim_handles_round_and_money(shim):
     cents = res.model["m"].cents
     from defcalc.interp import round_rat
     assert round_rat(Fraction(cents, 5)) == 200000
+
+
+def test_empty_command_is_rejected_up_front():
+    for command in ("", "  "):
+        with pytest.raises(ValueError, match="empty solver command"):
+            ExternalSolver(command)
 
 
 def test_external_failure_raises(tmp_path):
@@ -271,7 +409,7 @@ def test_shim_answers_a_whole_script_piped_in(scripts_dir):
     assert p.returncode == 0, p.stderr
     verdict, model = p.stdout.split("\n", 1)
     assert verdict == "sat"
-    assert parse_model(model, q_simple()) == {"x": VInt(1)}
+    assert model_of(model, q_simple()) == {"x": VInt(1)}
 
 
 def test_shim_answers_unreadable_commands_with_errors_and_goes_on(scripts_dir):
@@ -284,7 +422,24 @@ def test_shim_answers_unreadable_commands_with_errors_and_goes_on(scripts_dir):
     assert lines[1].startswith('(error "') and "unbalanced parenthesis" in lines[1]
     assert "solver reply" not in lines[1]
     assert lines[2] == "sat"
-    assert parse_model(lines[3], q_simple()) == {"x": VInt(1)}
+    assert model_of(lines[3], q_simple()) == {"x": VInt(1)}
+
+
+def test_shim_answers_an_incomplete_last_command_with_an_error(scripts_dir):
+    def answers(text):
+        p = subprocess.run([sys.executable, str(scripts_dir / "smtlib_solve.py")],
+                           input=text, capture_output=True, text=True, timeout=60)
+        assert p.returncode == 0, p.stderr
+        return p.stdout.splitlines()
+
+    incomplete = '(error "incomplete command at end of input")'
+    script = emit_smtlib(q_simple(), get_model=False)
+    assert answers(script + "(get-model") == ["sat", incomplete]
+    # An unclosed | swallows the commands after it, which go unanswered.
+    assert answers(script + "(declare-const |y Int)\n(check-sat)\n") == ["sat", incomplete]
+    # A last atom or comment needs no newline.
+    assert answers(script + "; done") == ["sat"]
+    assert answers(script + "(reset) (check-sat) sat") == ["sat", "sat"]
 
 
 def test_shim_refuses_a_model_after_unsat(scripts_dir):
