@@ -277,9 +277,10 @@ def explore(program: Program, scope_name: str,
     session = SolverSession(leaves, backend=config.backend, on_query=config.on_query,
                             retain=leaf_env_of_inputs(scope, inputs))
 
-    # Bootstrap past assertion-violating starting inputs.
-    inputs, ok = _bootstrap(work, scope, inputs, session, copts, suite)
-    if not ok:
+    # Bootstrap past assertion-violating starting inputs; the run that
+    # accepts its inputs is the first iteration's.
+    inputs, first = _bootstrap(work, scope, inputs, session, copts, suite)
+    if first is None:
         _sync_stats(stats, session)
         return suite
 
@@ -296,7 +297,8 @@ def explore(program: Program, scope_name: str,
                 (deadline is not None and time.monotonic() > deadline):
             suite.complete = False
             break
-        outcome, path = run_scope_concolic(work, scope_name, inputs, copts)
+        outcome, path = first or run_scope_concolic(work, scope_name, inputs, copts)
+        first = None
         stats.iterations += 1
         suite.depth_trace.append(len(path))
 
@@ -352,13 +354,13 @@ def explore(program: Program, scope_name: str,
 def _bootstrap(work: Program, scope, inputs: dict, session: SolverSession,
                copts: ConcolicOpts, suite: TestSuite):
     """Find a starting input satisfying the scope assertions.  Returns
-    (inputs, ok); an unsatisfiable assertion system gives ok=False with the
-    suite left empty and complete, and an Unknown or a solver failure gives
-    ok=False with the suite marked incomplete."""
+    (inputs, (outcome, path)) of the concolic run that accepted them, or
+    (inputs, None): an unsatisfiable assertion system leaves the suite empty
+    and complete, and an Unknown or a solver failure marks it incomplete."""
     for _ in range(8):
         outcome, path = run_scope_concolic(work, scope.name, inputs, copts)
         if outcome.kind is not OutcomeKind.PRECONDITION:
-            return inputs, True
+            return inputs, (outcome, path)
         required = []
         for rec in path:
             lit = rec.constraint
@@ -369,16 +371,16 @@ def _bootstrap(work: Program, scope, inputs: dict, session: SolverSession,
             res = session.check(required)
         except SolverFailure:
             suite.complete = False
-            return inputs, False
+            return inputs, None
         if isinstance(res, Sat):
             inputs = inputs_of_leaf_env(scope, dict(res.model))
             continue
         if isinstance(res, Unsat):
-            return inputs, False  # no valid inputs: empty, complete suite
+            return inputs, None  # no valid inputs: empty, complete suite
         suite.complete = False
-        return inputs, False
+        return inputs, None
     suite.complete = False
-    return inputs, False
+    return inputs, None
 
 
 def _sync_stats(stats: SuiteStats, session: SolverSession) -> None:

@@ -233,21 +233,28 @@ def _numeral(node) -> Fraction:
     raise ValueError(f"cannot read numeral {_show(node)}")
 
 
-def _atom_value(node, ty) -> Value:
+def _atom_value(name: str, node, ty) -> Value:
+    """The value of leaf `name` in a model; SolverFailure naming the leaf
+    when `node` is not a value of its type (a Bool other than true or false,
+    an Int or money value that is not an integral numeral)."""
     if ty == BOOL:
-        return VBool(node == "true")
-    if ty == INT:
-        return VInt(_numeral(node).numerator)
-    if ty == MONEY:
-        return VMoney(_numeral(node).numerator)
-    if ty == RAT:
-        return VRat(_numeral(node))
-    if isinstance(ty, EnumT):
-        name = node[0] if isinstance(node, list) and node else node
-        if not isinstance(name, str) or name.strip("|") not in ty.variant_names():
-            raise SolverFailure(f"unknown variant {_show(node)} for enum {ty.name}")
-        return VEnum(ty.name, name.strip("|"))
-    raise SolverFailure(f"cannot read model value of type {ty}")
+        if node in ("true", "false"):
+            return VBool(node == "true")
+    elif isinstance(ty, EnumT):
+        tag = node[0] if isinstance(node, list) and node else node
+        if isinstance(tag, str) and tag.strip("|") in ty.variant_names():
+            return VEnum(ty.name, tag.strip("|"))
+        raise SolverFailure(f"unknown variant {_show(node)} of {name} for enum {ty.name}")
+    else:
+        try:
+            q = _numeral(node)
+        except ValueError:
+            q = None
+        if q is not None and ty == RAT:
+            return VRat(q)
+        if q is not None and q.denominator == 1 and ty in (INT, MONEY):
+            return VInt(q.numerator) if ty == INT else VMoney(q.numerator)
+    raise SolverFailure(f"cannot read {_show(node)} as the {ty} value of {name}")
 
 
 def parse_model(reply, query: Query) -> dict:
@@ -265,7 +272,7 @@ def parse_model(reply, query: Query) -> dict:
     model = {}
     for leaf in query.decls:
         if leaf.name in assignments:
-            model[leaf.name] = _atom_value(assignments[leaf.name], leaf.ty)
+            model[leaf.name] = _atom_value(leaf.name, assignments[leaf.name], leaf.ty)
         else:
             dv = default_value(leaf.ty)
             if isinstance(dv, VEnum):

@@ -8,9 +8,13 @@ enum tags, with Round/Floor occurrences.  The pipeline is:
    folding) and list its case-split alternatives (disjunctions, disequalities,
    bool and enum equalities) with their atoms' linear forms, once a session;
 2. search the alternatives depth first, literal by literal, so complete
-   branches come in DNF order; at each choice and at the last literal, cut
-   a partial branch whose linear atoms (Round/Floor left out) have no
-   rational solution (`_project`), which loses no solution;
+   branches come in DNF order.  The linear forms of every literal with one
+   alternative make a root system, tested once before the first choice;
+   each choice then tests its alternative against the root and the choices
+   above it, and cuts it when they have no rational solution (`_project`;
+   Round/Floor atoms left out), which loses no solution.  A conflict with
+   a unit literal is thus found once, at the first choice it refutes, not
+   once per combination of the choices above the literal;
 3. per branch, replace Round/Floor terms with integer auxiliaries, split
    once per Round occurrence on its sign, and for each sign case add the
    defining inequalities and solve the linear core over primitive integer
@@ -400,7 +404,8 @@ def _strip_rounds(atoms: list) -> tuple:
                     specs.append((aux, kind, inner))
                 return table[key]
             case SymBin(op, a, b):
-                return SymBin(op, rewrite(a), rewrite(b))
+                ra, rb = rewrite(a), rewrite(b)
+                return e if ra is a and rb is b else SymBin(op, ra, rb)
             case _:
                 return e
 
@@ -704,8 +709,17 @@ def _builtin_check(decls: tuple, literals: tuple, retain: dict,
         return UNSAT
     budget = _Budget(budget_limit)
     reason = None  # why the search cannot answer Unsat, if it cannot
+    # Every literal with one alternative holds on every branch, so its
+    # linear forms make one root system, tested once before any choice.
+    root = [f for a in alts if len(a) == 1 for f in a[0][1]]
     try:
-        for branch in _search(alts, 0, [], [], budget):
+        if root:
+            try:
+                _project(root)
+            except _Infeasible:
+                budget.spend()
+                return UNSAT
+        for branch in _search(alts, 0, [], root, budget):
             budget.spend()
             try:
                 result = _solve_branch(branch, decls, retain, budget, memo)
@@ -733,20 +747,24 @@ def _alternatives(lit: SymExpr, memo: dict) -> list:
 def _search(alts: list, i: int, branch: list, lin: list,
             budget: _Budget) -> Iterator[list]:
     """The complete branches that extend `branch` (alternatives of the first
-    `i` literals, linear atoms `lin`) in DNF order.  At a choice, and at the
-    last literal, a partial branch with no rational solution is cut for one
-    unit of budget, which each branch it stands for would cost at least."""
+    `i` literals) in DNF order.  `lin` holds the root system (the linear
+    forms of every literal with one alternative) and those of the choices
+    made above.  At a choice, an alternative whose forms have no rational
+    solution together with `lin` is cut for one unit of budget, which each
+    branch it stands for would cost at least."""
     if i == len(alts):
         yield branch
         return
+    choice = len(alts[i]) > 1
     for alt, forms in alts[i]:
-        if forms and (len(alts[i]) > 1 or i + 1 == len(alts)):
+        if choice and forms:
             try:
                 _project(lin + forms)
             except _Infeasible:
                 budget.spend()
                 continue
-        yield from _search(alts, i + 1, branch + alt, lin + forms, budget)
+        yield from _search(alts, i + 1, branch + alt,
+                           lin + forms if choice else lin, budget)
 
 
 def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
@@ -858,7 +876,11 @@ class SolverSession:
     query: the builtin backend re-decides the conjunction every time, so a
     check's answer depends on its literals alone.  `_memo` keeps what it
     derives from one literal alone (alternatives, linear forms) for the
-    session's life, so no check prepares a literal a second time.
+    session's life, so no check prepares a literal a second time; the
+    memo lookup and the declared-variable check read the hash and free
+    variables kept on each node instead of walking the term.  What a check
+    still pays for is its case splits, and the stack's unit literals bound
+    them from the root of `_search` however deep the prefix is.
     """
 
     def __init__(self, decls, backend=None, budget: int = DEFAULT_BUDGET,

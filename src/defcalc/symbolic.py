@@ -34,33 +34,63 @@ class SymConst:
     value: Value
 
 
+class _Compound:
+    """A compound node computes its hash and its free-variable set on first
+    use and keeps them, so that later dict lookups and free-variable queries
+    read them instead of walking the term.  A kept hash is valid only in the
+    process that computed it (string hashes are salted per process); no
+    SymExpr is pickled across processes."""
+    _hash = None
+    _free = None
+
+
+def _kept(node, attr: str, value):
+    object.__setattr__(node, attr, value)
+    return value
+
+
 @dataclass(frozen=True)
-class SymBin:
+class SymBin(_Compound):
     op: str  # + - * / = < <= > >= && ||
     lhs: "SymExpr"
     rhs: "SymExpr"
 
+    def __hash__(self):
+        return self._hash or _kept(self, "_hash", hash((self.op, self.lhs, self.rhs)))
+
 
 @dataclass(frozen=True)
-class SymNot:
+class SymNot(_Compound):
     arg: "SymExpr"
 
+    def __hash__(self):
+        return self._hash or _kept(self, "_hash", hash(("!", self.arg)))
+
 
 @dataclass(frozen=True)
-class SymRound:
+class SymRound(_Compound):
     """Round-to-nearest, ties away from zero; rational in, integer out."""
     arg: "SymExpr"
 
+    def __hash__(self):
+        return self._hash or _kept(self, "_hash", hash(("round", self.arg)))
+
 
 @dataclass(frozen=True)
-class SymFloor:
+class SymFloor(_Compound):
     arg: "SymExpr"
 
+    def __hash__(self):
+        return self._hash or _kept(self, "_hash", hash(("floor", self.arg)))
+
 
 @dataclass(frozen=True)
-class SymIsVariant:
+class SymIsVariant(_Compound):
     arg: "SymExpr"  # an enum tag leaf
     variant: str
+
+    def __hash__(self):
+        return self._hash or _kept(self, "_hash", hash((self.arg, self.variant)))
 
 
 SymExpr = Union[SymVar, SymConst, SymBin, SymNot, SymRound, SymFloor, SymIsVariant]
@@ -99,11 +129,14 @@ def sym_free_vars(e: SymExpr) -> frozenset:
             return frozenset((name,))
         case SymConst():
             return frozenset()
-        case _:
-            out: frozenset = frozenset()
-            for c in sym_children(e):
-                out |= sym_free_vars(c)
-            return out
+    if e._free is not None:
+        return e._free
+    free = frozenset()
+    for c in sym_children(e):
+        f = sym_free_vars(c)
+        if not f <= free:
+            free = f if free <= f else free | f
+    return _kept(e, "_free", free)
 
 
 def render(e: SymExpr) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -8,16 +9,31 @@ import pytest
 from defcalc.cli import main
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("DEFCALC_SOLVER", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "defcalc.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, cwd=cwd,
     )
     return proc
+
+
+def test_readme_run_example_prints_what_the_readme_shows(programs_dir):
+    root = programs_dir.parent
+    lines = (root / "README.md").read_text().splitlines()
+    start = next(i for i, l in enumerate(lines)
+                 if l.startswith("    defcalc run ") and "--stats" in l)
+    shown = []
+    for line in lines[start + 2:]:  # the block after the command's blank line
+        if not line.startswith("    "):
+            break
+        shown.append(line[4:])
+    p = run_cli(shlex.split(lines[start])[1:], cwd=root)
+    assert p.returncode == 0, p.stderr
+    assert shown and p.stdout.splitlines() == shown
 
 
 def test_run_fig5_prints_five_tests(programs_dir):

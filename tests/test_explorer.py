@@ -377,14 +377,53 @@ def test_bootstrap_leaves_the_assertion_stack_empty():
     scope = prog.scope("S")
     session = SolverSession(scope_leaves(scope))
     suite = TestSuite("S", [], SuiteStats(), True, [], [])
-    inputs, ok = _bootstrap(prog, scope, initial_inputs(scope, {}), session,
-                            ConcolicOpts(), suite)
-    assert ok and inputs["x"].i > 5
+    inputs, first = _bootstrap(prog, scope, initial_inputs(scope, {}), session,
+                               ConcolicOpts(), suite)
+    assert first is not None and inputs["x"].i > 5
     assert session.stack == [] and session.stats.checks == 1
     assert session.stats.pushes == session.stats.pops == 0
     # the one flip after bootstrap pushes the hard prefix and the negation
     s = explore(prog, "S", ExploreConfig()).stats
     assert (s.pushes, s.pops, s.solver_calls) == (2, 1, 2)
+
+
+def test_bootstrap_run_is_the_first_iteration(fig5, monkeypatch):
+    from defcalc import explorer
+    from defcalc.parser import parse_or_raise
+    runs = []
+    real = explorer.run_scope_concolic
+    monkeypatch.setattr(explorer, "run_scope_concolic",
+                        lambda *a: runs.append(a) or real(*a))
+    cfg = ExploreConfig(initial={"b": VBool(True), "x": VInt(3)})
+    assert explore(fig5, "Main", cfg).stats.iterations == len(runs) == 5
+    runs.clear()
+    # x = 0 violates the assertion: one rejected run, then the accepted
+    # run is iteration 1.
+    prog = parse_or_raise("scope S { input x: int; assert x > 5; "
+                          "def y: int = if x > 10 then 1 else 0; output y; }")
+    suite = explore(prog, "S", ExploreConfig())
+    assert suite.stats.iterations == 2 and len(runs) == 3
+    assert [tc.iteration for tc in suite.testcases] == [1, 2]
+
+
+def test_brackets_check_cost_does_not_grow_with_the_prefix(monkeypatch):
+    # Every justification is a conjunction, so each explored path is a
+    # prefix of two-way disjunctions closed by a conjunctive flip target.
+    from defcalc import solver
+    from defcalc.parser import parse_or_raise
+    n = 16
+    rules = "".join(
+        f"def b{i}: rate = default <rule (income > ${i},000.00 && kids >= {i % 4}"
+        f" :- {i + 1}%)> (true :- 0%);\n" for i in range(1, n + 1))
+    total = " + ".join(f"income * b{i}" for i in range(1, n + 1))
+    prog = parse_or_raise("scope Brackets { input income: money; input kids: int;\n"
+                          f"{rules}def tax: money = {total}; output tax; }}")
+    calls = []
+    real = solver._project
+    monkeypatch.setattr(solver, "_project", lambda *a: calls.append(1) or real(*a))
+    suite = explore(prog, "Brackets", ExploreConfig())
+    assert suite.complete and suite.stats.unknown == 0
+    assert len(calls) < 8 * suite.stats.solver_calls
 
 
 def test_wall_clock_timeout_flags_incomplete(benefits_medium):

@@ -124,6 +124,21 @@ def test_unreadable_enum_value_is_a_solver_failure(value):
         model_of(f"((define-fun z () Zone {value}))", q)
 
 
+@pytest.mark.parametrize("ty, sort, value", [
+    (INT, "Int", "(/ 7 2)"), (INT, "Int", "1.5"), (INT, "Int", "true"),
+    (MONEY, "Int", "(/ 7 2)"), (BOOL, "Bool", "17"), (BOOL, "Bool", "(not true)")])
+def test_model_value_outside_its_sort_is_a_solver_failure(ty, sort, value):
+    q = Query((Leaf("v", ty),), ())
+    with pytest.raises(SolverFailure, match=f"as the {ty} value of v"):
+        model_of(f"((define-fun v () {sort} {value}))", q)
+
+
+def test_integral_fraction_reads_as_an_int():
+    q = Query((Leaf("x", INT), Leaf("m", MONEY)), ())
+    reply = "((define-fun x () Int (/ 14 2)) (define-fun m () Int 3.0))"
+    assert model_of(reply, q) == {"x": VInt(7), "m": VMoney(3)}
+
+
 def test_missing_defs_fall_back_to_defaults():
     q = Query((Leaf("x", INT),), ())
     model = model_of("( )", q)

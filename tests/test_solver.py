@@ -340,18 +340,42 @@ def test_unsat_past_four_thousand_branches():
     assert solver._builtin_check((X, Leaf("y", INT)), lits, {}) == solver.UNSAT
 
 
+def test_unit_literals_bound_the_search_from_the_root():
+    # 2**20 branches above a conjunctive last literal that refutes every
+    # one: the root system refutes each choice at the first literal.
+    def both_above(i):
+        return SymBin("&&", SymBin(">", v("x"), c(i)), SymBin(">", v("y"), c(i)))
+    lits = tuple(SymNot(both_above(i)) for i in range(1, 21)) + (both_above(30),)
+    decls = (X, Leaf("y", INT))
+    assert solver._builtin_check(decls, lits, {}, budget_limit=64) == solver.UNSAT
+    # An infeasible root is one cut.
+    lits = (SymBin(">", v("x"), c(3)), SymNot(both_above(1)), SymBin("<", v("x"), c(2)))
+    assert solver._builtin_check(decls, lits, {}, budget_limit=1) == solver.UNSAT
+    assert isinstance(solver._builtin_check(decls, lits, {}, budget_limit=0), Unknown)
+    # The root's linear atoms refute it beside one that does not linearize.
+    lits = (SymBin(">", v("x"), c(5)), SymBin(">", SymBin("*", v("x"), v("y")), c(1)),
+            SymBin("<", v("x"), c(3)))
+    assert solver._builtin_check(decls, lits, {}) == solver.UNSAT
+
+
 def test_session_prepares_each_literal_once(monkeypatch):
+    from defcalc import symbolic
     calls = []
     real = solver.simplify
     monkeypatch.setattr(solver, "simplify", lambda e: calls.append(e) or real(e))
+    walks = []
+    real_children = symbolic.sym_children
+    monkeypatch.setattr(symbolic, "sym_children",
+                        lambda e: walks.append(e) or real_children(e))
     s = session(X, Leaf("y", INT))
     s.push(SymBin(">", v("x"), c(3)))
     s.push(SymNot(SymBin("=", v("x"), v("y"))))
     first = s.check()
     assert isinstance(first, Sat) and calls
     calls.clear()
+    walks.clear()
     assert s.check() == first
-    assert calls == []
+    assert calls == [] and walks == []
 
 
 def test_budget_exhaustion_returns_unknown():
