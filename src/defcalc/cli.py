@@ -17,6 +17,7 @@ results, not failures, and do not affect the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -51,6 +52,16 @@ def _load_program(path: str):
             print(d.render(result.unit), file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
     return result.program
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError from creating the output directory `path` as a
+    usage error; create it before any work that would fill it."""
+    try:
+        yield
+    except OSError as e:
+        raise SystemExit(f"error: cannot write {path}: {e}")
 
 
 def _parse_opts(spec: str) -> list:
@@ -123,8 +134,12 @@ def cmd_run(args) -> int:
         )
     except ValueError as e:
         raise SystemExit(f"error: {e}")
+    if args.emit_tests:
+        with _writing(args.emit_tests):
+            os.makedirs(args.emit_tests, exist_ok=True)
     if args.emit_smtlib:
-        config.on_query = SmtlibEmitter(args.emit_smtlib)
+        with _writing(args.emit_smtlib):
+            config.on_query = SmtlibEmitter(args.emit_smtlib)
     if not args.quiet:
         config.progress = lambda i, st, d, t: print(
             f"iter={i} {st} depth={d} tests={t}", file=sys.stderr)
@@ -176,7 +191,8 @@ def cmd_mutate(args) -> int:
     unknown = set(ops) - set(_OP_NAMES)
     if unknown:
         raise SystemExit(f"error: unknown mutation ops {sorted(unknown)}")
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     import random
     rng = random.Random(args.seed)
     for i in range(args.count):

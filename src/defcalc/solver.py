@@ -18,13 +18,14 @@ enum tags, with Round/Floor occurrences.  The pipeline is:
 3. per branch, replace Round/Floor terms with integer auxiliaries, split
    once per Round occurrence on its sign, and for each sign case add the
    defining inequalities and solve the linear core over primitive integer
-   rows (`_row`), so Fourier-Motzkin combines rows in ints: one projection
-   (`_project`) decides rational feasibility on entry; variables are then
-   fixed in order by one substitution routine, integers by branch-and-bound
-   over their rounded window (`_int_window`), with every pending window
-   from one divide-and-conquer pass (`_windows`).  A value inside a
-   projected window always extends over the rationals, so only
-   integrality can force a backtrack.
+   rows (`_row`), so Fourier-Motzkin combines rows in ints.  One pass of
+   eliminations per call decides rational feasibility and keeps, for every
+   window the search reads, the projected rows it is read from
+   (`_window_rows`); variables are then fixed in order, integers by
+   branch-and-bound over their window, and each node reads its windows by
+   evaluating those rows at the values fixed above it (`_window`).  A
+   value inside a projected window always extends over the rationals, so
+   only integrality can force a backtrack.
 
 Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
@@ -449,8 +450,9 @@ def _round_cases(specs: list) -> Iterator[list]:
 # A row is (coeffs: dict, const: int, op: str) standing for
 # sum(coeffs[v]*v) + const OP 0, op in {"=", "<=", "<"}, with integer
 # entries whose gcd is 1.  A positive multiple of a row stands for the same
-# atom, so elimination combines rows in ints and divides by the gcd; a bound
-# becomes a Fraction only when a window is read off.
+# atom, so elimination combines rows in ints and divides by the gcd.  A
+# window is read off by evaluating rows at fixed values: in ints for an
+# integer variable until a rational value enters, in Fractions otherwise.
 
 
 class _Infeasible(Exception):
@@ -533,52 +535,55 @@ def _eliminate(rows: list, name: str) -> list:
     return rest
 
 
-def _project(rows: list, keep=()) -> list:
-    """Eliminate every variable not in `keep`, in name order.  Raises
-    _Infeasible when the system has no rational solution; otherwise returns
-    the remaining rows, each over variables of `keep` alone."""
-    for v in sorted({n for coeffs, _, _ in rows for n in coeffs} - set(keep)):
-        rows = _eliminate(rows, v)
-    out = []
-    for r in rows:
-        if r[0]:
-            out.append(r)
-        elif not _holds(r[1], r[2]):
-            raise _Infeasible()
-    return out
+def _project(rows: list, order=None) -> list:
+    """Eliminate every variable the rows mention, in the order of `order`
+    (name order when None), and return the chain [rows, rows without the
+    first, ..., the ground rows].  Raises _Infeasible when the system has
+    no rational solution."""
+    if order is None:
+        order = sorted({n for coeffs, _, _ in rows for n in coeffs})
+    chain = [rows]
+    for v in order:
+        chain.append(_eliminate(chain[-1], v))
+    if not all(_holds(k, op) for _, k, op in chain[-1]):
+        raise _Infeasible()
+    return chain
 
 
-def _windows(rows: list, names: list) -> dict:
-    """Each of `names`' window over the rows' rational solutions:
-    {name: (lo, lo_strict, hi, hi_strict)}, None meaning unbounded.  The
-    other variables are projected out once, then each half of `names`
-    projects out the other half, so k names take O(k log k) eliminations."""
-    rows = _project(rows, names)
-    if len(names) > 1:
-        half = len(names) // 2
-        return {**_windows(rows, names[:half]), **_windows(rows, names[half:])}
-    name = names[0]
+def _window(rows: list, name: str, vals: dict, is_int: bool):
+    """`name`'s window in `rows`, each of which holds it, with every other
+    variable they hold at its value in `vals`.  A rational name's window is
+    (lo, lo_strict, hi, hi_strict), None meaning unbounded; an integer
+    name's is the pair `_int_window` gives, or None when it holds no
+    integer, computed in ints while the values are ints."""
     lo, lo_strict, hi, hi_strict = None, False, None, False
     for coeffs, const, op in rows:
         c = coeffs[name]
-        bound = Fraction(-const, c)
-        if op == "=":
-            if (lo is None or bound > lo or (bound == lo and not lo_strict)):
-                lo, lo_strict = bound, False
-            if (hi is None or bound < hi or (bound == hi and not hi_strict)):
-                hi, hi_strict = bound, False
+        t = const + sum(a * vals[n] for n, a in coeffs.items() if n != name)
+        if is_int:
+            # c*x + t OP 0 for an integer x is c*x + t' <= 0 (or = 0) for
+            # an integer t': t rounded up, or rounded down plus one if strict.
+            if type(t) is not int:
+                if op == "=" and t.denominator != 1:
+                    return None
+                t = math.floor(t) + 1 if op == "<" else math.ceil(t)
+            elif op == "<":
+                t += 1
+            if c > 0 or op == "=":
+                hi = -t // c if hi is None else min(hi, -t // c)
+            if c < 0 or op == "=":
+                lo = -(t // c) if lo is None else max(lo, -(t // c))
             continue
-        strict = op == "<"
-        if c > 0:  # name <= bound
+        bound, strict = Fraction(-t, c), op == "<"
+        if c > 0 or op == "=":  # name <= bound
             if hi is None or bound < hi or (bound == hi and strict):
                 hi, hi_strict = bound, strict
-        else:  # name >= bound
+        if c < 0 or op == "=":  # name >= bound
             if lo is None or bound > lo or (bound == lo and strict):
                 lo, lo_strict = bound, strict
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-            raise _Infeasible()
-    return {name: (lo, lo_strict, hi, hi_strict)}
+    if is_int:
+        return None if lo is not None and hi is not None and lo > hi else (lo, hi)
+    return lo, lo_strict, hi, hi_strict
 
 
 def _int_window(lo, lo_strict, hi, hi_strict) -> Optional[tuple]:
@@ -642,53 +647,63 @@ def _pick_rational(lo, lo_strict, hi, hi_strict) -> Fraction:
     return Fraction(k if ihi is None else min(k, ihi))
 
 
+def _window_rows(rows: list, todo: list) -> Optional[list]:
+    """The rows each window of `_solve_linear` is read from, None when the
+    rows have no rational solution.  With proj[j] the projection onto the
+    first j variables of `todo` (`[(name, is_int), ...]`, all mentioned),
+    item d lists the windows read with the first d variables fixed: the
+    d-th variable's own, then every later integer's, each as
+    (name, is_int, rows of the projection onto the fixed variables and it
+    that hold it).  k variables take at most k(k+1)/2 eliminations."""
+    try:
+        proj = _project(rows, [name for name, _ in reversed(todo)])[::-1]
+    except _Infeasible:
+        return None
+    reads = [[] for _ in todo]
+    for j, (name, is_int) in enumerate(todo):
+        system = proj[j + 1]
+        for d in range(j, -1 if is_int else j - 1, -1):
+            if d < j:
+                system = _eliminate(system, todo[d][0])
+            reads[d].append((name, is_int, [r for r in system if name in r[0]]))
+    return reads
+
+
 def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
     """Assign the ordered variables; `order` is [(name, is_int), ...].
     Returns a partial model over mentioned variables, or None."""
-    try:
-        _project(rows)
-    except _Infeasible:
-        return None
     mentioned = {n for coeffs, _, _ in rows for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
+    if (reads := _window_rows(rows, todo)) is None:
+        return None
+    vals: dict = {}
 
-    # Invariant: `system` has a rational solution.  FM projection is exact,
-    # so every value inside a variable's projected window extends to a
-    # rational solution of the rest, and substituting it keeps the
-    # invariant: `_windows` and `_substitute` cannot raise _Infeasible
-    # here.  Only integrality can fail, which the window pruning and the
+    # Invariant: the rows have a rational solution with the first d
+    # variables at their values in `vals`.  A projection onto variables it
+    # keeps commutes with fixing them, so evaluating its rows at `vals`
+    # gives the exact window, and a value inside it keeps the invariant.
+    # Only integrality can fail, which the window pruning and the
     # candidate backtracking handle.
-    def go(system: list, pending: list, acc: dict) -> Optional[dict]:
-        if not pending:
-            return acc
-        still = {n for coeffs, _, _ in system for n in coeffs}
-        name, is_int = pending[0]
-        if name not in still:
-            # Dropped by simplification along the way; value is free.
-            return go(system, pending[1:], acc)
+    def go(d: int) -> Optional[dict]:
+        if d == len(todo):
+            return {n: Fraction(x) for n, x in vals.items()}
         # Integral-emptiness pruning: if any pending integer variable's
-        # projected window holds no integer, the branch is infeasible no
-        # matter what the enumeration on earlier variables does.  One pass
-        # gives every window, and none costs budget.
-        windows = _windows(system, [n for n, n_int in pending
-                                    if n in still and (n_int or n == name)])
-        ints = {n: _int_window(*windows[n]) for n, n_int in pending
-                if n_int and n in windows}
-        if None in ints.values():
+        # window holds no integer, the fixed values have no integer
+        # completion.  No window costs budget.
+        windows = [_window(rs, n, vals, n_int) for n, n_int, rs in reads[d]]
+        if None in windows:
             return None
+        name, is_int = todo[d]
+        if not is_int:
+            vals[name] = _pick_rational(*windows[0])
+            return go(d + 1)
+        for c in _int_candidates(*windows[0], budget):
+            vals[name] = c
+            if (out := go(d + 1)) is not None:
+                return out
+        return None
 
-        def fix(x: Fraction) -> Optional[dict]:
-            eq = ({name: x.denominator}, -x.numerator, "=")
-            return go(_substitute(system, name, eq), pending[1:], {**acc, name: x})
-
-        if is_int:
-            for c in _int_candidates(*ints[name], budget):
-                if (out := fix(Fraction(c))) is not None:
-                    return out
-            return None
-        return fix(_pick_rational(*windows[name]))
-
-    return go(rows, todo, {})
+    return go(0)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,21 @@ def test_emit_smtlib_writes_query_files(programs_dir, tmp_path):
     assert "(check-sat)" in text
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "fig5.dfc", "--scope", "Main", "--quiet", "--emit-tests"],
+    ["run", "fig5.dfc", "--scope", "Main", "--quiet", "--emit-smtlib"],
+    ["mutate", "fig5.dfc", "--count", "2", "--out"],
+])
+def test_output_path_that_is_a_file_is_usage_error(args, programs_dir, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    p = run_cli([str(programs_dir / a) if a.endswith(".dfc") else a for a in args]
+                + [str(taken)])
+    assert p.returncode == 1
+    assert p.stderr.startswith(f"error: cannot write {taken}: ")
+    assert "Traceback" not in p.stderr and p.stdout == ""
+
+
 def test_unknown_opt_is_usage_error(programs_dir):
     p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
                  "--opts", "warp-speed"])

@@ -469,7 +469,8 @@ def test_linear_core_matches_fm_oracle(system):
 
 @st.composite
 def _feasible_systems(draw):
-    """Atoms over 2-5 variables that all hold at one drawn rational point."""
+    """Atoms over 2-5 variables that all hold at one drawn rational point,
+    with the point and an order of the variables, each int or not."""
     names = "abcde"[:draw(st.integers(2, 5))]
     point = {n: draw(_coeff) for n in names}
     atoms = []
@@ -482,15 +483,33 @@ def _feasible_systems(draw):
                 lambda x: x > 0 or op == "<="))
         value = sum((k * point[n] for n, k in coeffs.items()), Fraction(0))
         atoms.append((coeffs, -value - slack, op))
-    return atoms, list(names)
+    order = [(n, draw(st.booleans())) for n in draw(st.permutations(names))]
+    return atoms, point, order
 
 
 @settings(max_examples=200, deadline=None)
 @given(_feasible_systems())
 def test_one_pass_windows_match_fm_oracle_bounds(system):
-    atoms, names = system
-    windows = solver._windows([solver._row(c, k, op) for c, k, op in atoms], names)
-    assert windows == {n: oracle_fm._bounds_of(atoms, n) for n in names}
+    # The window read at depth d, with the point's first d values fixed
+    # (as Fractions, and with integral ones as ints as the search fixes
+    # them), is the oracle's window of the system with them substituted.
+    atoms, point, order = system
+    mentioned = {n for coeffs, _, _ in atoms for n in coeffs}
+    todo = [(n, is_int) for n, is_int in order if n in mentioned]
+    reads = solver._window_rows([solver._row(c, k, op) for c, k, op in atoms], todo)
+    assert reads is not None and len(reads) == len(todo)
+    for d, (name, _) in enumerate(todo):
+        fixed = {n: point[n] for n, _ in todo[:d]}
+        prefix = atoms
+        for n, x in fixed.items():
+            prefix = oracle_fm._substitute(prefix, n, x)
+        ints = {n: x.numerator if x.denominator == 1 else x for n, x in fixed.items()}
+        assert [n for n, _, _ in reads[d]] == [name] + [n for n, i in todo[d + 1:] if i]
+        for n, _, rows in reads[d]:
+            bounds = oracle_fm._bounds_of(prefix, n)
+            for vals in (fixed, ints):
+                assert solver._window(rows, n, vals, False) == bounds
+                assert solver._window(rows, n, vals, True) == solver._int_window(*bounds)
 
 
 @settings(max_examples=300, deadline=None)
@@ -547,3 +566,48 @@ def test_builtin_check_matches_fm_oracle_pipeline(rng, limit):
         # what the oracle leaves Unknown: then as the oracle does unbounded.
         want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, 1 << 20)
     assert got == want
+
+
+def _round_chain_query(n, monkeypatch):
+    """The one query `explore` sends for a_i = a_{i-1} * 3/7 over money,
+    i = 1..n, under one `if` on a_n, with the rows and variable order of
+    its one linear-core call: an integer search that backtracks deeply."""
+    from defcalc.explorer import explore
+    from defcalc.parser import parse_or_raise
+    lines = ["scope Chain {", "  input x: money;", "  def a0: money = x;"]
+    lines += [f"  def a{i}: money = a{i - 1} * 3/7;" for i in range(1, n + 1)]
+    lines += [f"  def out: int = if a{n} > $1,000.00 then 1 else 0;", "  output out;", "}"]
+    checks, cores = [], []
+    check, core = solver._builtin_check, solver._solve_linear
+    monkeypatch.setattr(solver, "_builtin_check", lambda *a: checks.append(a) or check(*a))
+    monkeypatch.setattr(solver, "_solve_linear", lambda *a: cores.append(a[:2]) or core(*a))
+    explore(parse_or_raise("\n".join(lines) + "\n"), "Chain")
+    monkeypatch.undo()
+    assert len(checks) == 1 and len(cores) == 1
+    return checks[0], cores[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_round_chain_query_matches_fm_oracle(n, monkeypatch):
+    (decls, lits, retain, limit, _), (rows, order) = _round_chain_query(n, monkeypatch)
+    got = solver._builtin_check(decls, lits, retain, limit)
+    assert isinstance(got, Sat)
+    assert got == oracle_fm._builtin_check(decls, lits, retain, limit)
+    atoms = [({v: Fraction(k) for v, k in coeffs.items()}, Fraction(const), op)
+             for coeffs, const, op in rows]
+    assert _run_linear(solver._solve_linear, rows, order, limit) == \
+        _run_linear(oracle_fm._solve_linear, atoms, order, limit)
+
+
+def test_round_chain_linear_core_projects_once(monkeypatch):
+    # round-chain-6: 7 variables and 580 integer candidates; re-projecting
+    # per candidate took 5,684 eliminations.
+    _, (rows, order) = _round_chain_query(6, monkeypatch)
+    k = len({v for coeffs, _, _ in rows for v in coeffs})
+    calls = []
+    real = solver._eliminate
+    monkeypatch.setattr(solver, "_eliminate", lambda *a: calls.append(1) or real(*a))
+    budget = solver._Budget(solver.DEFAULT_BUDGET)
+    assert solver._solve_linear(rows, order, budget) is not None
+    assert (k, solver.DEFAULT_BUDGET - budget.left) == (7, 580)
+    assert len(calls) <= k * (k + 1) // 2 + k
