@@ -64,6 +64,14 @@ def _writing(path: str):
         raise SystemExit(f"error: cannot write {path}: {e}")
 
 
+def _positive(flag: str, value):
+    """`value` (None meaning unset), unless it is not above zero, which a
+    count or bound can only be by mistake."""
+    if value is not None and not value > 0:
+        raise SystemExit(f"error: {flag} must be positive, got {value}")
+    return value
+
+
 def _parse_opts(spec: str) -> list:
     if spec == "all":
         return list(OPT_NAMES)
@@ -127,8 +135,8 @@ def cmd_run(args) -> int:
         config = ExploreConfig.from_opt_names(
             opts,
             incremental=not args.no_incremental,
-            max_iters=args.max_iters,
-            timeout=args.timeout,
+            max_iters=_positive("--max-iters", args.max_iters),
+            timeout=_positive("--timeout", args.timeout),
             backend=_solver_backend(solver_spec),
             initial=_parse_initial(program, args.scope, args.initial),
         )
@@ -185,6 +193,7 @@ _OP_NAMES = ("remove", "duplicate", "negate")
 
 def cmd_mutate(args) -> int:
     program = _load_program(args.file)
+    _positive("--count", args.count)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
     if not ops:
         raise SystemExit("error: --ops names no mutation op")
@@ -209,7 +218,7 @@ def cmd_mutate(args) -> int:
 
 def cmd_campaign(args) -> int:
     program = _load_program(args.file)
-    report = mutation_campaign(program, args.count, seed=args.seed)
+    report = mutation_campaign(program, _positive("--count", args.count), seed=args.seed)
     for i, m in enumerate(report.mutants):
         status = "found" if m.found else f"missed {m.note}".strip()
         print(f"mutant {i:02d} op={m.op} seed={m.seed} -> {status} "

@@ -15,17 +15,18 @@ enum tags, with Round/Floor occurrences.  The pipeline is:
    Round/Floor atoms left out), which loses no solution.  A conflict with
    a unit literal is thus found once, at the first choice it refutes, not
    once per combination of the choices above the literal;
-3. per branch, replace Round/Floor terms with integer auxiliaries, split
-   once per Round occurrence on its sign, and for each sign case add the
-   defining inequalities and solve the linear core over primitive integer
-   rows (`_row`), so Fourier-Motzkin combines rows in ints.  One pass of
-   eliminations per call decides rational feasibility and keeps, for every
-   window the search reads, the projected rows it is read from
-   (`_window_rows`); variables are then fixed in order, integers by
-   branch-and-bound over their window, and each node reads its windows by
-   evaluating those rows at the values fixed above it (`_window`).  A
-   value inside a projected window always extends over the rationals, so
-   only integrality can force a backtrack.
+3. per branch, replace Round/Floor terms with integer auxiliaries, split once
+   per Round occurrence on its sign, and for each sign case add the defining
+   inequalities and solve the linear core over primitive integer rows
+   (`_row`), so Fourier-Motzkin combines rows in ints and keeps only the
+   tightest of parallel inequalities (`_prune`).  One pass of eliminations
+   per call decides rational feasibility and keeps, for every window the
+   search reads, the projected rows it is read from (`_window_rows`);
+   variables are then fixed in order, integers by branch-and-bound over
+   their window.  Each node folds the values fixed above it into its
+   children's rows once (`_fold`), so a candidate reads a window at one
+   multiply-add per row (`_window`).  A value inside a projected window
+   always extends over the rationals, so only integrality forces a backtrack.
 
 Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
@@ -450,8 +451,9 @@ def _round_cases(specs: list) -> Iterator[list]:
 # A row is (coeffs: dict, const: int, op: str) standing for
 # sum(coeffs[v]*v) + const OP 0, op in {"=", "<=", "<"}, with integer
 # entries whose gcd is 1.  A positive multiple of a row stands for the same
-# atom, so elimination combines rows in ints and divides by the gcd.  A
-# window is read off by evaluating rows at fixed values: in ints for an
+# atom, so elimination combines rows in ints, divides by the gcd and keeps
+# the tightest of parallel inequalities.  A window is read off by evaluating
+# rows at fixed values, folded in once per search node: in ints for an
 # integer variable until a rational value enters, in Fractions otherwise.
 
 
@@ -522,7 +524,7 @@ def _eliminate(rows: list, name: str) -> list:
     """Project `name` out of the system (exact FM; equalities substitute)."""
     for i, r in enumerate(rows):
         if r[2] == "=" and name in r[0]:
-            return _substitute(rows[:i] + rows[i + 1:], name, r)
+            return _prune(_substitute(rows[:i] + rows[i + 1:], name, r))
     uppers, lowers, rest = [], [], []
     for r in rows:
         c = r[0].get(name, 0)
@@ -532,7 +534,28 @@ def _eliminate(rows: list, name: str) -> list:
             op = "<" if "<" in (u[2], l[2]) else "<="
             if (r := _combine(-l[0][name], u, u[0][name], l, op)) is not None:
                 rest.append(r)
-    return rest
+    return _prune(rest)
+
+
+def _prune(rows: list) -> list:
+    """Drop every inequality implied by a parallel one: of the rows c.x + k OP 0
+    with one direction c/g (g = gcd(c)), the largest k/g, strict on a tie,
+    takes the first one's place.  The polyhedron stays as it is."""
+    out, best = [], {}
+    for r in rows:
+        coeffs, k, op = r
+        if op != "=" and coeffs:
+            g = math.gcd(*coeffs.values())
+            key = frozenset(coeffs.items() if g == 1 else
+                            [(n, c // g) for n, c in coeffs.items()])
+            if key in best:
+                i, g0 = best[key]
+                if (d := k * g0 - out[i][1] * g) > 0 or d == 0 and op == "<":
+                    best[key], out[i] = (i, g), r
+                continue
+            best[key] = len(out), g
+        out.append(r)
+    return out
 
 
 def _project(rows: list, order=None) -> list:
@@ -550,16 +573,23 @@ def _project(rows: list, order=None) -> list:
     return chain
 
 
-def _window(rows: list, name: str, vals: dict, is_int: bool):
-    """`name`'s window in `rows`, each of which holds it, with every other
-    variable they hold at its value in `vals`.  A rational name's window is
-    (lo, lo_strict, hi, hi_strict), None meaning unbounded; an integer
-    name's is the pair `_int_window` gives, or None when it holds no
-    integer, computed in ints while the values are ints."""
+def _fold(reads: list, vals: dict, last: Optional[str]) -> list:
+    """`reads` as (is_int, rows), each row (c, t, a, op): c the coefficient
+    of the window's variable, a `last`'s, t the rest evaluated at `vals`."""
+    return [(is_int, [(coeffs[name], const + sum(a * vals[n] for n, a in coeffs.items()
+                                                 if n != name and n != last),
+                       coeffs.get(last, 0), op) for coeffs, const, op in rows])
+            for name, is_int, rows in reads]
+
+
+def _window(rows: list, x, is_int: bool):
+    """The window of `_fold`ed rows with `last` at x: (lo, lo_strict, hi,
+    hi_strict), None meaning unbounded, or for an integer `_int_window`'s
+    pair (None if empty), computed in ints while the values are ints."""
     lo, lo_strict, hi, hi_strict = None, False, None, False
-    for coeffs, const, op in rows:
-        c = coeffs[name]
-        t = const + sum(a * vals[n] for n, a in coeffs.items() if n != name)
+    for c, t, a, op in rows:
+        if a:
+            t += a * x
         if is_int:
             # c*x + t OP 0 for an integer x is c*x + t' <= 0 (or = 0) for
             # an integer t': t rounded up, or rounded down plus one if strict.
@@ -654,12 +684,13 @@ def _window_rows(rows: list, todo: list) -> Optional[list]:
     item d lists the windows read with the first d variables fixed: the
     d-th variable's own, then every later integer's, each as
     (name, is_int, rows of the projection onto the fixed variables and it
-    that hold it).  k variables take at most k(k+1)/2 eliminations."""
+    that hold it), and item k, with all k fixed, none.  k variables take
+    at most k(k+1)/2 eliminations."""
     try:
         proj = _project(rows, [name for name, _ in reversed(todo)])[::-1]
     except _Infeasible:
         return None
-    reads = [[] for _ in todo]
+    reads = [[] for _ in range(len(todo) + 1)]
     for j, (name, is_int) in enumerate(todo):
         system = proj[j + 1]
         for d in range(j, -1 if is_int else j - 1, -1):
@@ -680,30 +711,29 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
 
     # Invariant: the rows have a rational solution with the first d
     # variables at their values in `vals`.  A projection onto variables it
-    # keeps commutes with fixing them, so evaluating its rows at `vals`
-    # gives the exact window, and a value inside it keeps the invariant.
-    # Only integrality can fail, which the window pruning and the
-    # candidate backtracking handle.
-    def go(d: int) -> Optional[dict]:
+    # keeps commutes with fixing them, so its rows, folded by the parent
+    # (`read`) and read at its value x, give the exact window, and a value
+    # inside it keeps the invariant.  Only integrality can fail, which the
+    # window pruning and the candidate backtracking handle.
+    def go(d: int, read: list, x) -> Optional[dict]:
         if d == len(todo):
-            return {n: Fraction(x) for n, x in vals.items()}
+            return {n: Fraction(v) for n, v in vals.items()}
         # Integral-emptiness pruning: if any pending integer variable's
         # window holds no integer, the fixed values have no integer
         # completion.  No window costs budget.
-        windows = [_window(rs, n, vals, n_int) for n, n_int, rs in reads[d]]
+        windows = [_window(rs, x, n_int) for n_int, rs in read]
         if None in windows:
             return None
         name, is_int = todo[d]
-        if not is_int:
-            vals[name] = _pick_rational(*windows[0])
-            return go(d + 1)
-        for c in _int_candidates(*windows[0], budget):
+        below = _fold(reads[d + 1], vals, name)
+        for c in (_int_candidates(*windows[0], budget) if is_int
+                  else [_pick_rational(*windows[0])]):
             vals[name] = c
-            if (out := go(d + 1)) is not None:
+            if (out := go(d + 1, below, c)) is not None:
                 return out
         return None
 
-    return go(0)
+    return go(0, _fold(reads[0], vals, None), 0)
 
 
 # ---------------------------------------------------------------------------

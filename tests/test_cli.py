@@ -158,6 +158,24 @@ def test_output_path_that_is_a_file_is_usage_error(args, programs_dir, tmp_path)
     assert "Traceback" not in p.stderr and p.stdout == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["run", "--max-iters", "-1"], "--max-iters must be positive, got -1"),
+    (["run", "--max-iters", "0"], "--max-iters must be positive, got 0"),
+    (["run", "--timeout", "-1"], "--timeout must be positive, got -1.0"),
+    (["run", "--timeout", "0"], "--timeout must be positive, got 0.0"),
+    (["mutate", "--count", "-2"], "--count must be positive, got -2"),
+    (["mutate", "--count", "0"], "--count must be positive, got 0"),
+    (["campaign", "--count", "-1"], "--count must be positive, got -1"),
+])
+def test_nonpositive_bound_or_count_is_usage_error(args, message, programs_dir, tmp_path):
+    out = tmp_path / "mutants"
+    extra = {"run": ["--scope", "Main", "--quiet"], "mutate": ["--out", str(out)],
+             "campaign": []}[args[0]]
+    p = run_cli([args[0], str(programs_dir / "fig5.dfc"), *args[1:], *extra])
+    assert (p.returncode, p.stderr, p.stdout) == (1, f"error: {message}\n", "")
+    assert not out.exists()
+
+
 def test_unknown_opt_is_usage_error(programs_dir):
     p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
                  "--opts", "warp-speed"])

@@ -492,12 +492,14 @@ def _feasible_systems(draw):
 def test_one_pass_windows_match_fm_oracle_bounds(system):
     # The window read at depth d, with the point's first d values fixed
     # (as Fractions, and with integral ones as ints as the search fixes
-    # them), is the oracle's window of the system with them substituted.
+    # them), all but the last folded into the rows and the last given
+    # apart as the search does, is the oracle's window of the system with
+    # them substituted.
     atoms, point, order = system
     mentioned = {n for coeffs, _, _ in atoms for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
     reads = solver._window_rows([solver._row(c, k, op) for c, k, op in atoms], todo)
-    assert reads is not None and len(reads) == len(todo)
+    assert reads is not None and len(reads) == len(todo) + 1 and reads[-1] == []
     for d, (name, _) in enumerate(todo):
         fixed = {n: point[n] for n, _ in todo[:d]}
         prefix = atoms
@@ -505,11 +507,15 @@ def test_one_pass_windows_match_fm_oracle_bounds(system):
             prefix = oracle_fm._substitute(prefix, n, x)
         ints = {n: x.numerator if x.denominator == 1 else x for n, x in fixed.items()}
         assert [n for n, _, _ in reads[d]] == [name] + [n for n, i in todo[d + 1:] if i]
-        for n, _, rows in reads[d]:
-            bounds = oracle_fm._bounds_of(prefix, n)
-            for vals in (fixed, ints):
-                assert solver._window(rows, n, vals, False) == bounds
-                assert solver._window(rows, n, vals, True) == solver._int_window(*bounds)
+        last = todo[d - 1][0] if d else None
+        for vals in (fixed, ints):
+            # `vals` also holds `last`, whose value the fold must leave out.
+            folded = solver._fold(reads[d], vals, last)
+            x = vals.get(last, 0)
+            for (n, _, _), (_, rows) in zip(reads[d], folded):
+                bounds = oracle_fm._bounds_of(prefix, n)
+                assert solver._window(rows, x, False) == bounds
+                assert solver._window(rows, x, True) == solver._int_window(*bounds)
 
 
 @settings(max_examples=300, deadline=None)
@@ -528,6 +534,66 @@ def test_row_keeps_truth_value(coeffs, const, op, point):
         return {"=": total == 0, "<=": total <= 0, "<": total < 0}[op]
 
     assert holds(row_coeffs, row_const) == holds(coeffs, const)
+
+
+_directions = st.sampled_from([{}, {"x": 1}, {"x": -1}, {"x": 2, "y": -1},
+                               {"x": 1, "y": 1}, {"y": 3}, {"x": -2, "y": 4, "z": 1}])
+
+
+@st.composite
+def _parallel_rows(draw):
+    """Primitive rows over few directions and bounds, each a positive
+    multiple of one of them, so many are parallel and some tie; ground rows
+    and equalities among them."""
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        scale = draw(st.integers(1, 3))
+        coeffs = {n: Fraction(scale * k) for n, k in draw(_directions).items()}
+        const = scale * draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2),
+                                              Fraction(1), Fraction(5, 3)]))
+        rows.append(solver._row(coeffs, const, draw(st.sampled_from(["=", "<=", "<"]))))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parallel_rows(),
+       st.lists(st.fixed_dictionaries({n: st.fractions(-4, 4, max_denominator=4)
+                                       for n in "xyz"}), min_size=1, max_size=8))
+def test_prune_keeps_one_inequality_per_direction_and_the_same_points(rows, points):
+    pruned = solver._prune(rows)
+    assert solver._eliminate(rows, "w") == pruned  # `w` is in no row
+    kept = [r for r in rows if r[2] == "=" or not r[0]]
+    assert [r for r in pruned if r[2] == "=" or not r[0]] == kept
+    groups = {}  # direction -> (its rows, its pruned rows)
+    for side, system in enumerate((rows, pruned)):
+        for r in system:
+            if r[2] != "=" and r[0]:
+                g = math.gcd(*r[0].values())
+                direction = frozenset((n, k // g) for n, k in r[0].items())
+                groups.setdefault(direction, ([], []))[side].append(r)
+    assert all(len(left) == 1 for _, left in groups.values())
+
+    def holds(system, point):
+        return all(solver._holds(sum((k * point[n] for n, k in coeffs.items()), Fraction(const)),
+                                 op) for coeffs, const, op in system)
+
+    def on_boundary(row, point):  # `point` moved along one variable onto c.x + k = 0
+        (n, c), *others = row[0].items()
+        return {**point, n: -Fraction(row[1] + sum(a * point[m] for m, a in others)) / c}
+
+    for point in points:
+        assert holds(rows, point) == holds(pruned, point)
+    for group, left in groups.values():
+        for point in points + [on_boundary(r, p) for r in group for p in points[:2]]:
+            assert holds(group, point) == holds(left, point)
+
+
+def test_prune_keeps_a_ground_row():
+    # A true ground row has no coefficient to take a gcd of.
+    rows = [({}, 0, "<="), ({"x": 2}, 1, "<="), ({"x": 1}, 0, "<")]
+    assert solver._prune(rows) == [({}, 0, "<="), ({"x": 2}, 1, "<=")]
+    assert solver._eliminate(rows + [({"x": -1, "y": 1}, 0, "<=")], "x") == \
+        [({}, 0, "<="), ({"y": 2}, 1, "<=")]
 
 
 ZONE = EnumT("Zone", (("A", None), ("B", None), ("C", None)))
@@ -611,3 +677,16 @@ def test_round_chain_linear_core_projects_once(monkeypatch):
     assert solver._solve_linear(rows, order, budget) is not None
     assert (k, solver.DEFAULT_BUDGET - budget.left) == (7, 580)
     assert len(calls) <= k * (k + 1) // 2 + k
+
+
+def test_round_chain_windows_read_pruned_rows(monkeypatch):
+    # round-chain-6: every window read from the projections holds at most
+    # 70 rows in all (252 with the parallel inequalities kept), and the
+    # search still spends 580 candidates.
+    _, (rows, order) = _round_chain_query(6, monkeypatch)
+    mentioned = {v for coeffs, _, _ in rows for v in coeffs}
+    reads = solver._window_rows(rows, [(n, i) for n, i in order if n in mentioned])
+    assert sum(len(rs) for read in reads for _, _, rs in read) <= 70
+    budget = solver._Budget(solver.DEFAULT_BUDGET)
+    assert solver._solve_linear(rows, order, budget) is not None
+    assert solver.DEFAULT_BUDGET - budget.left == 580
