@@ -11,7 +11,10 @@ from .lang import (
 )
 from .parser import parse, parse_or_raise, print_expr, print_program, print_value
 from .interp import Mode, Outcome, OutcomeKind, eval_expr, round_rat, run_scope
-from .concolic import BranchRecord, ConcolicOpts, Origin, run_scope_concolic
+from .concolic import (
+    BranchRecord, CompiledScope, ConcolicOpts, Origin, compile_scope,
+    run_scope_concolic,
+)
 from .solver import Query, Sat, SolverSession, Unknown, Unsat, simplify
 from .smtlib import ExternalSolver, emit_smtlib
 from .explorer import ExploreConfig, TestSuite, Testcase, explore

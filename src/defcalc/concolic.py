@@ -1,5 +1,7 @@
 """Instrumented evaluator: concrete execution that collects an ordered trail
-of branch constraints.
+of branch constraints.  `compile_scope` turns a scope into nested closures
+once per exploration, each holding its compiled children, span, operator and
+literal; `run_scope_concolic` runs the closures on one input.
 
 Every conditional site appends a *branch record* whose constraint is the
 as-taken literal (already negated when the false side was taken), so the
@@ -28,13 +30,13 @@ from typing import Optional, Union
 from .lang import (
     CONFLICT, EMPTY,
     Assert, BinOp, Call, Default, EnumMake, EnumT, Expr, FieldGet, If, Let,
-    Lit, Match, Not, Opaque, Program, Span, StructMake, StructT, Value, Var,
-    VBool, VConflict, VEmpty, VEnum, VInt, VMoney, VRat, VStruct, is_error,
+    Lit, Match, Not, Opaque, Program, Scope, Span, StructMake, StructT, Value,
+    Var, VBool, VConflict, VEmpty, VEnum, VInt, VMoney, VRat, VStruct,
 )
-from .interp import OPAQUE_HANDLERS, Outcome, OutcomeKind, apply_binop, check_inputs
+from .interp import BINOPS, OPAQUE_HANDLERS, Outcome, OutcomeKind, check_inputs
 from .symbolic import (
     SymBin, SymConst, SymExpr, SymIsVariant, SymRound, SymVar, TRUE,
-    sym_free_vars, sym_not,
+    sym_has_free_vars, sym_not,
 )
 
 
@@ -182,20 +184,17 @@ class ConcolicState:
         self.path: list = []
         self.hard_mode = False
 
-    def emit(self, record: BranchRecord) -> None:
-        self.path.append(record)
-
     def emit_cond(self, sym: Optional[SymExpr], taken: bool, origin: Origin,
                   span: Optional[Span]) -> None:
         if sym is None:
             self.emit_concretized(span)
             return
         literal = sym if taken else sym_not(sym)
-        self.emit(BranchRecord(
+        self.path.append(BranchRecord(
             constraint=literal,
             taken=taken,
             origin=origin,
-            trivial=not sym_free_vars(literal),
+            trivial=not sym_has_free_vars(literal),
             hard=self.hard_mode,
             span=span,
         ))
@@ -203,313 +202,353 @@ class ConcolicState:
     def emit_concretized(self, span: Optional[Span]) -> None:
         # Documents incompleteness: the branch depends on inputs through a
         # construct with no symbolic form.
-        self.emit(BranchRecord(TRUE, True, Origin.OPAQUE_CONCRETIZED,
-                               trivial=True, hard=self.hard_mode, span=span))
-
-
-@dataclass(frozen=True)
-class _Ctx:
-    program: Program
-    opts: ConcolicOpts
+        self.path.append(BranchRecord(TRUE, True, Origin.OPAQUE_CONCRETIZED,
+                                      trivial=True, hard=self.hard_mode, span=span))
 
 
 def _conflict_cv(span: Optional[Span]) -> CV:
     return CV(VConflict(spans=(span,) if span else ()), None)
 
 
-def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
-    """Concolically evaluate: returns the same value the reference evaluator
-    computes, and appends branch records to the state."""
+# ---------------------------------------------------------------------------
+# Compilation: each node becomes a closure run(env, state) -> CVal that holds
+# its compiled children, its span and origin, its operator and its literal.
+
+_ERRORS = (VEmpty, VConflict)
+_ZERO = {VInt: SymConst(VInt(0)), VRat: SymConst(VRat(Fraction(0))),
+         VMoney: SymConst(VMoney(0))}
+
+
+@dataclass(frozen=True)
+class _Ctx:
+    program: Program
+    opts: ConcolicOpts
+    functions: dict  # name -> compiled body, compiled at its first call site
+
+
+@dataclass(frozen=True)
+class CompiledScope:
+    """A scope compiled for one explore: run it with `run_scope_concolic`."""
+    scope: Scope
+    assertions: tuple  # ((run, span), ...)
+    bindings: tuple  # ((name, run), ...)
+
+
+def compile_scope(program: Program, scope_name: str,
+                  opts: ConcolicOpts = ConcolicOpts()) -> CompiledScope:
+    """Turn every assertion, binding and called function body of a
+    validated scope into closures, once."""
+    scope = program.scope(scope_name)
+    ctx = _Ctx(program, opts, {})
+    return CompiledScope(scope,
+                         tuple((_compile(a, ctx), a.span) for a in scope.assertions),
+                         tuple((b.name, _compile(b.expr, ctx)) for b in scope.bindings))
+
+
+def _run_all(runs: tuple, env: dict, state: ConcolicState):
+    """Run closures in order: the list of their values, or the first error."""
+    out = []
+    for run in runs:
+        cv = run(env, state)
+        if isinstance(cv.value, _ERRORS):
+            return cv
+        out.append(cv)
+    return out
+
+
+def _compile(expr: Expr, ctx: _Ctx):
+    span = expr.span
     match expr:
         case Var(name):
-            return cenv[name]
+            return lambda env, st: env[name]
         case Lit(v):
-            return lift_value(v)
+            cv = lift_value(v)
+            return lambda env, st: cv
         case BinOp():
-            return _ceval_binop(expr, cenv, state, ctx)
+            return _compile_binop(expr, ctx)
         case Not(arg):
-            cv = ceval(arg, cenv, state, ctx)
-            v = cv.value
-            if is_error(v):
-                return cv
-            assert isinstance(v, VBool) and isinstance(cv, CV)
-            return CV(VBool(not v.b), sym_not(cv.sym) if cv.sym is not None else None)
+            run = _compile(arg, ctx)
+
+            def not_(env, st):
+                cv = run(env, st)
+                if isinstance(cv.value, _ERRORS):
+                    return cv
+                return CV(VBool(not cv.value.b), sym_not(cv.sym) if cv.sym is not None else None)
+            return not_
         case If(cond, then, els):
-            ccv = ceval(cond, cenv, state, ctx)
-            v = ccv.value
-            if is_error(v):
-                return ccv
-            assert isinstance(v, VBool)
-            sym = ccv.sym if isinstance(ccv, CV) else None
-            state.emit_cond(sym, v.b, Origin.IF_COND, expr.span)
-            return ceval(then if v.b else els, cenv, state, ctx)
+            return _compile_branch(cond, _compile(then, ctx), _compile(els, ctx), span, ctx)
+        case Assert(cond, body):
+            return _compile_branch(cond, _compile(body, ctx),
+                                   lambda env, st: _conflict_cv(span), span, ctx)
         case Match():
-            return _ceval_match(expr, cenv, state, ctx)
+            return _compile_match(expr, ctx)
         case StructMake(name, fields):
-            out = {}
-            vals = []
-            for f, fe in fields:
-                fcv = ceval(fe, cenv, state, ctx)
-                fv = fcv.value
-                if is_error(fv):
-                    return fcv
-                out[f] = fcv
-                vals.append((f, fv))
-            return CStruct(VStruct(name, tuple(vals)), out)
+            names = tuple(f for f, _ in fields)
+            runs = tuple(_compile(fe, ctx) for _, fe in fields)
+
+            def struct(env, st):
+                cvs = _run_all(runs, env, st)
+                if not isinstance(cvs, list):
+                    return cvs
+                return CStruct(VStruct(name, tuple(zip(names, (cv.value for cv in cvs)))),
+                               dict(zip(names, cvs)))
+            return struct
         case FieldGet(arg, fname):
-            acv = ceval(arg, cenv, state, ctx)
-            av = acv.value
-            if is_error(av):
-                return acv
-            if isinstance(acv, CStruct):
-                return acv.fields[fname]
-            assert isinstance(av, VStruct)
-            return CV(av.field(fname), None)  # concretized struct
+            run = _compile(arg, ctx)
+
+            def field_get(env, st):
+                acv = run(env, st)
+                if isinstance(acv.value, _ERRORS):
+                    return acv
+                if isinstance(acv, CStruct):
+                    return acv.fields[fname]
+                return CV(acv.value.field(fname), None)  # concretized struct
+            return field_get
+        case EnumMake(ename, variant, None):
+            return lambda env, st: CEnum(VEnum(ename, variant), None, None)
         case EnumMake(ename, variant, payload):
-            if payload is None:
-                return CEnum(VEnum(ename, variant), None, None)
-            pcv = ceval(payload, cenv, state, ctx)
-            pv = pcv.value
-            if is_error(pv):
-                return pcv
-            return CEnum(VEnum(ename, variant, pv), None, pcv)
+            run = _compile(payload, ctx)
+
+            def enum(env, st):
+                pcv = run(env, st)
+                if isinstance(pcv.value, _ERRORS):
+                    return pcv
+                return CEnum(VEnum(ename, variant, pcv.value), None, pcv)
+            return enum
         case Let(name, bound, body):
-            bcv = ceval(bound, cenv, state, ctx)
-            if is_error(bcv.value):
-                return bcv
-            return ceval(body, {**cenv, name: bcv}, state, ctx)
+            run_bound, run_body = _compile(bound, ctx), _compile(body, ctx)
+
+            def let(env, st):
+                bcv = run_bound(env, st)
+                if isinstance(bcv.value, _ERRORS):
+                    return bcv
+                return run_body({**env, name: bcv}, st)
+            return let
         case Call(fname, args):
             fn = ctx.program.function(fname)
-            callee_env = {}
-            for (pname, _), a in zip(fn.params, args):
-                acv = ceval(a, cenv, state, ctx)
-                if is_error(acv.value):
-                    return acv
-                callee_env[pname] = acv
-            return ceval(fn.body, callee_env, state, ctx)
+            if fname not in ctx.functions:
+                ctx.functions[fname] = _compile(fn.body, ctx)
+            run_body = ctx.functions[fname]
+            params = tuple(p for p, _ in fn.params)
+            runs = tuple(_compile(a, ctx) for a in args)
+
+            def call(env, st):
+                cvs = _run_all(runs, env, st)
+                if not isinstance(cvs, list):
+                    return cvs
+                return run_body(dict(zip(params, cvs)), st)
+            return call
         case Default():
-            return _ceval_default(expr, cenv, state, ctx)
-        case Assert(cond, body):
-            ccv = ceval(cond, cenv, state, ctx)
-            v = ccv.value
-            if is_error(v):
-                return ccv
-            assert isinstance(v, VBool)
-            sym = ccv.sym if isinstance(ccv, CV) else None
-            state.emit_cond(sym, v.b, Origin.IF_COND, expr.span)
-            if not v.b:
-                return _conflict_cv(expr.span)
-            return ceval(body, cenv, state, ctx)
+            return _compile_default(expr, ctx)
         case Opaque(tag, _, args):
-            vals = []
-            for a in args:
-                acv = ceval(a, cenv, state, ctx)
-                av = acv.value
-                if is_error(av):
-                    return acv
-                vals.append(av)
-            state.emit_concretized(expr.span)
-            handler = OPAQUE_HANDLERS.get(tag)
-            if handler is None:
-                return _conflict_cv(expr.span)
-            try:
-                return CV(handler(vals), None)
-            except Exception:
-                return _conflict_cv(expr.span)
+            runs = tuple(_compile(a, ctx) for a in args)
+
+            def opaque(env, st):
+                cvs = _run_all(runs, env, st)
+                if not isinstance(cvs, list):
+                    return cvs
+                st.emit_concretized(span)
+                handler = OPAQUE_HANDLERS.get(tag)
+                if handler is None:
+                    return _conflict_cv(span)
+                try:
+                    return CV(handler([cv.value for cv in cvs]), None)
+                except Exception:
+                    return _conflict_cv(span)
+            return opaque
     raise ConcolicError(f"not an expression: {expr!r}")
 
 
-def _ceval_binop(expr: BinOp, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
-    lcv = ceval(expr.lhs, cenv, state, ctx)
-    lv = lcv.value
-    if is_error(lv):
-        return lcv
-    rcv = ceval(expr.rhs, cenv, state, ctx)
-    rv = rcv.value
-    if is_error(rv):
-        return rcv
+def _compile_branch(cond: Expr, then, els, span: Optional[Span], ctx: _Ctx):
+    """An if, or an inline assertion whose else side is the conflict."""
+    run = _compile(cond, ctx)
 
-    if expr.op == "/":
-        # Division branches implicitly on the denominator being zero; the
-        # check is recorded before dividing.
-        rsym = rcv.sym if isinstance(rcv, CV) else None
-        denom_zero = _is_zero(rv)
-        if rsym is None:
-            state.emit_concretized(expr.span)
+    def branch(env, st):
+        ccv = run(env, st)
+        v = ccv.value
+        if isinstance(v, _ERRORS):
+            return ccv
+        st.emit_cond(ccv.sym, v.b, Origin.IF_COND, span)
+        return (then if v.b else els)(env, st)
+    return branch
+
+
+def _compile_binop(expr: BinOp, ctx: _Ctx):
+    op, span, table = expr.op, expr.span, BINOPS[expr.op]
+    run_l, run_r = _compile(expr.lhs, ctx), _compile(expr.rhs, ctx)
+
+    def operands(env, st):
+        lcv = run_l(env, st)
+        if isinstance(lcv.value, _ERRORS):
+            return lcv, None
+        rcv = run_r(env, st)
+        if isinstance(rcv.value, _ERRORS):
+            return rcv, None
+        return lcv, rcv
+
+    if op == "=":
+        def eq(env, st):
+            lcv, rcv = operands(env, st)
+            if rcv is None:
+                return lcv
+            lv, rv = lcv.value, rcv.value
+            return CV(table[lv.__class__, rv.__class__](lv, rv), eq_formula(lcv, rcv))
+        return eq
+
+    def arith(env, st):
+        lcv, rcv = operands(env, st)
+        if rcv is None:
+            return lcv
+        lv, rv, rsym = lcv.value, rcv.value, rcv.sym
+        if op == "/":
+            # Division branches implicitly on the denominator being zero;
+            # the check is recorded before dividing.
+            if rsym is None:
+                st.emit_concretized(span)
+            else:
+                zero = _ZERO[rv.__class__]
+                st.emit_cond(SymBin("=", rsym, zero), rv == zero.value,
+                             Origin.DIV_ZERO_CHECK, span)
+        value = table[lv.__class__, rv.__class__](lv, rv)
+        if value is CONFLICT:
+            return _conflict_cv(span)
+        lsym = lcv.sym
+        if lsym is None or rsym is None:
+            return CV(value, None)
+        sym = SymBin(op, lsym, rsym)
+        # The only mixed operand types are money and rate under * and /,
+        # whose result is rounded to the cent.
+        return CV(value, sym if lv.__class__ is rv.__class__ else SymRound(sym))
+    return arith
+
+
+def _compile_match(expr: Match, ctx: _Ctx):
+    run = _compile(expr.scrutinee, ctx)
+    span, arms = expr.span, expr.arms
+    bodies = tuple((arm.binder, _compile(arm.body, ctx)) for arm in arms)
+    first_arm = {}
+    for i, arm in enumerate(arms):
+        for v in arm.variants or ():
+            first_arm.setdefault(v, i)
+    wildcard = next((i for i, arm in enumerate(arms) if arm.variants is None), None)
+
+    def match(env, st):
+        scv = run(env, st)
+        sv = scv.value
+        if isinstance(sv, _ERRORS):
+            return scv
+        if isinstance(scv, CEnum):
+            tag_sym = scv.tag_sym
+            payload_cv = scv.payload
         else:
-            zero = SymBin("=", rsym, SymConst(_zero_like(rv)))
-            state.emit_cond(zero, denom_zero, Origin.DIV_ZERO_CHECK, expr.span)
-
-    value = apply_binop(expr.op, lv, rv)
-    if isinstance(value, VConflict):
-        return _conflict_cv(expr.span)
-
-    if expr.op == "=":
-        return CV(value, eq_formula(lcv, rcv))
-
-    lsym = lcv.sym if isinstance(lcv, CV) else None
-    rsym = rcv.sym if isinstance(rcv, CV) else None
-    if lsym is None or rsym is None:
-        return CV(value, None)
-
-    sym: Optional[SymExpr]
-    if expr.op == "*" and {type(lv), type(rv)} == {VMoney, VRat}:
-        sym = SymRound(SymBin("*", lsym, rsym))
-    elif expr.op == "/" and isinstance(lv, VMoney) and isinstance(rv, VRat):
-        sym = SymRound(SymBin("/", lsym, rsym))
-    else:
-        sym = SymBin(expr.op, lsym, rsym)
-    return CV(value, sym)
-
-
-def _is_zero(v: Value) -> bool:
-    match v:
-        case VInt(i):
-            return i == 0
-        case VRat(q):
-            return q == 0
-        case VMoney(c):
-            return c == 0
-    return False
-
-
-def _zero_like(v: Value) -> Value:
-    match v:
-        case VInt():
-            return VInt(0)
-        case VRat():
-            return VRat(Fraction(0))
-        case VMoney():
-            return VMoney(0)
-    raise ConcolicError(f"division by non-numeric {v!r}")
-
-
-def _ceval_match(expr: Match, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
-    scv = ceval(expr.scrutinee, cenv, state, ctx)
-    sv = scv.value
-    if is_error(sv):
-        return scv
-    assert isinstance(sv, VEnum)
-
-    if isinstance(scv, CEnum):
-        tag_sym = scv.tag_sym
-        payload_cv = scv.payload
-    else:
-        # Concretized enum: arm choice may depend on inputs invisibly.
-        state.emit_concretized(expr.span)
-        tag_sym = None
-        payload_cv = CV(sv.payload, None) if sv.payload is not None else None
-
-    match_idx = None
-    for i, arm in enumerate(expr.arms):
-        if arm.variants is None or sv.variant in arm.variants:
-            match_idx = i
-            break
-    if match_idx is None:
-        raise ConcolicError(f"match fell through on {sv!r}")
-
-    if tag_sym is not None:
-        # Arms test in order, like an if/elif cascade; the final arm's test
-        # is implied by the negations before it and is not recorded.
-        for i in range(match_idx + 1):
-            arm = expr.arms[i]
-            if arm.variants is None:
-                continue  # wildcard: always last, nothing to test
-            test = None
-            for v in arm.variants:
-                t = SymIsVariant(tag_sym, v)
-                test = t if test is None else SymBin("||", test, t)
-            if i < match_idx:
-                state.emit_cond(test, False, Origin.MATCH_ARM, expr.span)
-            elif i < len(expr.arms) - 1:
-                state.emit_cond(test, True, Origin.MATCH_ARM, expr.span)
-
-    arm = expr.arms[match_idx]
-    env = cenv
-    if arm.binder is not None:
+            # Concretized enum: arm choice may depend on inputs invisibly.
+            st.emit_concretized(span)
+            tag_sym = None
+            payload_cv = CV(sv.payload, None) if sv.payload is not None else None
+        k = first_arm.get(sv.variant, wildcard)
+        if k is None:
+            raise ConcolicError(f"match fell through on {sv!r}")
+        if tag_sym is not None:
+            # Arms test in order, like an if/elif cascade; the final arm's
+            # test is implied by the negations before it and is not recorded.
+            for i in range(k + 1):
+                if arms[i].variants is None:
+                    continue  # wildcard: always last, nothing to test
+                test = None
+                for v in arms[i].variants:
+                    t = SymIsVariant(tag_sym, v)
+                    test = t if test is None else SymBin("||", test, t)
+                if i < k:
+                    st.emit_cond(test, False, Origin.MATCH_ARM, span)
+                elif i < len(arms) - 1:
+                    st.emit_cond(test, True, Origin.MATCH_ARM, span)
+        binder, body = bodies[k]
+        if binder is None:
+            return body(env, st)
         if payload_cv is None:
             raise ConcolicError(f"variant {sv.variant} bound with no payload")
-        env = {**cenv, arm.binder: payload_cv}
-    return ceval(arm.body, env, state, ctx)
+        return body({**env, binder: payload_cv}, st)
+    return match
 
 
-def _ceval_default(expr: Default, cenv: dict, state: ConcolicState, ctx: _Ctx) -> CVal:
-    start = len(state.path)
-    non_empty: list = []
+def _compile_default(expr: Default, ctx: _Ctx):
+    excs = tuple((_compile(e, ctx), e.span) for e in expr.exceptions)
+    run_just, run_cons = _compile(expr.just, ctx), _compile(expr.cons, ctx)
+    just_span = expr.just.span or expr.span
+    lazy, early_error = ctx.opts.lazy, ctx.opts.early_error
 
-    for exc in expr.exceptions:
-        mark = len(state.path)
-        cv = ceval(exc, cenv, state, ctx)
-        v = cv.value
-        if isinstance(v, VConflict):
-            if ctx.opts.early_error:
-                del state.path[start:mark]  # keep only this exception's trail
-            return cv
-        if not isinstance(v, VEmpty):
-            non_empty.append((cv, exc.span))
-            if ctx.opts.lazy and len(non_empty) == 2:
-                spans = tuple(s for _, s in non_empty if s)
-                return CV(VConflict(spans=spans), None)
+    def default(env, st):
+        path = st.path
+        start = len(path)
+        non_empty: list = []
+        for run, span in excs:
+            mark = len(path)
+            cv = run(env, st)
+            v = cv.value
+            if isinstance(v, VConflict):
+                if early_error:
+                    del path[start:mark]  # keep only this exception's trail
+                return cv
+            if not isinstance(v, VEmpty):
+                non_empty.append((cv, span))
+                if lazy and len(non_empty) == 2:
+                    break
+        if len(non_empty) >= 2:
+            spans = tuple(s for _, s in non_empty[:2] if s)
+            return CV(VConflict(spans=spans), None)
+        if non_empty:
+            return non_empty[0][0]
 
-    if len(non_empty) >= 2:
-        spans = tuple(s for _, s in non_empty[:2] if s)
-        return CV(VConflict(spans=spans), None)
-    if len(non_empty) == 1:
-        return non_empty[0][0]
-
-    # All exceptions abstained: branch on the justification.
-    jcv = ceval(expr.just, cenv, state, ctx)
-    jv = jcv.value
-    if is_error(jv):
-        return jcv
-    assert isinstance(jv, VBool)
-    jsym = jcv.sym if isinstance(jcv, CV) else None
-    state.emit_cond(jsym, jv.b, Origin.JUSTIFICATION, expr.just.span or expr.span)
-    if jv.b:
-        return ceval(expr.cons, cenv, state, ctx)
-    return CV(EMPTY, None)
+        # All exceptions abstained: branch on the justification.
+        jcv = run_just(env, st)
+        jv = jcv.value
+        if isinstance(jv, _ERRORS):
+            return jcv
+        st.emit_cond(jcv.sym, jv.b, Origin.JUSTIFICATION, just_span)
+        if jv.b:
+            return run_cons(env, st)
+        return CV(EMPTY, None)
+    return default
 
 
 # ---------------------------------------------------------------------------
 
 
-def run_scope_concolic(program: Program, scope_name: str, inputs: dict,
-                       opts: ConcolicOpts = ConcolicOpts()) -> tuple:
-    """Run a scope concolically.  Returns (Outcome, branch record list).
+def run_scope_concolic(compiled: CompiledScope, inputs: dict) -> tuple:
+    """Run a compiled scope concolically.  Returns (Outcome, branch record
+    list).
 
     Assertions run first and contribute hard, never-negated prefix records;
     inputs that falsify an assertion give a precondition outcome."""
-    scope = program.scope(scope_name)
+    scope = compiled.scope
     check_inputs(scope, inputs)
-    ctx = _Ctx(program, opts)
     state = ConcolicState()
     cenv = {n: symbolic_input(n, ty, inputs[n]) for n, ty in scope.inputs}
 
     state.hard_mode = True
-    for a in scope.assertions:
-        ccv = ceval(a, cenv, state, ctx)
+    for run, span in compiled.assertions:
+        ccv = run(cenv, state)
         v = ccv.value
         if isinstance(v, VBool):
-            sym = ccv.sym if isinstance(ccv, CV) else None
-            state.emit_cond(sym, v.b, Origin.ASSERTION, a.span)
+            state.emit_cond(ccv.sym, v.b, Origin.ASSERTION, span)
             if not v.b:
-                return Outcome(OutcomeKind.PRECONDITION, span=a.span), state.path
+                return Outcome(OutcomeKind.PRECONDITION, span=span), state.path
         else:
             # Assertion crashed or abstained: treat the input as invalid.
-            return Outcome(OutcomeKind.PRECONDITION, span=a.span), state.path
+            return Outcome(OutcomeKind.PRECONDITION, span=span), state.path
     state.hard_mode = False
 
     env_for_output = {}
-    for b in scope.bindings:
-        cv = ceval(b.expr, cenv, state, ctx)
+    for name, run in compiled.bindings:
+        cv = run(cenv, state)
         v = cv.value
         if isinstance(v, VEmpty):
             return Outcome(OutcomeKind.EMPTY), state.path
         if isinstance(v, VConflict):
             span = v.spans[0] if v.spans else None
             return Outcome(OutcomeKind.CONFLICT, span=span), state.path
-        cenv[b.name] = cv
-        env_for_output[b.name] = v
+        cenv[name] = cv
+        env_for_output[name] = v
 
     for n, ty in scope.inputs:
         env_for_output.setdefault(n, inputs[n])

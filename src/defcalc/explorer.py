@@ -34,7 +34,8 @@ from typing import Callable, Optional
 from .lang import MONEY, Program, validate
 from .interp import Outcome, OutcomeKind
 from .concolic import (
-    BranchRecord, ConcolicOpts, Origin, run_scope_concolic,
+    BranchRecord, CompiledScope, ConcolicOpts, Origin, compile_scope,
+    run_scope_concolic,
 )
 from .solver import (
     SOFT_TIERS, Sat, SolverFailure, SolverSession, Unknown,
@@ -268,7 +269,8 @@ def explore(program: Program, scope_name: str,
     leaves = scope_leaves(scope)
     money_leaves = [l.name for l in leaves if l.ty == MONEY]
 
-    copts = ConcolicOpts(lazy=config.lazy, early_error=config.early_error)
+    compiled = compile_scope(work, scope_name, ConcolicOpts(
+        lazy=config.lazy, early_error=config.early_error))
     stats = SuiteStats()
     suite = TestSuite(scope_name, [], stats, complete=True,
                       opts=config.opt_names(), depth_trace=[])
@@ -279,7 +281,7 @@ def explore(program: Program, scope_name: str,
 
     # Bootstrap past assertion-violating starting inputs; the run that
     # accepts its inputs is the first iteration's.
-    inputs, first = _bootstrap(work, scope, inputs, session, copts, suite)
+    inputs, first = _bootstrap(compiled, inputs, session, suite)
     if first is None:
         _sync_stats(stats, session)
         return suite
@@ -297,7 +299,7 @@ def explore(program: Program, scope_name: str,
                 (deadline is not None and time.monotonic() > deadline):
             suite.complete = False
             break
-        outcome, path = first or run_scope_concolic(work, scope_name, inputs, copts)
+        outcome, path = first or run_scope_concolic(compiled, inputs)
         first = None
         stats.iterations += 1
         suite.depth_trace.append(len(path))
@@ -351,14 +353,15 @@ def explore(program: Program, scope_name: str,
     return suite
 
 
-def _bootstrap(work: Program, scope, inputs: dict, session: SolverSession,
-               copts: ConcolicOpts, suite: TestSuite):
+def _bootstrap(compiled: CompiledScope, inputs: dict, session: SolverSession,
+               suite: TestSuite):
     """Find a starting input satisfying the scope assertions.  Returns
     (inputs, (outcome, path)) of the concolic run that accepted them, or
     (inputs, None): an unsatisfiable assertion system leaves the suite empty
     and complete, and an Unknown or a solver failure marks it incomplete."""
+    scope = compiled.scope
     for _ in range(8):
-        outcome, path = run_scope_concolic(work, scope.name, inputs, copts)
+        outcome, path = run_scope_concolic(compiled, inputs)
         if outcome.kind is not OutcomeKind.PRECONDITION:
             return inputs, (outcome, path)
         required = []

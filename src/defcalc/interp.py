@@ -69,60 +69,74 @@ def register_opaque(tag: str, handler: Callable) -> None:
 
 def round_rat(q: Fraction) -> int:
     """Round to the nearest integer; ties go away from zero."""
-    if q >= 0:
-        return int((q + Fraction(1, 2)).__floor__())
-    return -int((-q + Fraction(1, 2)).__floor__())
+    return _round_div(q.numerator, q.denominator)
+
+
+def _round_div(x: int, d: int) -> int:
+    """x / d rounded to the nearest integer, ties away from zero (d != 0)."""
+    if d < 0:
+        x, d = -x, -d
+    q = (2 * abs(x) + d) // (2 * d)
+    return q if x >= 0 else -q
+
+
+_BOOL = (VBool(False), VBool(True))  # indexed by a Python bool
+
+
+def _eq(a: Value, b: Value) -> VBool:
+    return _BOOL[a == b]
+
+
+# op -> (type of lhs, type of rhs) -> function of the two values.  Each pair
+# is one the validator admits (`lang.binop_result`); ints and cents stay
+# ints, only rates are Fractions.
+BINOPS = {
+    "&&": {(VBool, VBool): lambda a, b: _BOOL[a.b and b.b]},
+    "||": {(VBool, VBool): lambda a, b: _BOOL[a.b or b.b]},
+    "=": {(VInt, VInt): lambda a, b: _BOOL[a.i == b.i],
+          (VMoney, VMoney): lambda a, b: _BOOL[a.cents == b.cents],
+          (VBool, VBool): _eq, (VRat, VRat): _eq, (VEnum, VEnum): _eq,
+          (VStruct, VStruct): _eq},
+    "<": {(VInt, VInt): lambda a, b: _BOOL[a.i < b.i],
+          (VRat, VRat): lambda a, b: _BOOL[a.q < b.q],
+          (VMoney, VMoney): lambda a, b: _BOOL[a.cents < b.cents]},
+    "<=": {(VInt, VInt): lambda a, b: _BOOL[a.i <= b.i],
+           (VRat, VRat): lambda a, b: _BOOL[a.q <= b.q],
+           (VMoney, VMoney): lambda a, b: _BOOL[a.cents <= b.cents]},
+    ">": {(VInt, VInt): lambda a, b: _BOOL[a.i > b.i],
+          (VRat, VRat): lambda a, b: _BOOL[a.q > b.q],
+          (VMoney, VMoney): lambda a, b: _BOOL[a.cents > b.cents]},
+    ">=": {(VInt, VInt): lambda a, b: _BOOL[a.i >= b.i],
+           (VRat, VRat): lambda a, b: _BOOL[a.q >= b.q],
+           (VMoney, VMoney): lambda a, b: _BOOL[a.cents >= b.cents]},
+    "+": {(VInt, VInt): lambda a, b: VInt(a.i + b.i),
+          (VRat, VRat): lambda a, b: VRat(a.q + b.q),
+          (VMoney, VMoney): lambda a, b: VMoney(a.cents + b.cents)},
+    "-": {(VInt, VInt): lambda a, b: VInt(a.i - b.i),
+          (VRat, VRat): lambda a, b: VRat(a.q - b.q),
+          (VMoney, VMoney): lambda a, b: VMoney(a.cents - b.cents)},
+    "*": {(VInt, VInt): lambda a, b: VInt(a.i * b.i),
+          (VRat, VRat): lambda a, b: VRat(a.q * b.q),
+          (VMoney, VRat): lambda m, r: VMoney(
+              _round_div(m.cents * r.q.numerator, r.q.denominator)),
+          (VRat, VMoney): lambda r, m: VMoney(
+              _round_div(m.cents * r.q.numerator, r.q.denominator))},
+    "/": {(VInt, VInt): lambda a, b: VRat(Fraction(a.i, b.i)) if b.i else CONFLICT,
+          (VRat, VRat): lambda a, b: VRat(a.q / b.q) if b.q else CONFLICT,
+          (VMoney, VMoney): lambda a, b:
+              VRat(Fraction(a.cents, b.cents)) if b.cents else CONFLICT,
+          (VMoney, VRat): lambda m, r: VMoney(
+              _round_div(m.cents * r.q.denominator, r.q.numerator)) if r.q else CONFLICT},
+}
 
 
 def apply_binop(op: str, lv: Value, rv: Value) -> Value:
     """Total operator table shared by the interpreter and the concolic
     engine.  Returns the conflict value on division by zero."""
-    match (op, lv, rv):
-        case ("&&", VBool(a), VBool(b)):
-            return VBool(a and b)
-        case ("||", VBool(a), VBool(b)):
-            return VBool(a or b)
-        case ("=", _, _):
-            return VBool(lv == rv)
-        case ("<" | "<=" | ">" | ">=", _, _):
-            a, b = _numeric(lv), _numeric(rv)
-            if a is None or b is None:
-                raise TypeError(f"comparison {op} on {lv!r}, {rv!r}")
-            return VBool({"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op])
-        case ("+" | "-", VInt(a), VInt(b)):
-            return VInt(a + b if op == "+" else a - b)
-        case ("+" | "-", VRat(a), VRat(b)):
-            return VRat(a + b if op == "+" else a - b)
-        case ("+" | "-", VMoney(a), VMoney(b)):
-            return VMoney(a + b if op == "+" else a - b)
-        case ("*", VInt(a), VInt(b)):
-            return VInt(a * b)
-        case ("*", VRat(a), VRat(b)):
-            return VRat(a * b)
-        case ("*", VMoney(c), VRat(r)):
-            return VMoney(round_rat(c * r))
-        case ("*", VRat(r), VMoney(c)):
-            return VMoney(round_rat(c * r))
-        case ("/", VInt(a), VInt(b)):
-            return CONFLICT if b == 0 else VRat(Fraction(a, b))
-        case ("/", VRat(a), VRat(b)):
-            return CONFLICT if b == 0 else VRat(a / b)
-        case ("/", VMoney(a), VMoney(b)):
-            return CONFLICT if b == 0 else VRat(Fraction(a, b))
-        case ("/", VMoney(c), VRat(r)):
-            return CONFLICT if r == 0 else VMoney(round_rat(c / r))
-    raise TypeError(f"operator {op} on {lv!r}, {rv!r}")
-
-
-def _numeric(v: Value):
-    match v:
-        case VInt(i):
-            return Fraction(i)
-        case VRat(q):
-            return q
-        case VMoney(c):
-            return Fraction(c)
-    return None
+    fn = BINOPS[op].get((type(lv), type(rv)))
+    if fn is None:
+        raise TypeError(f"operator {op} on {lv!r}, {rv!r}")
+    return fn(lv, rv)
 
 
 def eval_expr(expr: Expr, env: dict, program: Program = Program(),

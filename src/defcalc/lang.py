@@ -471,8 +471,14 @@ def rebuild(e: Expr, new_children) -> Expr:
 
 
 def map_bottom_up(expr: Expr, f) -> Expr:
-    """Apply f to every node, children first, rebuilding the tree."""
-    return f(rebuild(expr, [map_bottom_up(c, f) for c in children(expr)]))
+    """Apply f to every node, children first.  A node is rebuilt only when
+    some child came back as a different object; nodes are frozen, so the
+    original stands in for an unchanged copy."""
+    old = children(expr)
+    new = [map_bottom_up(c, f) for c in old]
+    if any(n is not o for n, o in zip(new, old)):
+        expr = rebuild(expr, new)
+    return f(expr)
 
 
 # ---------------------------------------------------------------------------

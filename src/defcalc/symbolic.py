@@ -139,6 +139,16 @@ def sym_free_vars(e: SymExpr) -> frozenset:
     return _kept(e, "_free", free)
 
 
+def sym_has_free_vars(e: SymExpr) -> bool:
+    """Whether e mentions a variable.  Stops at the first one and keeps
+    nothing: a query computes its literals' free-variable sets itself."""
+    if isinstance(e, SymVar):
+        return True
+    if isinstance(e, SymConst):
+        return False
+    return any(sym_has_free_vars(c) for c in sym_children(e))
+
+
 def render(e: SymExpr) -> str:
     """Deterministic rendering used for display, fingerprints, and the
     negation-of-earlier check."""

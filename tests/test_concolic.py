@@ -9,7 +9,7 @@ from defcalc.lang import (
     VMoney, VRat,
 )
 from defcalc.concolic import (
-    BranchRecord, ConcolicOpts, Origin, run_scope_concolic,
+    BranchRecord, ConcolicOpts, Origin, compile_scope, run_scope_concolic,
 )
 from defcalc.interp import Mode, OutcomeKind, eval_expr, run_scope
 from defcalc.symbolic import (
@@ -42,7 +42,7 @@ def fig5_program():
 
 
 def run(prog, scope, inputs, **opts):
-    return run_scope_concolic(prog, scope, inputs, ConcolicOpts(**opts))
+    return run_scope_concolic(compile_scope(prog, scope, ConcolicOpts(**opts)), inputs)
 
 
 def rendered(path):
@@ -296,13 +296,13 @@ BUNDLED = (("fig5.dfc", "Main"), ("income_tax.dfc", "IncomeTax"),
            ("soft_money.dfc", "Subsidy"), ("benefits_medium.dfc", "Benefits"))
 
 
-def test_trail_matches_the_frame_stack_oracle(monkeypatch):
-    """The one-trail engine gives the same outcome and the same records,
-    spans included, as the local-constraint stack it replaced, on random
-    default terms, random scopes with assertions, and the bundled programs
-    at their explored inputs, with lazy and early-error on and off."""
+def test_trail_matches_the_frame_stack_oracle():
+    """The compiled one-trail engine gives the same outcome and the same
+    records, spans included, as the tree walker on the local-constraint
+    stack and the Fraction operator table, on random default terms, random
+    scopes with assertions, and the bundled programs at their explored
+    inputs, with lazy and early-error on and off."""
     import oracle_concolic
-    from defcalc import concolic
     from defcalc.explorer import explore
 
     rng = random.Random(2028)
@@ -320,22 +320,11 @@ def test_trail_matches_the_frame_stack_oracle(monkeypatch):
     opts = [ConcolicOpts(lazy=lazy, early_error=early)
             for lazy in (False, True) for early in (False, True)]
 
-    def runs():
-        return [run_scope_concolic(p, s, env, o) for p, s, env in cases for o in opts]
-
-    want = runs()
-    states = []
-
-    def oracle_state():
-        states.append(oracle_concolic.ConcolicState())
-        return states[-1]
-
-    monkeypatch.setattr(concolic, "ConcolicState", oracle_state)
-    monkeypatch.setattr(concolic, "_ceval_default", oracle_concolic._ceval_default)
-    got = runs()
-    assert len(states) == len(got) and not any(s.frames for s in states)
-    for (out_w, path_w), (out_g, path_g) in zip(want, got):
-        assert out_w == out_g
+    want = [run_scope_concolic(compile_scope(p, s, o), env)
+            for p, s, env in cases for o in opts]
+    got = [oracle_concolic.run_scope(p, s, env, o) for p, s, env in cases for o in opts]
+    for (out_w, path_w), (out_g, path_g) in zip(want, got, strict=True):
+        assert (out_w, out_w.span) == (out_g, out_g.span)
         assert _records(path_w) == _records(path_g)
     # opts[0] is eager, opts[1] the same with early-error
     cut = sum(len(want[i + 1][1]) < len(want[i][1]) for i in range(0, len(want), len(opts)))

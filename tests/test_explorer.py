@@ -369,7 +369,7 @@ def test_bootstrap_solver_failure_gives_incomplete_suite():
 
 
 def test_bootstrap_leaves_the_assertion_stack_empty():
-    from defcalc.concolic import ConcolicOpts
+    from defcalc.concolic import compile_scope
     from defcalc.explorer import TestSuite, SuiteStats, _bootstrap, initial_inputs
     from defcalc.parser import parse_or_raise
     prog = parse_or_raise("scope S { input x: int; assert x > 5; "
@@ -377,8 +377,8 @@ def test_bootstrap_leaves_the_assertion_stack_empty():
     scope = prog.scope("S")
     session = SolverSession(scope_leaves(scope))
     suite = TestSuite("S", [], SuiteStats(), True, [], [])
-    inputs, first = _bootstrap(prog, scope, initial_inputs(scope, {}), session,
-                               ConcolicOpts(), suite)
+    inputs, first = _bootstrap(compile_scope(prog, "S"), initial_inputs(scope, {}),
+                               session, suite)
     assert first is not None and inputs["x"].i > 5
     assert session.stack == [] and session.stats.checks == 1
     assert session.stats.pushes == session.stats.pops == 0
@@ -404,6 +404,30 @@ def test_bootstrap_run_is_the_first_iteration(fig5, monkeypatch):
     suite = explore(prog, "S", ExploreConfig())
     assert suite.stats.iterations == 2 and len(runs) == 3
     assert [tc.iteration for tc in suite.testcases] == [1, 2]
+
+
+def test_each_explore_compiles_its_scope_once(fig5, monkeypatch):
+    # Every concolic run of one explore, the bootstrap's included, reuses
+    # the closures compiled after the transforms.
+    from defcalc import explorer
+    from defcalc.parser import parse_or_raise
+    compiled, runs = [], []
+    real_compile, real_run = explorer.compile_scope, explorer.run_scope_concolic
+    monkeypatch.setattr(explorer, "compile_scope",
+                        lambda *a: compiled.append(real_compile(*a)) or compiled[-1])
+    monkeypatch.setattr(explorer, "run_scope_concolic",
+                        lambda c, i: runs.append(c) or real_run(c, i))
+    cfg = ExploreConfig(initial={"b": VBool(True), "x": VInt(3)}, early_error=True)
+    assert explore(fig5, "Main", cfg).stats.iterations == 5
+    assert len(compiled) == len(runs) - 4 == 1 and all(c is compiled[0] for c in runs)
+    compiled.clear()
+    runs.clear()
+    # x = 0 violates the assertion: the rejected bootstrap run and the two
+    # iterations share one compilation.
+    prog = parse_or_raise("scope S { input x: int; assert x > 5; "
+                          "def y: int = if x > 10 then 1 else 0; output y; }")
+    assert explore(prog, "S", ExploreConfig()).stats.iterations == 2
+    assert len(compiled) == len(runs) - 2 == 1 and all(c is compiled[0] for c in runs)
 
 
 def test_brackets_check_cost_does_not_grow_with_the_prefix(monkeypatch):
@@ -529,15 +553,16 @@ def test_exploration_covers_every_reachable_path():
     # stronger than outcome classes: the fingerprints of the explored paths
     # must cover the concolic trail of every valid grid input
     from genutil import enumerate_inputs
-    from defcalc.concolic import run_scope_concolic
+    from defcalc.concolic import compile_scope, run_scope_concolic
     rng = random.Random(31415)
     for i in range(15):
         prog = gen_scope_program(rng)
         suite = explore(prog, "Rand", ExploreConfig())
         explored = {tc.path_fp for tc in suite.testcases}
         reachable = set()
+        compiled = compile_scope(prog, "Rand")
         for inputs in enumerate_inputs(prog.scopes[0]):
-            outcome, path = run_scope_concolic(prog, "Rand", inputs)
+            outcome, path = run_scope_concolic(compiled, inputs)
             if outcome.kind is not OutcomeKind.PRECONDITION:
                 reachable.add(path_fingerprint(path))
         assert explored == reachable, f"scope {i}"

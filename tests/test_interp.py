@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defcalc.lang import (
-    BOOL, INT,
-    Assert, BinOp, Binding, Default, Lit, Program, Scope, Var, VBool,
-    VConflict, VEmpty, VEnum, VInt, VMoney, VRat,
+    BOOL, INT, MONEY, RAT,
+    Assert, BinOp, Binding, Default, EnumT, Lit, Program, Scope, StructT, Var,
+    VBool, VConflict, VEmpty, VEnum, VInt, VMoney, VRat, VStruct, binop_result,
 )
 from defcalc.interp import (
-    Mode, OutcomeKind, eval_expr, register_opaque, round_rat, run_scope,
+    Mode, OutcomeKind, apply_binop, eval_expr, register_opaque, round_rat,
+    run_scope,
 )
 from defcalc.lang import Opaque
 
+import oracle_concolic
 from genutil import gen_default_term, gen_env, term_program
 
 
@@ -101,6 +103,56 @@ def test_round_rat_odd_symmetry(q):
 @given(st.fractions())
 def test_round_rat_within_half(q):
     assert abs(Fraction(round_rat(q)) - q) <= Fraction(1, 2)
+
+
+# -- the operator table against the Fraction oracle --------------------------
+
+_ENUM = EnumT("E", (("A", None), ("B", INT)))
+_STRUCT = StructT("P", (("n", INT), ("m", MONEY)))
+_INTS = st.one_of(st.integers(-12, 12), st.integers(-10**12, 10**12))
+_RATS = st.fractions(min_value=-50, max_value=50, max_denominator=400)
+VALUES = {
+    BOOL: st.booleans().map(VBool),
+    INT: _INTS.map(VInt),
+    MONEY: _INTS.map(VMoney),
+    RAT: _RATS.map(VRat),
+    _ENUM: st.one_of(st.just(VEnum("E", "A")),
+                     st.integers(-2, 2).map(lambda i: VEnum("E", "B", VInt(i)))),
+    _STRUCT: st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda nm: VStruct("P", (("n", VInt(nm[0])), ("m", VMoney(nm[1]))))),
+}
+# Every kind of value type, so every pair the validator admits: 34 of them.
+ADMITTED = [(op, lt, rt)
+            for op in ("&&", "||", "=", "<", "<=", ">", ">=", "+", "-", "*", "/")
+            for lt in VALUES for rt in VALUES if binop_result(op, lt, rt) is not None]
+_ZEROS = {INT: VInt(0), MONEY: VMoney(0), RAT: VRat(Fraction(0))}
+
+
+@pytest.mark.parametrize("op,lt,rt", ADMITTED, ids=lambda x: str(x))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_operator_table_matches_the_fraction_oracle(op, lt, rt, data):
+    lv = data.draw(VALUES[lt])
+    rv = data.draw(st.one_of(st.just(_ZEROS[rt]), VALUES[rt]) if op == "/" else VALUES[rt])
+    got = apply_binop(op, lv, rv)
+    assert got == oracle_concolic.apply_binop(op, lv, rv)
+    if op == "/" and rv == _ZEROS[rt]:
+        assert isinstance(got, VConflict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**9, 10**9).filter(bool), st.integers(-10**6, 10**6))
+def test_money_rate_rounding_ties_match_the_fraction_oracle(cents, n):
+    # c * r and c / r land exactly on n + 1/2, with the money positive and
+    # negative.
+    tie = Fraction(2 * n + 1, 2)
+    for c in (cents, -cents):
+        product = (VMoney(c), VRat(tie / c))
+        quotient = (VMoney(c), VRat(c / tie))
+        for op, lv, rv in (("*", *product), ("*", *reversed(product)), ("/", *quotient)):
+            got = apply_binop(op, lv, rv)
+            assert got == oracle_concolic.apply_binop(op, lv, rv)
+            assert abs(got.cents) == abs(n + (n >= 0))  # away from zero
 
 
 # -- scope runs ---------------------------------------------------------------

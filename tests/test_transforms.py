@@ -8,13 +8,17 @@ from defcalc.lang import (
     Scope, Var, VBool, VEmpty, VInt, validate,
 )
 from defcalc.interp import OutcomeKind, run_scope
-from defcalc.concolic import ConcolicOpts, run_scope_concolic
+from defcalc.concolic import compile_scope, run_scope_concolic
 from defcalc.transforms import (
     fold_match_cases, fold_program, reorder_exceptions, reorder_program,
-    simplify_frontend, simplify_frontend_expr,
+    TransformReport, simplify_frontend, simplify_frontend_expr,
 )
 
+from conftest import load_program
 from genutil import enumerate_inputs, gen_scope_program
+
+BUNDLED_FILES = ("fig5.dfc", "income_tax.dfc", "geo_match.dfc", "trivial_just.dfc",
+                 "soft_money.dfc", "benefits_medium.dfc")
 
 
 def rule(j, c):
@@ -206,8 +210,29 @@ def test_passes_never_lengthen_the_path(pass_fn):
     for _ in range(15):
         prog = gen_scope_program(rng)
         out, _ = pass_fn(prog)
+        before, after = compile_scope(prog, "Rand"), compile_scope(out, "Rand")
         for inputs in list(enumerate_inputs(prog.scopes[0]))[::13]:
-            o1, p1 = run_scope_concolic(prog, "Rand", inputs)
-            o2, p2 = run_scope_concolic(out, "Rand", inputs)
+            o1, p1 = run_scope_concolic(before, inputs)
+            o2, p2 = run_scope_concolic(after, inputs)
             assert o1 == o2
             assert len(p2) <= len(p1)
+
+
+@pytest.mark.parametrize("pass_fn", [fold_program, reorder_program, simplify_frontend])
+def test_a_pass_that_changes_nothing_returns_the_same_expressions(pass_fn):
+    # Unchanged nodes are reused, not rebuilt: with a zero report every
+    # assertion, binding and function body comes back as the same object.
+    rng = random.Random(4242)
+    progs = [load_program(name) for name in BUNDLED_FILES]
+    progs += [gen_scope_program(rng) for _ in range(40)]
+    unchanged = 0
+    for prog in progs:
+        out, report = pass_fn(prog)
+        if report != TransformReport():
+            continue
+        unchanged += 1
+        assert all(g.body is f.body for f, g in zip(prog.functions, out.functions))
+        for sc, sc_out in zip(prog.scopes, out.scopes):
+            assert all(b is a for a, b in zip(sc.assertions, sc_out.assertions))
+            assert all(b.expr is a.expr for a, b in zip(sc.bindings, sc_out.bindings))
+    assert unchanged >= 10
