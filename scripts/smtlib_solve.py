@@ -2,7 +2,7 @@
 """Standalone SMT-LIB solver shim.
 
 Reads SMT-LIB v2 commands on stdin, in the dialect the package emits
-(declare-datatypes for enum tags, declare-const, dfc_round/to_int, linear
+(declare-datatypes for enum tags, declare-const, dfc_round, linear
 arithmetic), and runs each one as soon as it is complete:
 
 - ``declare-datatypes``, ``declare-const`` and ``assert`` add to the
@@ -40,14 +40,14 @@ from defcalc.smtlib import (
 )
 from defcalc.solver import Sat, Unknown, _builtin_check
 from defcalc.symbolic import (
-    Leaf, SymBin, SymConst, SymFloor, SymIsVariant, SymNot, SymRound, SymVar,
+    Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
 )
 
 # The emitter's tables, inverted.  Money is written as Int (cents), and the
 # shim reads every Int as int.
 _TYPES = {sort: ty for ty, sort in _SORTS.items() if ty != MONEY}
 _BINARY = {smt: op for op, smt in _OPS.items()}
-_UNARY = {"not": SymNot, "to_int": SymFloor, "dfc_round": SymRound}
+_UNARY = {"not": SymNot, "dfc_round": SymRound}
 
 
 def _name(tok: str) -> str:

@@ -27,7 +27,7 @@ from .interp import OutcomeKind
 from .explorer import OPT_NAMES, ExploreConfig, explore
 from .smtlib import ExternalSolver, SmtlibEmitter
 from .testkit import (
-    MutationOp, emit_suite, mutate, mutation_campaign, replay_dir,
+    MUTATION_OPS, MutationOp, emit_suite, mutate, mutation_campaign, replay_dir,
 )
 
 EXIT_OK = 0
@@ -188,16 +188,13 @@ def cmd_replay(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_ERROR
 
 
-_OP_NAMES = ("remove", "duplicate", "negate")
-
-
 def cmd_mutate(args) -> int:
     program = _load_program(args.file)
     _positive("--count", args.count)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
     if not ops:
         raise SystemExit("error: --ops names no mutation op")
-    unknown = set(ops) - set(_OP_NAMES)
+    unknown = set(ops) - set(MUTATION_OPS)
     if unknown:
         raise SystemExit(f"error: unknown mutation ops {sorted(unknown)}")
     with _writing(args.out):
@@ -206,9 +203,7 @@ def cmd_mutate(args) -> int:
     rng = random.Random(args.seed)
     for i in range(args.count):
         kind = ops[i % len(ops)]
-        op = MutationOp(kind, count=1 + rng.randrange(2)) if kind == "remove" \
-            else MutationOp(kind)
-        m = mutate(program, op, rng.randrange(1 << 30))
+        m = mutate(program, MutationOp.draw(kind, rng), rng.randrange(1 << 30))
         path = os.path.join(args.out, f"mutant{i:03d}_{kind}.dfc")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(print_program(m.program))
@@ -261,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     mut = sub.add_parser("mutate", help="write mutated programs")
     mut.add_argument("file")
     mut.add_argument("--count", type=int, required=True)
-    mut.add_argument("--ops", default="remove,duplicate,negate")
+    mut.add_argument("--ops", default=",".join(MUTATION_OPS))
     mut.add_argument("--seed", type=int, default=0)
     mut.add_argument("--out", required=True, metavar="DIR")
     mut.set_defaults(func=cmd_mutate)

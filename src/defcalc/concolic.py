@@ -9,7 +9,8 @@ explorer can flip a record by negating a single term.  All records go to
 one trail, in the order execution produces them; a default term's
 exceptions, justification and consequence append to it like any other
 code.  Chronological order is what keeps the previous path a prefix of the
-next one during depth-first exploration.
+next one during depth-first exploration.  Which records are trivial is the
+solver session's to say (`SolverSession.literal_key`).
 
 With the early-conflict option enabled, an exception that evaluates to the
 conflict value cuts the trail back to where its default term started, so
@@ -35,8 +36,7 @@ from .lang import (
 )
 from .interp import BINOPS, OPAQUE_HANDLERS, Outcome, OutcomeKind, check_inputs
 from .symbolic import (
-    SymBin, SymConst, SymExpr, SymIsVariant, SymRound, SymVar, TRUE,
-    sym_has_free_vars, sym_not,
+    SymBin, SymConst, SymExpr, SymIsVariant, SymRound, SymVar, TRUE, sym_not,
 )
 
 
@@ -54,7 +54,6 @@ class BranchRecord:
     constraint: SymExpr  # as-taken literal; satisfied by the current input
     taken: bool
     origin: Origin
-    trivial: bool  # no input variables: recorded, never negated
     hard: bool = False  # assertion-derived: conjoined always, never negated
     span: Optional[Span] = field(default=None, compare=False, repr=False)
 
@@ -190,20 +189,13 @@ class ConcolicState:
             self.emit_concretized(span)
             return
         literal = sym if taken else sym_not(sym)
-        self.path.append(BranchRecord(
-            constraint=literal,
-            taken=taken,
-            origin=origin,
-            trivial=not sym_has_free_vars(literal),
-            hard=self.hard_mode,
-            span=span,
-        ))
+        self.path.append(BranchRecord(literal, taken, origin, self.hard_mode, span))
 
     def emit_concretized(self, span: Optional[Span]) -> None:
         # Documents incompleteness: the branch depends on inputs through a
         # construct with no symbolic form.
         self.path.append(BranchRecord(TRUE, True, Origin.OPAQUE_CONCRETIZED,
-                                      trivial=True, hard=self.hard_mode, span=span))
+                                      self.hard_mode, span))
 
 
 def _conflict_cv(span: Optional[Span]) -> CV:

@@ -16,11 +16,12 @@ observed path diverges from the expected prefix, bookkeeping restarts from
 the longest common prefix and already-seen paths are deduplicated by
 fingerprint.
 
-The frontier owns the prefix.  With `incremental` on, the solver session's
-stack holds the literals of a prefix of the frontier, one per entry: a
-query pops it to the flip point and pushes what it lacks, and every cut of
-the frontier pops it below the cut.  With `incremental` off, a query
-passes the prefix as extra literals.
+The frontier owns the prefix and holds the solver session, which keys its
+entries for the trivial filter (`SolverSession.literal_key`).  With
+`incremental` on, the session's stack holds the literals of a prefix of the
+frontier, one per entry: a query pops it to the flip point and pushes what
+it lacks, and every cut of the frontier pops it below the cut.  With
+`incremental` off, a query passes the prefix as extra literals.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Optional
 
 from .lang import MONEY, Program, validate
@@ -38,12 +39,11 @@ from .concolic import (
     run_scope_concolic,
 )
 from .solver import (
-    SOFT_TIERS, Sat, SolverFailure, SolverSession, Unknown,
-    Unsat, simplify,
+    SOFT_TIERS, Sat, SolverFailure, SolverSession, Unknown, Unsat,
 )
 from .symbolic import (
-    FALSE, TRUE, default_value, inputs_of_leaf_env,
-    leaf_env_of_inputs, render, scope_leaves, sym_not,
+    default_value, inputs_of_leaf_env, leaf_env_of_inputs, render,
+    scope_leaves, sym_not,
 )
 from . import transforms
 
@@ -127,24 +127,24 @@ def path_fingerprint(path) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_UNKEYED = object()
+
+
 @dataclass
 class _Entry:
     record: BranchRecord
     done: bool = False
-
-    @cached_property
-    def key(self) -> Optional[str]:
-        """The record's `literal_key`, computed on first use."""
-        return literal_key(self.record.constraint)
+    key: object = _UNKEYED  # the session's `literal_key`, filled on first use
 
 
 class Frontier:
-    """The last explored path with per-position negation bookkeeping; with a
-    `session`, its stack holds the literals of `entries[:len(session.stack)]`."""
+    """The last explored path with per-position negation bookkeeping; if
+    `incremental`, the session's stack holds the literals of `entries[:len(stack)]`."""
 
-    def __init__(self, session: Optional[SolverSession] = None):
+    def __init__(self, session: SolverSession, incremental: bool = True):
         self.entries: list = []
         self.session = session
+        self.incremental = incremental
 
     def reconcile(self, path: list, early_error: bool) -> None:
         """Match the new path against the expected prefix and absorb the new
@@ -172,6 +172,8 @@ class Frontier:
         first: dict = {}  # literal key -> index of its first record
         if trivial_filter:
             for i, e in enumerate(self.entries):
+                if e.key is _UNKEYED:
+                    e.key = self.session.literal_key(e.record.constraint)
                 first.setdefault(e.key, i)
         for k in range(len(self.entries) - 1, -1, -1):
             e = self.entries[k]
@@ -180,8 +182,7 @@ class Frontier:
             if e.record.hard:
                 e.done = True
                 continue
-            if trivial_filter and not filter_trivial(
-                    e.record, e.key, first[e.key] < k):
+            if trivial_filter and not filter_trivial(e.key, first[e.key] < k):
                 e.done = True
                 continue
             return k
@@ -198,7 +199,7 @@ class Frontier:
         with `decide(extra)`, a session's `check` or bound `check_soft`."""
         lits = [e.record.constraint for e in self.entries[:k]]
         lits.append(sym_not(self.entries[k].record.constraint))
-        if self.session is None:
+        if not self.incremental:
             return decide(lits)
         self._pop_to(k)
         for lit in lits[len(self.session.stack):]:
@@ -209,23 +210,15 @@ class Frontier:
             self.session.pop()
 
     def _pop_to(self, n: int) -> None:
-        while self.session is not None and len(self.session.stack) > n:
+        while len(self.session.stack) > n:
             self.session.pop()
 
 
-def literal_key(constraint) -> Optional[str]:
-    """Rendering of the simplified literal, under which repeated records are
-    found; None when the literal simplifies to a boolean constant."""
-    s = simplify(constraint)
-    return None if s in (TRUE, FALSE) else render(s)
-
-
-def filter_trivial(record: BranchRecord, key: Optional[str], repeated: bool) -> bool:
-    """Keep-for-negation predicate: False when the constraint mentions no
-    input, simplifies to a boolean constant (`key`, the record's
-    `literal_key`, is None), or repeats an earlier record's literal
-    (`repeated`; negating it would contradict the prefix)."""
-    return not (record.trivial or key is None or repeated)
+def filter_trivial(key: Optional[str], repeated: bool) -> bool:
+    """Keep-for-negation predicate: False when the record's literal mentions
+    no input or simplifies to a boolean constant (`key`, its `literal_key`, is
+    None) or repeats an earlier one (`repeated`; its negation contradicts the prefix)."""
+    return not (key is None or repeated)
 
 
 def initial_inputs(scope, hints: dict) -> dict:
@@ -286,7 +279,7 @@ def explore(program: Program, scope_name: str,
         _sync_stats(stats, session)
         return suite
 
-    frontier = Frontier(session if config.incremental else None)
+    frontier = Frontier(session, config.incremental)
     decide = partial(session.check_soft, money_leaves) \
         if config.soft and money_leaves else session.check
     seen_fps = set()

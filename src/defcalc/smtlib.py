@@ -51,7 +51,7 @@ from .lang import (
 )
 from .solver import Query, Sat, SolverFailure, Unknown, UNSAT
 from .symbolic import (
-    SymBin, SymConst, SymExpr, SymFloor, SymIsVariant, SymNot, SymRound,
+    SymBin, SymConst, SymExpr, SymIsVariant, SymNot, SymRound,
     SymVar, default_value,
 )
 
@@ -100,7 +100,7 @@ def _term_sort(e: SymExpr) -> str:
             return "Real" if "Real" in (_term_sort(a), _term_sort(b)) else "Int"
         case SymNot(_) | SymIsVariant(_, _):
             return "Bool"
-        case SymRound(_) | SymFloor(_):
+        case SymRound(_):
             return "Int"
     raise TypeError(f"no sort for {e!r}")
 
@@ -122,8 +122,6 @@ def _emit(e: SymExpr, want: Optional[str] = None) -> str:
             return f"(not {_emit(a)})"
         case SymRound(a):
             return f"(dfc_round {_emit(a, 'Real')})"
-        case SymFloor(a):
-            return f"(to_int {_emit(a, 'Real')})"
         case SymIsVariant(a, v):
             return f"((_ is {v}) {_emit(a)})"
     raise TypeError(f"cannot emit {e!r}")

@@ -2,7 +2,7 @@
 
 The builtin procedure decides conjunctions of quantifier-free constraints
 over exact rationals, integers, money (integer cents), booleans, and finite
-enum tags, with Round/Floor occurrences.  The pipeline is:
+enum tags, with Round occurrences.  The pipeline is:
 
 1. simplify each literal (ground folding, double negation, linear-difference
    folding) and list its case-split alternatives (disjunctions, disequalities,
@@ -12,10 +12,10 @@ enum tags, with Round/Floor occurrences.  The pipeline is:
    alternative make a root system, tested once before the first choice;
    each choice then tests its alternative against the root and the choices
    above it, and cuts it when they have no rational solution (`_project`;
-   Round/Floor atoms left out), which loses no solution.  A conflict with
+   Round atoms left out), which loses no solution.  A conflict with
    a unit literal is thus found once, at the first choice it refutes, not
    once per combination of the choices above the literal;
-3. per branch, replace Round/Floor terms with integer auxiliaries, split once
+3. per branch, replace Round terms with integer auxiliaries, split once
    per Round occurrence on its sign, and for each sign case add the defining
    inequalities and solve the linear core over primitive integer rows
    (`_row`), so Fourier-Motzkin combines rows in ints and keeps only the
@@ -51,7 +51,7 @@ from .lang import (
     EnumT, Value, VBool, VEnum, VInt, VMoney, VRat,
 )
 from .symbolic import (
-    FALSE, Leaf, SymBin, SymConst, SymExpr, SymFloor, SymIsVariant, SymNot,
+    FALSE, Leaf, SymBin, SymConst, SymExpr, SymIsVariant, SymNot,
     SymRound, SymVar, TRUE, default_value, render, sym_eval, sym_eval_bool,
     sym_free_vars, sym_not,
 )
@@ -122,7 +122,7 @@ class NonLinear(Exception):
 def linearize(e: SymExpr) -> tuple:
     """Linear normal form of a numeric term: (coeffs, const) meaning
     sum(coeffs[v]*v) + const.  Raises NonLinear on products of variables,
-    division by a non-ground term, or leftover Round/Floor nodes."""
+    division by a non-ground term, or leftover Round nodes."""
     match e:
         case SymVar(name, ty):
             if ty == BOOL or isinstance(ty, EnumT):
@@ -242,8 +242,6 @@ def simplify(e: SymExpr) -> SymExpr:
             return SymBin(op, simplify(a), simplify(b))
         case SymRound(a):
             return SymRound(simplify(a))
-        case SymFloor(a):
-            return SymFloor(simplify(a))
         case _:
             return e
 
@@ -266,7 +264,7 @@ def _sort_of(e: SymExpr) -> str:
             return "bool" if op in ("&&", "||", "=", "<", "<=", ">", ">=") else "num"
         case SymNot(_) | SymIsVariant(_, _):
             return "bool"
-        case SymRound(_) | SymFloor(_):
+        case SymRound(_):
             return "num"
     raise TypeError(f"not a symbolic term: {e!r}")
 
@@ -384,27 +382,25 @@ def _expand_enum_eq(a: SymExpr, b: SymExpr) -> SymExpr:
 
 
 # ---------------------------------------------------------------------------
-# Round/Floor elimination
+# Round elimination
 
 
 def _strip_rounds(atoms: list) -> tuple:
-    """Replace Round/Floor subterms across the branch's numeric atoms with
+    """Replace Round subterms across the branch's numeric atoms with
     integer auxiliaries.  Returns (rewritten atoms, specs) where each spec is
-    (aux name, kind, argument term with deeper rounds already stripped)."""
+    (aux name, argument term with deeper rounds already stripped)."""
     table: dict = {}
     specs: list = []
 
     def rewrite(e: SymExpr) -> SymExpr:
         match e:
-            case SymRound(arg) | SymFloor(arg):
-                kind = "round" if isinstance(e, SymRound) else "floor"
+            case SymRound(arg):
                 inner = rewrite(arg)
-                key = (kind, inner)
-                if key not in table:
-                    aux = f".{kind}{len(specs)}"
-                    table[key] = SymVar(aux, INT)
-                    specs.append((aux, kind, inner))
-                return table[key]
+                if inner not in table:
+                    aux = f".round{len(specs)}"
+                    table[inner] = SymVar(aux, INT)
+                    specs.append((aux, inner))
+                return table[inner]
             case SymBin(op, a, b):
                 ra, rb = rewrite(a), rewrite(b)
                 return e if ra is a and rb is b else SymBin(op, ra, rb)
@@ -419,28 +415,22 @@ _HALF = Fraction(1, 2)
 
 def _round_cases(specs: list) -> Iterator[list]:
     """All sign-split assignments for the round specs, each yielding the
-    defining linear atoms.  Floor needs no split."""
+    defining linear atoms."""
     per_spec = []
-    for aux, kind, arg in specs:
+    half = SymConst(VRat(_HALF))
+    for aux, arg in specs:
         v = SymVar(aux, INT)
-        if kind == "floor":
-            per_spec.append([[
-                ("num", "<=", v, arg),                      # aux <= t
-                ("num", "<", arg, SymBin("+", v, SymConst(VInt(1)))),  # t < aux+1
-            ]])
-        else:
-            half = SymConst(VRat(_HALF))
-            nonneg = [
-                ("num", "<=", SymConst(VInt(0)), arg),
-                ("num", "<=", SymBin("-", v, half), arg),   # aux - 1/2 <= t
-                ("num", "<", arg, SymBin("+", v, half)),     # t < aux + 1/2
-            ]
-            negative = [
-                ("num", "<", arg, SymConst(VInt(0))),
-                ("num", "<", SymBin("-", v, half), arg),     # aux - 1/2 < t
-                ("num", "<=", arg, SymBin("+", v, half)),    # t <= aux + 1/2
-            ]
-            per_spec.append([nonneg, negative])
+        nonneg = [
+            ("num", "<=", SymConst(VInt(0)), arg),
+            ("num", "<=", SymBin("-", v, half), arg),   # aux - 1/2 <= t
+            ("num", "<", arg, SymBin("+", v, half)),     # t < aux + 1/2
+        ]
+        negative = [
+            ("num", "<", arg, SymConst(VInt(0))),
+            ("num", "<", SymBin("-", v, half), arg),     # aux - 1/2 < t
+            ("num", "<=", arg, SymBin("+", v, half)),    # t <= aux + 1/2
+        ]
+        per_spec.append([nonneg, negative])
     for combo in itertools.product(*per_spec):
         yield [a for case in combo for a in case]
 
@@ -584,8 +574,9 @@ def _fold(reads: list, vals: dict, last: Optional[str]) -> list:
 
 def _window(rows: list, x, is_int: bool):
     """The window of `_fold`ed rows with `last` at x: (lo, lo_strict, hi,
-    hi_strict), None meaning unbounded, or for an integer `_int_window`'s
-    pair (None if empty), computed in ints while the values are ints."""
+    hi_strict), None meaning unbounded; with `is_int`, the integers in it as
+    (ilo, ihi), None if there are none, computed in ints while the values
+    are ints."""
     lo, lo_strict, hi, hi_strict = None, False, None, False
     for c, t, a, op in rows:
         if a:
@@ -614,23 +605,6 @@ def _window(rows: list, x, is_int: bool):
     if is_int:
         return None if lo is not None and hi is not None and lo > hi else (lo, hi)
     return lo, lo_strict, hi, hi_strict
-
-
-def _int_window(lo, lo_strict, hi, hi_strict) -> Optional[tuple]:
-    """The integers within the bounds as (ilo, ihi), None meaning unbounded;
-    None in place of the pair when the bounds hold no integer."""
-    ilo = ihi = None
-    if lo is not None:
-        ilo = math.ceil(lo)
-        if lo_strict and ilo == lo:
-            ilo += 1
-    if hi is not None:
-        ihi = math.floor(hi)
-        if hi_strict and ihi == hi:
-            ihi -= 1
-    if ilo is not None and ihi is not None and ilo > ihi:
-        return None
-    return ilo, ihi
 
 
 def _int_candidates(ilo, ihi, budget: _Budget) -> Iterator[int]:
@@ -666,11 +640,12 @@ def _int_candidates(ilo, ihi, budget: _Budget) -> Iterator[int]:
         k += 1
 
 
-def _pick_rational(lo, lo_strict, hi, hi_strict) -> Fraction:
+def _pick_rational(rows: list, x) -> Fraction:
     """The value of least magnitude among 0 and the integers inside the
-    nonempty window, else the window's midpoint."""
-    window = _int_window(lo, lo_strict, hi, hi_strict)
+    nonempty window of `_window(rows, x, ...)`, else its midpoint."""
+    window = _window(rows, x, True)
     if window is None:
+        lo, _, hi, _ = _window(rows, x, False)
         return (lo + hi) / 2
     ilo, ihi = window
     k = 0 if ilo is None else max(0, ilo)
@@ -721,13 +696,13 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
         # Integral-emptiness pruning: if any pending integer variable's
         # window holds no integer, the fixed values have no integer
         # completion.  No window costs budget.
-        windows = [_window(rs, x, n_int) for n_int, rs in read]
+        windows = [_window(rs, x, True) for n_int, rs in read if n_int]
         if None in windows:
             return None
         name, is_int = todo[d]
         below = _fold(reads[d + 1], vals, name)
         for c in (_int_candidates(*windows[0], budget) if is_int
-                  else [_pick_rational(*windows[0])]):
+                  else [_pick_rational(read[0][1], x)]):
             vals[name] = c
             if (out := go(d + 1, below, c)) is not None:
                 return out
@@ -778,15 +753,26 @@ def _builtin_check(decls: tuple, literals: tuple, retain: dict,
     return UNSAT if reason is None else Unknown(reason)
 
 
+def _prepared(lit: SymExpr, memo: dict) -> list:
+    """The literal's memo entry [simplify(lit), alternatives or None], made once
+    per memo; a negation's reuses its argument's: simplify(!a) is !simplify(a)."""
+    entry = memo.get(lit)
+    if entry is None:
+        s = sym_not(_prepared(lit.arg, memo)[0]) if isinstance(lit, SymNot) \
+            else simplify(lit)
+        entry = memo[lit] = [s, None]
+    return entry
+
+
 def _alternatives(lit: SymExpr, memo: dict) -> list:
     """The simplified literal's case-split alternatives in DNF order, each
     paired with the linear forms of its numeric atoms that linearize."""
-    alts = memo.get(lit)
-    if alts is None:
-        alts = memo[lit] = [
+    entry = _prepared(lit, memo)
+    if entry[1] is None:
+        entry[1] = [
             (alt, [f for a in alt if a[0] == "num" and (f := _lin_form(a, memo))])
-            for alt in _branches(simplify(lit), True)]
-    return alts
+            for alt in _branches(entry[0], True)]
+    return entry[1]
 
 
 def _search(alts: list, i: int, branch: list, lin: list,
@@ -838,9 +824,9 @@ def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
     num_atoms, specs = _strip_rounds(num_atoms)
     order = [(l.name, l.ty in (INT, MONEY)) for l in decls
              if l.ty != BOOL and not isinstance(l.ty, EnumT)]
-    order += [(aux, True) for aux, _, _ in specs]
+    order += [(aux, True) for aux, _ in specs]
 
-    # Each Round/Floor case costs one unit of budget, charged before the
+    # Each Round case costs one unit of budget, charged before the
     # branch's atoms are linearized (a NonLinear atom still pays for it).
     split_cost = 1 if specs else 0
     for case in _round_cases(specs):
@@ -920,12 +906,13 @@ class SolverSession:
     `check(extra)` decides the stack's literals and `extra` as one whole
     query: the builtin backend re-decides the conjunction every time, so a
     check's answer depends on its literals alone.  `_memo` keeps what it
-    derives from one literal alone (alternatives, linear forms) for the
-    session's life, so no check prepares a literal a second time; the
-    memo lookup and the declared-variable check read the hash and free
-    variables kept on each node instead of walking the term.  What a check
-    still pays for is its case splits, and the stack's unit literals bound
-    them from the root of `_search` however deep the prefix is.
+    derives from one literal alone (simplification, alternatives, linear
+    forms) for the session's life, so neither a check nor `literal_key`
+    prepares a literal, or its negation, a second time; the memo lookup and
+    the declared-variable check read the hash and free variables kept on
+    each node instead of walking the term.  What a check still pays for is
+    its case splits, and the stack's unit literals bound them from the root
+    of `_search` however deep the prefix is.
     """
 
     def __init__(self, decls, backend=None, budget: int = DEFAULT_BUDGET,
@@ -950,6 +937,12 @@ class SolverSession:
             raise SolverUsageError("pop on empty assertion stack")
         self.stack.pop()
         self.stats.pops += 1
+
+    def literal_key(self, literal) -> Optional[str]:
+        """Rendering of the simplified literal, under which repeated literals
+        are found; None when it simplifies to a boolean constant."""
+        s = _prepared(literal, self._memo)[0]
+        return None if s in (TRUE, FALSE) else render(s)
 
     # -- solving ----------------------------------------------------------
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Union
 
 from .lang import (
-    BOOL, INT, MONEY, RAT,
+    BoolT, IntT, MoneyT, RatT, VStruct,
     EnumT, SemType, StructT, Value, VBool, VEnum, VInt, VMoney, VRat,
 )
 from .interp import round_rat
@@ -77,14 +77,6 @@ class SymRound(_Compound):
 
 
 @dataclass(frozen=True)
-class SymFloor(_Compound):
-    arg: "SymExpr"
-
-    def __hash__(self):
-        return self._hash or _kept(self, "_hash", hash(("floor", self.arg)))
-
-
-@dataclass(frozen=True)
 class SymIsVariant(_Compound):
     arg: "SymExpr"  # an enum tag leaf
     variant: str
@@ -93,7 +85,7 @@ class SymIsVariant(_Compound):
         return self._hash or _kept(self, "_hash", hash((self.arg, self.variant)))
 
 
-SymExpr = Union[SymVar, SymConst, SymBin, SymNot, SymRound, SymFloor, SymIsVariant]
+SymExpr = Union[SymVar, SymConst, SymBin, SymNot, SymRound, SymIsVariant]
 
 TRUE = SymConst(VBool(True))
 FALSE = SymConst(VBool(False))
@@ -116,7 +108,7 @@ def sym_children(e: SymExpr) -> tuple:
             return ()
         case SymBin(_, lhs, rhs):
             return (lhs, rhs)
-        case SymNot(a) | SymRound(a) | SymFloor(a):
+        case SymNot(a) | SymRound(a):
             return (a,)
         case SymIsVariant(a, _):
             return (a,)
@@ -139,16 +131,6 @@ def sym_free_vars(e: SymExpr) -> frozenset:
     return _kept(e, "_free", free)
 
 
-def sym_has_free_vars(e: SymExpr) -> bool:
-    """Whether e mentions a variable.  Stops at the first one and keeps
-    nothing: a query computes its literals' free-variable sets itself."""
-    if isinstance(e, SymVar):
-        return True
-    if isinstance(e, SymConst):
-        return False
-    return any(sym_has_free_vars(c) for c in sym_children(e))
-
-
 def render(e: SymExpr) -> str:
     """Deterministic rendering used for display, fingerprints, and the
     negation-of-earlier check."""
@@ -163,8 +145,6 @@ def render(e: SymExpr) -> str:
             return f"!{render(a)}"
         case SymRound(a):
             return f"round({render(a)})"
-        case SymFloor(a):
-            return f"floor({render(a)})"
         case SymIsVariant(a, v):
             return f"({render(a)} is {v})"
     raise TypeError(f"not a symbolic term: {e!r}")
@@ -174,7 +154,7 @@ def sym_eval(e: SymExpr, env: dict):
     """Evaluate a symbolic term under a leaf environment.
 
     Symbolic arithmetic is exact rational arithmetic with money read as its
-    cent count; rounding is explicit via the Round/Floor nodes (round_rat is
+    cent count; rounding is explicit via the Round node (round_rat is
     the same function the interpreter rounds with).  Returns a bool, a
     Fraction, or a VEnum tag.  Raises ZeroDivisionError on division by zero,
     which callers treat as an unsatisfied term.
@@ -217,8 +197,6 @@ def sym_eval(e: SymExpr, env: dict):
             return not sym_eval(a, env)
         case SymRound(a):
             return Fraction(round_rat(sym_eval(a, env)))
-        case SymFloor(a):
-            return Fraction(int(sym_eval(a, env).__floor__()))
         case SymIsVariant(a, variant):
             v = sym_eval(a, env)
             assert isinstance(v, VEnum)
@@ -287,7 +265,6 @@ def scope_leaves(scope) -> list:
 def default_value(ty: SemType) -> Value:
     """Deterministic initial value per type: false, 0, 0/1, $0.00, first
     declared enum variant with a defaulted payload."""
-    from .lang import BoolT, IntT, MoneyT, RatT, VStruct
     match ty:
         case BoolT():
             return VBool(False)
@@ -339,7 +316,6 @@ def inputs_of_leaf_env(scope, leaf_env: dict) -> dict:
     def go(name: str, ty: SemType) -> Value:
         match ty:
             case StructT(sname, fields):
-                from .lang import VStruct
                 return VStruct(sname, tuple((f, go(f"{name}.{f}", fty)) for f, fty in fields))
             case EnumT(ename, variants):
                 tag = leaf_env[name]

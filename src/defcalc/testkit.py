@@ -189,10 +189,18 @@ class NoEligibleDefaultTerm(Exception):
     pass
 
 
+MUTATION_OPS = ("remove", "duplicate", "negate")
+
+
 @dataclass(frozen=True)
 class MutationOp:
-    kind: str  # "remove" | "duplicate" | "negate"
+    kind: str  # one of MUTATION_OPS
     count: int = 1  # exceptions to remove, for "remove"
+
+    @classmethod
+    def draw(cls, kind: str, rng: random.Random) -> "MutationOp":
+        """The op of `kind`; "remove" draws how many exceptions (1 or 2)."""
+        return cls(kind, count=1 + rng.randrange(2)) if kind == "remove" else cls(kind)
 
 
 @dataclass
@@ -372,7 +380,7 @@ def find_issue(mutant: Mutant, config: Optional[ExploreConfig] = None) -> Mutant
                         False, None, suite.stats.iterations, elapsed, note)
 
 
-def mutation_campaign(program: Program, count: int, ops: tuple = ("remove", "duplicate", "negate"),
+def mutation_campaign(program: Program, count: int, ops: tuple = MUTATION_OPS,
                       seed: int = 0, config: Optional[ExploreConfig] = None,
                       screen: bool = True) -> CampaignReport:
     """Generate `count` screened-reachable mutants (drawing fresh seeds when
@@ -384,8 +392,7 @@ def mutation_campaign(program: Program, count: int, ops: tuple = ("remove", "dup
     cap = max(20 * count, 100)
     while len(reports) < count and attempted < cap:
         op_kind = ops[attempted % len(ops)]
-        op = MutationOp(op_kind, count=1 + rng.randrange(2)) \
-            if op_kind == "remove" else MutationOp(op_kind)
+        op = MutationOp.draw(op_kind, rng)
         mseed = rng.randrange(1 << 30)
         attempted += 1
         try:

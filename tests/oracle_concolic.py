@@ -35,8 +35,7 @@ from defcalc.lang import (
     VConflict, VEmpty, VEnum, VInt, VMoney, VRat, VStruct, is_error,
 )
 from defcalc.symbolic import (
-    TRUE, SymBin, SymConst, SymExpr, SymIsVariant, SymRound, sym_free_vars,
-    sym_not,
+    TRUE, SymBin, SymConst, SymExpr, SymIsVariant, SymRound, sym_not,
 )
 
 
@@ -126,14 +125,13 @@ class ConcolicState:
             constraint=literal,
             taken=taken,
             origin=origin,
-            trivial=not sym_free_vars(literal),
             hard=self.hard_mode,
             span=span,
         ))
 
     def emit_concretized(self, span: Optional[Span]) -> None:
         self.emit(BranchRecord(TRUE, True, Origin.OPAQUE_CONCRETIZED,
-                               trivial=True, hard=self.hard_mode, span=span))
+                               hard=self.hard_mode, span=span))
 
     def push_frame(self) -> None:
         self.frames.append([])

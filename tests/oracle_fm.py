@@ -403,7 +403,7 @@ def _solve_branch(branch: list, decls: tuple, enum_decls: dict,
     num_atoms, specs = _strip_rounds(num_atoms)
     order = [(l.name, l.ty in (INT, MONEY)) for l in decls
              if l.ty != BOOL and not isinstance(l.ty, EnumT)]
-    order += [(aux, True) for aux, _, _ in specs]
+    order += [(aux, True) for aux, _ in specs]
 
     solution: Optional[dict] = None
     if specs:

@@ -12,8 +12,11 @@ from defcalc.concolic import (
     BranchRecord, ConcolicOpts, Origin, compile_scope, run_scope_concolic,
 )
 from defcalc.interp import Mode, OutcomeKind, eval_expr, run_scope
+from defcalc.parser import parse_or_raise
+from defcalc.solver import SolverSession
 from defcalc.symbolic import (
-    leaf_env_of_inputs, render, sym_eval_bool,
+    SymRound, leaf_env_of_inputs, render, sym_children, sym_eval_bool,
+    sym_free_vars,
 )
 
 from conftest import load_program
@@ -25,6 +28,10 @@ from genutil import (
 
 def rule(j, c):
     return Default((), j, c)
+
+
+def literal_key(record):
+    return SolverSession(()).literal_key(record.constraint)
 
 
 def fig5_term():
@@ -107,7 +114,7 @@ def test_ground_division_check_is_trivial():
     prog = Program(scopes=(Scope(
         "S", (("x", INT),), (), (Binding("y", RAT, expr),), ("y",)),))
     _, path = run(prog, "S", {"x": VInt(4)})
-    assert len(path) == 1 and path[0].trivial
+    assert len(path) == 1 and literal_key(path[0]) is None
 
 
 def test_opaque_emits_concretization_marker():
@@ -119,13 +126,13 @@ def test_opaque_emits_concretization_marker():
     out, path = run(prog, "S", {"x": VInt(3)})
     assert out.output("y") == VInt(3)
     assert [r.origin for r in path] == [Origin.OPAQUE_CONCRETIZED]
-    assert path[0].trivial
+    assert literal_key(path[0]) is None
 
 
 def test_trivial_flag_set_on_constant_justification(income_tax):
     out, path = run(income_tax, "IncomeTax",
                     {"income": VMoney(1000001), "nb_children": VInt(0)})
-    j = [r for r in path if r.origin is Origin.JUSTIFICATION and r.trivial]
+    j = [r for r in path if r.origin is Origin.JUSTIFICATION and literal_key(r) is None]
     assert j, "the base case's `true` justification is a trivial record"
 
 
@@ -288,7 +295,24 @@ def test_lazy_path_is_prefix_of_eager_on_conflicts():
 
 
 def _records(path):
-    return [(r.constraint, r.taken, r.origin, r.trivial, r.hard, r.span) for r in path]
+    return [(r.constraint, r.taken, r.origin, r.hard, r.span) for r in path]
+
+
+def _holds_round(e) -> bool:
+    return isinstance(e, SymRound) or any(_holds_round(c) for c in sym_children(e))
+
+
+# round-chain-2: money times a rate, rounded to the cent at each step.
+ROUND_CHAIN = """
+scope Chain {
+  input x: money;
+  def a0: money = x;
+  def a1: money = a0 * 3/7;
+  def a2: money = a1 * 3/7;
+  def out: int = if a2 > $1,000.00 then 1 else 0;
+  output out;
+}
+"""
 
 
 BUNDLED = (("fig5.dfc", "Main"), ("income_tax.dfc", "IncomeTax"),
@@ -317,6 +341,9 @@ def test_trail_matches_the_frame_stack_oracle():
     for name, scope in BUNDLED:
         prog = load_program(name)
         cases += [(prog, scope, tc.inputs) for tc in explore(prog, scope).testcases]
+    chain = parse_or_raise(ROUND_CHAIN)
+    cases += [(chain, "Chain", {"x": VMoney(c)})
+              for c in (0, -1, 544_444, 544_450, 1_000_000, -544_450)]
     opts = [ConcolicOpts(lazy=lazy, early_error=early)
             for lazy in (False, True) for early in (False, True)]
 
@@ -331,13 +358,19 @@ def test_trail_matches_the_frame_stack_oracle():
     assert cut > 50, "the corpus should exercise early-error cuts"
     assert any(r.hard for _, path in want for r in path)
     assert any(r.span is not None for _, path in want for r in path)
+    assert any(_holds_round(r.constraint) for _, path in want for r in path)
+    # A record over no input has no key, so the trivial filter skips it.
+    session = SolverSession(())
+    assert all(session.literal_key(r.constraint) is None
+               for _, path in want for r in path if not sym_free_vars(r.constraint))
 
 
 def test_income_tax_zero_inputs_path(income_tax):
     out, path = run(income_tax, "IncomeTax",
                     {"income": VMoney(0), "nb_children": VInt(0)})
     assert out.output("income_tax") == VMoney(0)
-    non_trivial = [(render(r.constraint), r.taken) for r in path if not r.trivial]
+    non_trivial = [(render(r.constraint), r.taken) for r in path
+                   if literal_key(r) is not None]
     assert non_trivial == [
         ("(income <= $10,000.00)", True),
         ("!(nb_children >= 3)", False),

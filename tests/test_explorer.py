@@ -11,9 +11,10 @@ from defcalc.lang import (
 from defcalc.concolic import BranchRecord, Origin
 from defcalc.explorer import (
     ExploreConfig, Frontier, PrefixInvariantViolation, explore, filter_trivial,
-    literal_key, path_fingerprint,
+    path_fingerprint,
 )
 from defcalc.interp import OutcomeKind
+from defcalc import solver
 from defcalc.solver import SolverSession
 from defcalc.symbolic import (
     Leaf, SymBin, SymConst, SymNot, SymVar, TRUE, render, scope_leaves,
@@ -149,17 +150,22 @@ def test_progress_callback_receives_iterations(fig5):
 # -- frontier bookkeeping -------------------------------------------------------
 
 
-def rec(lit, taken=True, origin=Origin.JUSTIFICATION, trivial=False, hard=False):
-    return BranchRecord(lit, taken, origin, trivial, hard)
+def rec(lit, taken=True, origin=Origin.JUSTIFICATION, hard=False):
+    return BranchRecord(lit, taken, origin, hard)
 
 
 B = SymVar("b", BOOL)
 X = SymVar("x", INT)
 XEQ0 = SymBin("=", X, SymConst(VInt(0)))
+LEAVES = (Leaf("b", BOOL), Leaf("x", INT))
+
+
+def literal_key(lit):
+    return SolverSession(LEAVES).literal_key(lit)
 
 
 def test_next_target_flips_deepest_unflipped():
-    f = Frontier()
+    f = Frontier(SolverSession(LEAVES))
     f.reconcile([rec(B), rec(SymNot(XEQ0), taken=False)], early_error=False)
     assert f.next_target(True) == 1
     f.flip(1)
@@ -168,7 +174,7 @@ def test_next_target_flips_deepest_unflipped():
 
 
 def test_next_target_exhausted_when_all_done():
-    f = Frontier()
+    f = Frontier(SolverSession(LEAVES))
     f.reconcile([rec(B)], early_error=False)
     f.flip(0)
     f.reconcile([rec(SymNot(B), taken=False)], early_error=False)
@@ -176,14 +182,14 @@ def test_next_target_exhausted_when_all_done():
 
 
 def test_prefix_divergence_raises_without_early_error():
-    f = Frontier()
+    f = Frontier(SolverSession(LEAVES))
     f.reconcile([rec(B), rec(XEQ0)], early_error=False)
     with pytest.raises(PrefixInvariantViolation):
         f.reconcile([rec(XEQ0)], early_error=False)
 
 
 def test_prefix_divergence_restarts_with_early_error():
-    f = Frontier()
+    f = Frontier(SolverSession(LEAVES))
     f.reconcile([rec(B), rec(XEQ0)], early_error=False)
     f.reconcile([rec(B), rec(SymNot(XEQ0), taken=False), rec(B)], early_error=True)
     assert [e.record.constraint for e in f.entries] == [B, SymNot(XEQ0), B]
@@ -212,33 +218,33 @@ def test_early_error_cut_pops_the_session_below_it():
 
 
 def test_filter_trivial_drops_constant_true():
-    assert filter_trivial(rec(TRUE, trivial=True), literal_key(TRUE), False) is False
+    assert filter_trivial(literal_key(TRUE), False) is False
 
 
 def test_filter_trivial_drops_repeat_of_earlier():
     gt = SymBin(">", X, SymConst(VInt(0)))
-    assert filter_trivial(rec(gt), literal_key(gt), True) is False
-    f = Frontier()
+    assert filter_trivial(literal_key(gt), True) is False
+    f = Frontier(SolverSession(LEAVES))
     f.reconcile([rec(gt), rec(gt)], early_error=False)
     assert f.next_target(True) == 0
 
 
 def test_filter_trivial_keeps_input_dependent():
     lit = SymNot(XEQ0)
-    assert filter_trivial(rec(lit, taken=False), literal_key(lit), False) is True
+    assert filter_trivial(literal_key(lit), False) is True
 
 
 def test_filter_trivial_drops_ground_simplifiable():
     lit = SymBin("=", SymBin("+", X, SymConst(VInt(0))), X)
     assert literal_key(lit) is None
-    assert filter_trivial(rec(lit), literal_key(lit), False) is False
+    assert filter_trivial(literal_key(lit), False) is False
 
 
 def test_trivial_filter_keys_follow_replaced_entries():
     # Every key is cached by the first next_target; flip and a truncating
     # early-error reconcile then put new records at those positions.
     gt = SymBin(">", X, SymConst(VInt(0)))
-    f = Frontier()
+    f = Frontier(SolverSession(LEAVES))
     f.reconcile([rec(gt), rec(XEQ0)], early_error=False)
     assert f.next_target(True) == 1
     f.flip(1)  # position 1 now holds !(x = 0)
@@ -249,6 +255,25 @@ def test_trivial_filter_keys_follow_replaced_entries():
     assert [e.record.constraint for e in f.entries] == [gt, B, XEQ0, B]
     assert f.next_target(True) == 2  # the second b repeats position 1
     assert f.entries[3].done
+
+
+@pytest.mark.parametrize("incremental", [True, False])
+def test_a_keyed_and_queried_literal_is_simplified_once(monkeypatch, incremental):
+    # The frontier keys x > 0, a query pushes it (or passes it) as prefix,
+    # and another negates it: the session simplifies it once for all three.
+    seen = []
+    simplify = solver.simplify
+    monkeypatch.setattr(solver, "simplify", lambda e: seen.append(e) or simplify(e))
+    session = SolverSession(LEAVES)
+    gt = SymBin(">", X, SymConst(VInt(0)))
+    f = Frontier(session, incremental)
+    f.reconcile([rec(gt), rec(B)], early_error=False)
+    assert f.next_target(True) == 1
+    assert isinstance(f.query(1, session.check), solver.Sat)
+    assert isinstance(f.query(0, session.check), solver.Sat)
+    assert session.stats.checks == 2
+    assert [e for e in seen if e in (gt, SymNot(gt))] == [gt]
+    assert [e for e in seen if e in (B, SymNot(B))] == [B]
 
 
 def test_trivial_repeat_site_saves_solver_calls():

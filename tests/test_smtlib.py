@@ -19,7 +19,7 @@ from defcalc.smtlib import (
 )
 from defcalc.solver import Query, Sat, SolverFailure, SolverSession, Unsat
 from defcalc.symbolic import (
-    Leaf, SymBin, SymConst, SymFloor, SymIsVariant, SymNot, SymRound, SymVar,
+    Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
 )
 from defcalc.testkit import emit_suite
 
@@ -202,7 +202,7 @@ _nums = st.recursive(
               VALUES[INT].map(SymConst), VALUES[RAT].map(SymConst)),
     lambda t: st.one_of(
         st.builds(SymBin, st.sampled_from("+-*/"), t, t),
-        t.map(SymRound), t.map(SymFloor)),
+        t.map(SymRound)),
     max_leaves=6)
 _bools = st.recursive(
     st.one_of(st.just(SymVar("b", BOOL)), VALUES[BOOL].map(SymConst),
