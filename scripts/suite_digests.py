@@ -3,6 +3,7 @@
 
     python3 scripts/suite_digests.py --seeds 1,7 --out digests.json
     python3 scripts/suite_digests.py --seeds 1 --workloads round-chain --out d.json
+    python3 scripts/suite_digests.py --seeds 1 --compact --out d.json
     python3 scripts/suite_digests.py --compare before.json after.json
 
 A run is one `explore` and `emit_suite`, with `incremental` on and with it
@@ -14,8 +15,11 @@ off, of:
 
 Each run's record is the sha256 of the emitted suite's files, the
 `SuiteStats`, `complete` and the `depth_trace`; `--out` writes them as one
-JSON object keyed by run name.  `--compare A B` prints every run whose
-records differ or that only one file holds, and exits 1 if there is any.
+JSON object keyed by run name, and with `--compact` each record is replaced
+by the first 16 hex digits of its own sha256 (`compact`), which is what
+`tests/data/suite_digests_seed1.json` holds.  `--compare A B` prints every
+run whose records differ or that only one file holds, and exits 1 if there
+is any; both files must be compact or both full.
 The engine is imported from the `src/` beside this script, so a copy of
 the script in another checkout digests that checkout.
 """
@@ -99,6 +103,12 @@ def digest(workload_names, seeds) -> dict:
     return out
 
 
+def compact(digests: dict) -> dict:
+    """Each run's record as the first 16 hex digits of the sha256 of its JSON."""
+    return {name: hashlib.sha256(json.dumps(record, sort_keys=True).encode())
+            .hexdigest()[:16] for name, record in digests.items()}
+
+
 def compare(a: dict, b: dict) -> list:
     """Names of the runs whose records differ or that only one side holds."""
     return sorted(n for n in a.keys() | b.keys() if a.get(n) != b.get(n))
@@ -110,6 +120,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default=",".join(WORKLOADS),
                     help=f"comma-separated, from {', '.join(WORKLOADS)}")
     ap.add_argument("--out", help="write the digests here as JSON")
+    ap.add_argument("--compact", action="store_true",
+                    help="write each run's record as a 16-digit hash of it")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two digest files instead")
     args = ap.parse_args(argv)
@@ -130,6 +142,8 @@ def main(argv=None) -> int:
     if not seeds:
         ap.error("--seeds names no seed")
     digests = digest(names, seeds)
+    if args.compact:
+        digests = compact(digests)
     Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} runs -> {args.out}")
     return 0

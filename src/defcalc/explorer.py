@@ -20,8 +20,14 @@ The frontier owns the prefix and holds the solver session, which keys its
 entries for the trivial filter (`SolverSession.literal_key`).  With
 `incremental` on, the session's stack holds the literals of a prefix of the
 frontier, one per entry: a query pops it to the flip point and pushes what
-it lacks, and every cut of the frontier pops it below the cut.  With
-`incremental` off, a query passes the prefix as extra literals.
+it lacks, and every cut of the frontier pops it below the cut, so the
+session prepares a frame per entry, not per query.  With `incremental` off,
+a query passes the prefix as extra literals, prepared at every check.
+
+Each entry renders its constraint once (`_Entry.text`).  A path is
+fingerprinted after `reconcile` from those texts and the `taken` flags of
+the path's own records, since `reconcile` keeps an entry whose constraint
+equals the new record's whatever its flag.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .lang import MONEY, Program, validate
@@ -121,9 +127,13 @@ class TestSuite:
     depth_trace: list  # |path| per iteration
 
 
-def path_fingerprint(path) -> str:
-    text = ";".join(
-        f"{render(r.constraint)}#{int(r.taken)}" for r in path)
+def path_fingerprint(path, entries=None) -> str:
+    """sha256 of the path's rendered constraints, each with its `taken` flag.
+    `entries`, the frontier's after it reconciled `path`, supplies each
+    constraint's rendering (`_Entry.text`, made once per entry)."""
+    texts = (render(r.constraint) for r in path) if entries is None \
+        else (e.text for e in entries)
+    text = ";".join(f"{t}#{int(r.taken)}" for t, r in zip(texts, path))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -135,6 +145,10 @@ class _Entry:
     record: BranchRecord
     done: bool = False
     key: object = _UNKEYED  # the session's `literal_key`, filled on first use
+
+    @cached_property
+    def text(self) -> str:
+        return render(self.record.constraint)
 
 
 class Frontier:
@@ -197,13 +211,13 @@ class Frontier:
     def query(self, k: int, decide: Callable):
         """Decide the literals of `entries[:k]` and the negation of entry `k`
         with `decide(extra)`, a session's `check` or bound `check_soft`."""
-        lits = [e.record.constraint for e in self.entries[:k]]
-        lits.append(sym_not(self.entries[k].record.constraint))
+        negation = sym_not(self.entries[k].record.constraint)
         if not self.incremental:
-            return decide(lits)
+            return decide([*(e.record.constraint for e in self.entries[:k]), negation])
         self._pop_to(k)
-        for lit in lits[len(self.session.stack):]:
-            self.session.push(lit)
+        for e in self.entries[len(self.session.stack):k]:
+            self.session.push(e.record.constraint)
+        self.session.push(negation)
         try:
             return decide()
         finally:
@@ -298,7 +312,8 @@ def explore(program: Program, scope_name: str,
         suite.depth_trace.append(len(path))
 
         if outcome.kind is not OutcomeKind.PRECONDITION:
-            fp = path_fingerprint(path)
+            frontier.reconcile(path, config.early_error)
+            fp = path_fingerprint(path, frontier.entries)
             if fp not in seen_fps:
                 seen_fps.add(fp)
                 tc = Testcase(scope_name, dict(inputs), outcome, tuple(path),
@@ -309,7 +324,6 @@ def explore(program: Program, scope_name: str,
                     stats.conflicts += 1
                 elif outcome.kind is OutcomeKind.EMPTY:
                     stats.empties += 1
-            frontier.reconcile(path, config.early_error)
         else:
             # Post-bootstrap precondition violations only happen when an
             # external solver returns models violating hard records; note

@@ -6,15 +6,18 @@ enum tags, with Round occurrences.  The pipeline is:
 
 1. simplify each literal (ground folding, double negation, linear-difference
    folding) and list its case-split alternatives (disjunctions, disequalities,
-   bool and enum equalities) with their atoms' linear forms, once a session;
-2. search the alternatives depth first, literal by literal, so complete
-   branches come in DNF order.  The linear forms of every literal with one
-   alternative make a root system, tested once before the first choice;
-   each choice then tests its alternative against the root and the choices
-   above it, and cuts it when they have no rational solution (`_project`;
-   Round atoms left out), which loses no solution.  A conflict with
-   a unit literal is thus found once, at the first choice it refutes, not
-   once per combination of the choices above the literal;
+   bool and enum equalities) with their atoms' linear forms, once a session,
+   and add it to the conjunction's frames (`_Frames`): a literal with one
+   alternative joins the unit atoms and the root system of their linear
+   forms, one with more becomes a choice;
+2. search the choices depth first, with the unit atoms joined in between,
+   so complete branches come in DNF order.  The root system is tested once
+   before the first choice; each choice then tests its alternative against
+   the root and the choices above it, and cuts it when they have no
+   rational solution (`_project`; Round atoms left out), which loses no
+   solution.  A conflict with a unit literal is thus found once, at the
+   first choice it refutes, not once per combination of the choices above
+   the literal;
 3. per branch, replace Round terms with integer auxiliaries, split once
    per Round occurrence on its sign, and for each sign case add the defining
    inequalities and solve the linear core over primitive integer rows
@@ -566,10 +569,16 @@ def _project(rows: list, order=None) -> list:
 def _fold(reads: list, vals: dict, last: Optional[str]) -> list:
     """`reads` as (is_int, rows), each row (c, t, a, op): c the coefficient
     of the window's variable, a `last`'s, t the rest evaluated at `vals`."""
-    return [(is_int, [(coeffs[name], const + sum(a * vals[n] for n, a in coeffs.items()
-                                                 if n != name and n != last),
-                       coeffs.get(last, 0), op) for coeffs, const, op in rows])
-            for name, is_int, rows in reads]
+    out = []
+    for name, is_int, rows in reads:
+        folded = []
+        for coeffs, t, op in rows:
+            for n, a in coeffs.items():  # a loop, not sum(): no generator per row
+                if n != name and n != last:
+                    t += a * vals[n]
+            folded.append((coeffs[name], t, coeffs.get(last, 0), op))
+        out.append((is_int, folded))
+    return out
 
 
 def _window(rows: list, x, is_int: bool):
@@ -716,41 +725,13 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
 
 
 def _builtin_check(decls: tuple, literals: tuple, retain: dict,
-                   budget_limit: int = DEFAULT_BUDGET,
-                   memo: Optional[dict] = None) -> object:
-    """Decide the conjunction of `literals`.  `memo` keeps what is derived
-    from one literal or atom alone across calls; None gives a fresh one."""
-    memo = {} if memo is None else memo
-    try:
-        alts = [_alternatives(l, memo) for l in literals]
-    except NonLinear as e:
-        return Unknown(str(e))
-    if [] in alts:  # a literal simplified to false
-        return UNSAT
-    budget = _Budget(budget_limit)
-    reason = None  # why the search cannot answer Unsat, if it cannot
-    # Every literal with one alternative holds on every branch, so its
-    # linear forms make one root system, tested once before any choice.
-    root = [f for a in alts if len(a) == 1 for f in a[0][1]]
-    try:
-        if root:
-            try:
-                _project(root)
-            except _Infeasible:
-                budget.spend()
-                return UNSAT
-        for branch in _search(alts, 0, [], root, budget):
-            budget.spend()
-            try:
-                result = _solve_branch(branch, decls, retain, budget, memo)
-            except NonLinear as e:
-                reason = reason or str(e)
-                continue
-            if result is not None:
-                return Sat(result)
-    except _OutOfBudget:
-        reason = reason or "case-split budget exhausted"
-    return UNSAT if reason is None else Unknown(reason)
+                   budget_limit: int = DEFAULT_BUDGET) -> object:
+    """Decide the conjunction of `literals`, one frame each, with a fresh memo."""
+    frames = _Frames({})
+    declared = {l.name for l in decls}
+    for lit in literals:
+        frames.push(lit, declared)
+    return frames.check(decls, retain, budget_limit)
 
 
 def _prepared(lit: SymExpr, memo: dict) -> list:
@@ -775,27 +756,105 @@ def _alternatives(lit: SymExpr, memo: dict) -> list:
     return entry[1]
 
 
-def _search(alts: list, i: int, branch: list, lin: list,
-            budget: _Budget) -> Iterator[list]:
-    """The complete branches that extend `branch` (alternatives of the first
-    `i` literals) in DNF order.  `lin` holds the root system (the linear
-    forms of every literal with one alternative) and those of the choices
-    made above.  At a choice, an alternative whose forms have no rational
-    solution together with `lin` is cut for one unit of budget, which each
-    branch it stands for would cost at least."""
-    if i == len(alts):
-        yield branch
+class _Frames:
+    """A conjunction prepared one literal (frame) at a time.  A literal with
+    one alternative adds its atoms to `units` and its linear forms to the
+    root system; one with more is a choice, kept with the number of unit
+    atoms before it.  `status` is what the frames decide before any search:
+    the first undeclared-variable error, the first literal that is not a
+    boolean term (NonLinear), and whether one simplified to false, in that
+    precedence.  `truncate` cuts every list back to its length at a depth."""
+
+    def __init__(self, memo: dict):
+        self.memo = memo
+        self.root: list = []
+        self.units: list = []
+        self.choices: list = []  # (len(units) before it, alternatives)
+        self.marks: list = []  # per frame: the lengths and status before it
+        self.status = (None, None, False)
+
+    def push(self, lit: SymExpr, declared) -> None:
+        usage, reason, false = status = self.status
+        if usage is None and (undeclared := sym_free_vars(lit) - declared):
+            usage = f"undeclared variables {sorted(undeclared)}"
+        try:
+            alts = _alternatives(lit, self.memo)
+        except NonLinear as e:
+            alts = None
+            if reason is None:
+                reason = str(e)
+        self.marks.append((len(self.root), len(self.units), len(self.choices), status))
+        if alts is not None:
+            if not alts:
+                false = True
+            elif len(alts) == 1:
+                self.root += alts[0][1]
+                self.units += alts[0][0]
+            else:
+                self.choices.append((len(self.units), alts))
+        self.status = usage, reason, false
+
+    def truncate(self, depth: int) -> None:
+        if depth < len(self.marks):
+            r, u, c, self.status = self.marks[depth]
+            del self.root[r:], self.units[u:], self.choices[c:], self.marks[depth:]
+
+    def check(self, decls: tuple, retain: dict, budget_limit: int) -> object:
+        """Decide the conjunction of the frames' literals."""
+        usage, reason, false = self.status
+        if usage is not None:
+            raise SolverUsageError(usage)
+        if reason is not None:
+            return Unknown(reason)
+        if false:
+            return UNSAT
+        budget = _Budget(budget_limit)
+        # From here `reason` says why the search cannot answer Unsat, if it cannot.
+        # Every literal with one alternative holds on every branch, so its
+        # linear forms make one root system, tested once before any choice.
+        try:
+            if self.root:
+                try:
+                    _project(self.root)
+                except _Infeasible:
+                    budget.spend()
+                    return UNSAT
+            for branch in _search(self.choices, self.units, 0, 0, [], self.root, budget):
+                budget.spend()
+                try:
+                    result = _solve_branch(branch, decls, retain, budget, self.memo)
+                except NonLinear as e:
+                    reason = reason or str(e)
+                    continue
+                if result is not None:
+                    return Sat(result)
+        except _OutOfBudget:
+            reason = reason or "case-split budget exhausted"
+        return UNSAT if reason is None else Unknown(reason)
+
+
+def _search(choices: list, units: list, j: int, start: int, branch: list,
+            lin: list, budget: _Budget) -> Iterator[list]:
+    """The complete branches that extend `branch` (the atoms of every
+    literal before choice `j`, up to `units[start]`) in DNF order; the unit
+    atoms between two choices are joined in as they come.  `lin` holds the
+    root system and the linear forms of the choices made above.  At a
+    choice, an alternative whose forms have no rational solution together
+    with `lin` is cut for one unit of budget, which each branch it stands
+    for would cost at least."""
+    if j == len(choices):
+        yield branch + units[start:]
         return
-    choice = len(alts[i]) > 1
-    for alt, forms in alts[i]:
-        if choice and forms:
+    pos, alts = choices[j]
+    branch = branch + units[start:pos]
+    for alt, forms in alts:
+        if forms:
             try:
                 _project(lin + forms)
             except _Infeasible:
                 budget.spend()
                 continue
-        yield from _search(alts, i + 1, branch + alt,
-                           lin + forms if choice else lin, budget)
+        yield from _search(choices, units, j + 1, pos, branch + alt, lin + forms, budget)
 
 
 def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
@@ -904,15 +963,17 @@ class SolverSession:
     """An assertion stack, one literal per `push`, over fixed declarations.
 
     `check(extra)` decides the stack's literals and `extra` as one whole
-    query: the builtin backend re-decides the conjunction every time, so a
-    check's answer depends on its literals alone.  `_memo` keeps what it
-    derives from one literal alone (simplification, alternatives, linear
-    forms) for the session's life, so neither a check nor `literal_key`
-    prepares a literal, or its negation, a second time; the memo lookup and
-    the declared-variable check read the hash and free variables kept on
-    each node instead of walking the term.  What a check still pays for is
-    its case splits, and the stack's unit literals bound them from the root
-    of `_search` however deep the prefix is.
+    query, so a check's answer depends on its literals alone.  The builtin
+    backend keeps the stack prepared frame by frame (`_Frames`): a literal
+    is checked for undeclared variables and its alternatives are looked up
+    once, at the first check after its push, and `pop` cuts the frames back,
+    so a check prepares only its `extra` literals however deep the prefix
+    is.  The frames are built only for the builtin backend; a `Query` only
+    for `on_query` or an external backend.  `_memo` keeps what is derived
+    from one literal alone (simplification, alternatives, linear forms) for
+    the session's life, so neither a frame nor `literal_key` prepares a
+    literal, or its negation, a second time.  What a check still pays for is
+    its root test and case splits.
     """
 
     def __init__(self, decls, backend=None, budget: int = DEFAULT_BUDGET,
@@ -925,6 +986,7 @@ class SolverSession:
         self.stats = SolverStats()
         self.on_query = on_query  # callback(Query) for SMT-LIB emission
         self._memo: dict = {}
+        self._frames = _Frames(self._memo)  # of a prefix of `stack`
 
     # -- stack ------------------------------------------------------------
 
@@ -936,6 +998,7 @@ class SolverSession:
         if not self.stack:
             raise SolverUsageError("pop on empty assertion stack")
         self.stack.pop()
+        self._frames.truncate(len(self.stack))
         self.stats.pops += 1
 
     def literal_key(self, literal) -> Optional[str]:
@@ -946,27 +1009,39 @@ class SolverSession:
 
     # -- solving ----------------------------------------------------------
 
-    def _decide(self, decls: tuple, lits: tuple) -> object:
-        """Issue one query: emit it, solve it, model-check a Sat and count
-        the verdict, or the `SolverFailure` that ended it, so `checks` is
-        always sat + unsat + unknown + failures.  A builtin model that
-        violates the query is a bug here (AssertionError); an external one is
-        a `SolverFailure`."""
-        query = Query(decls, lits)
-        if self.on_query is not None:
-            self.on_query(query)
-        self.stats.checks += 1
-        try:
-            if self.backend is None:
-                res = _builtin_check(decls, lits, self.retain, self.budget, self._memo)
-            else:
+    def _decide(self, decls: tuple, extra: tuple) -> object:
+        """Issue one query, the stack and `extra` over `decls`: emit it, solve
+        it, model-check a Sat and count the verdict, or the `SolverFailure`
+        that ended it, so `checks` is always sat + unsat + unknown + failures.
+        A builtin model that violates the query is a bug here
+        (AssertionError); an external one is a `SolverFailure`."""
+        if self.backend is not None or self.on_query is not None:
+            query = Query(decls, (*self.stack, *extra))
+            if self.on_query is not None:
+                self.on_query(query)
+        if self.backend is not None:
+            self.stats.checks += 1
+            try:
                 res = self.backend.check(query)
+                if isinstance(res, Sat):
+                    _assert_model(res.model, query.literals, SolverFailure)
+            except SolverFailure:
+                self.stats.failures += 1
+                raise
+        else:
+            frames, depth = self._frames, len(self.stack)
+            declared = {l.name for l in decls}
+            for lit in self.stack[len(frames.marks):]:
+                frames.push(lit, declared)
+            try:
+                for lit in extra:
+                    frames.push(lit, declared)
+                res = frames.check(decls, self.retain, self.budget)
+            finally:
+                frames.truncate(depth)
+            self.stats.checks += 1
             if isinstance(res, Sat):
-                _assert_model(res.model, lits,
-                              AssertionError if self.backend is None else SolverFailure)
-        except SolverFailure:
-            self.stats.failures += 1
-            raise
+                _assert_model(res.model, (*self.stack, *extra))
         if isinstance(res, Sat):
             self.stats.sat += 1
         elif isinstance(res, Unsat):
@@ -976,7 +1051,7 @@ class SolverSession:
         return res
 
     def check(self, extra=()) -> object:
-        return self._decide(self.decls, (*self.stack, *extra))
+        return self._decide(self.decls, extra)
 
     def check_soft(self, money_vars, extra=()) -> object:
         """Hard check first; on Sat, walk the soft ladder for the given
@@ -988,10 +1063,9 @@ class SolverSession:
         money_vars = [m for m in money_vars if any(l.name == m for l in self.decls)]
         if not money_vars:
             return hard
-        lits = (*self.stack, *extra)
         for tier_name, unit in SOFT_TIERS:
             decls, tier_lits = divisibility_constraints(self.decls, money_vars, unit)
-            res = self._decide(decls, lits + tier_lits)
+            res = self._decide(decls, (*extra, *tier_lits))
             if isinstance(res, Sat):
                 model = {k: v for k, v in res.model.items()
                          if not k.startswith(".mult")}

@@ -256,14 +256,10 @@ def simplify_frontend_expr(expr: Expr) -> tuple:
             case _:
                 return e
 
-    out = map_bottom_up(expr, simp)
-    # One extra pass picks up folds exposed by inner rewrites; these local
-    # rules reach a fixpoint after it.
-    while True:
-        again = map_bottom_up(out, simp)
-        if again == out:
-            return out, report
-        out = again
+    # One pass is a fixpoint: `simp` sees a node after its children, and
+    # returns either one of them (already rewritten), a literal (which no
+    # rule matches), or the node itself when no rule does.
+    return map_bottom_up(expr, simp), report
 
 
 def simplify_frontend(program: Program) -> tuple:

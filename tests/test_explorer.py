@@ -20,7 +20,10 @@ from defcalc.symbolic import (
     Leaf, SymBin, SymConst, SymNot, SymVar, TRUE, render, scope_leaves,
 )
 
-from genutil import brute_force_classes, gen_scope_program, outcome_class
+from genutil import (
+    brute_force_classes, gen_default_term, gen_scope_program, outcome_class,
+    term_program,
+)
 
 
 def outputs_value(tc):
@@ -591,3 +594,53 @@ def test_exploration_covers_every_reachable_path():
             if outcome.kind is not OutcomeKind.PRECONDITION:
                 reachable.add(path_fingerprint(path))
         assert explored == reachable, f"scope {i}"
+
+
+def test_entry_fingerprints_equal_the_full_path_fingerprint(monkeypatch):
+    # `explore` fingerprints a path from its frontier's entries after
+    # reconciling it; every testcase's must be the one of its whole path,
+    # also when early-error cuts the frontier at a divergence.
+    from conftest import load_program
+    diverged = []
+    real = Frontier.reconcile
+
+    def reconcile(self, path, early_error):
+        diverged.append(len(path) < len(self.entries) or any(
+            e.record.constraint != r.constraint for e, r in zip(self.entries, path)))
+        return real(self, path, early_error)
+
+    monkeypatch.setattr(Frontier, "reconcile", reconcile)
+    bundled = (("fig5.dfc", "Main"), ("income_tax.dfc", "IncomeTax"),
+               ("geo_match.dfc", "Housing"), ("trivial_just.dfc", "Fees"),
+               ("soft_money.dfc", "Subsidy"), ("benefits_medium.dfc", "Benefits"))
+    runs = [(load_program(name), scope, ExploreConfig(lazy=lazy, early_error=early))
+            for name, scope in bundled for lazy in (False, True) for early in (False, True)]
+    rng = random.Random(2718)
+    runs += [(gen_scope_program(rng), "Rand", ExploreConfig(lazy=i % 2 == 1))
+             for i in range(30)]
+    # Random default terms are where early-error paths diverge; some cycle
+    # until the iteration cap.
+    rng = random.Random(5)
+    runs += [(term_program(gen_default_term(rng)), "T",
+              ExploreConfig(lazy=i % 2 == 1, early_error=True, max_iters=200))
+             for i in range(160)]
+    tests = 0
+    for prog, scope, config in runs:
+        for tc in explore(prog, scope, config).testcases:
+            assert tc.path_fp == path_fingerprint(tc.path)
+            tests += 1
+    assert tests > 200 and any(diverged)
+
+
+def test_entry_fingerprint_takes_taken_from_the_path():
+    # reconcile keeps an entry whose constraint equals the new record's, so
+    # the `taken` flag must come from the path, not from the entry.
+    f = Frontier(SolverSession(LEAVES))
+    first = [rec(B, taken=True), rec(XEQ0, taken=True)]
+    second = [rec(B, taken=True), rec(XEQ0, taken=False)]
+    f.reconcile(first, early_error=False)
+    assert path_fingerprint(first, f.entries) == path_fingerprint(first)
+    f.reconcile(second, early_error=False)
+    assert f.entries[1].record.taken
+    assert path_fingerprint(second, f.entries) == path_fingerprint(second) != \
+        path_fingerprint(first)

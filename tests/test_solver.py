@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -642,6 +643,90 @@ def test_builtin_check_matches_fm_oracle_pipeline(rng, limit):
     assert got == want
 
 
+# Literals the frames must keep apart: one that does not linearize, one that
+# simplifies to false, one over an undeclared variable, one that is not a
+# boolean term at all (NonLinear before any false literal), and plain money.
+_ODD_LITERALS = (
+    SymBin(">", SymBin("*", v("x"), v("y")), c(1)),
+    SymBin("<", SymBin("+", v("x"), c(0)), v("x")),
+    SymBin(">", v("nope"), c(0)),
+    v("x"),
+    SymBin(">=", v("m", MONEY), SymConst(VMoney(250))),
+    SymNot(SymBin("=", v("m", MONEY), SymConst(VMoney(-300)))),
+)
+
+
+def _check_soft(check, lits):
+    """`SolverSession.check_soft(["m"])` with `check(decls, lits)` for each query."""
+    hard = check(_MIXED_LEAVES, lits)
+    if not isinstance(hard, Sat):
+        return hard
+    for tier, unit in solver.SOFT_TIERS:
+        decls, tier_lits = solver.divisibility_constraints(_MIXED_LEAVES, ["m"], unit)
+        res = check(decls, lits + tier_lits)
+        if isinstance(res, Sat):
+            return Sat({k: x for k, x in res.model.items() if not k.startswith(".mult")},
+                       tier)
+    return hard
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([4, 16, 64, 4096]))
+def test_session_frames_match_fresh_builtin_checks(rng, limit):
+    # A session keeps its stack prepared frame by frame across pushes, pops
+    # and checks; each check must answer as a fresh `_builtin_check` of the
+    # whole conjunction, down to the Unknown reason and the budget spent.
+    budgets, fresh_checks = [], []
+
+    class Recorded(solver._Budget):
+        def __init__(self, budget_limit):
+            super().__init__(budget_limit)
+            budgets.append(self)
+
+    def run(ask):
+        budgets.clear()
+        try:
+            out = ask()
+        except SolverUsageError as e:
+            out = SolverUsageError, str(e)
+        return out, [limit - b.left for b in budgets]
+
+    def fresh(decls, lits):
+        res = solver._builtin_check(decls, lits, retain, limit)
+        fresh_checks.append(res)
+        return res
+
+    def literal():
+        return rng.choice(_ODD_LITERALS) if rng.random() < 0.2 else _random_mixed_literal(rng)
+
+    retain = {"x": VInt(rng.randrange(-3, 4)), "z": VEnum("Zone", "C")}
+    s = SolverSession(_MIXED_LEAVES, budget=limit, retain=retain)
+    stack = []
+    with mock.patch.object(solver, "_Budget", Recorded):
+        for _ in range(rng.randrange(1, 30)):
+            action = rng.random()
+            if action < 0.4:
+                stack.append(literal())
+                s.push(stack[-1])
+            elif action < 0.6 and stack:
+                stack.pop()
+                s.pop()
+            else:
+                extra = tuple(literal() for _ in range(rng.randrange(0, 3)))
+                lits = (*stack, *extra)
+                if rng.random() < 0.7:
+                    got = run(lambda: s.check(extra))
+                    want = run(lambda: fresh(_MIXED_LEAVES, lits))
+                else:
+                    got = run(lambda: s.check_soft(["m"], extra))
+                    want = run(lambda: _check_soft(fresh, lits))
+                assert got == want
+    assert s.stack == stack
+    assert s.stats.checks == len(fresh_checks)
+    assert s.stats.sat == sum(isinstance(r, Sat) for r in fresh_checks)
+    assert s.stats.unknown == sum(isinstance(r, Unknown) for r in fresh_checks)
+
+
 def _round_chain_query(n, monkeypatch):
     """The one query `explore` sends for a_i = a_{i-1} * 3/7 over money,
     i = 1..n, under one `if` on a_n, with the rows and variable order of
@@ -652,8 +737,12 @@ def _round_chain_query(n, monkeypatch):
     lines += [f"  def a{i}: money = a{i - 1} * 3/7;" for i in range(1, n + 1)]
     lines += [f"  def out: int = if a{n} > $1,000.00 then 1 else 0;", "  output out;", "}"]
     checks, cores = [], []
-    check, core = solver._builtin_check, solver._solve_linear
-    monkeypatch.setattr(solver, "_builtin_check", lambda *a: checks.append(a) or check(*a))
+    decide, core = solver.SolverSession._decide, solver._solve_linear
+
+    def capture(session, decls, extra):
+        checks.append((decls, (*session.stack, *extra), session.retain, session.budget))
+        return decide(session, decls, extra)
+    monkeypatch.setattr(solver.SolverSession, "_decide", capture)
     monkeypatch.setattr(solver, "_solve_linear", lambda *a: cores.append(a[:2]) or core(*a))
     explore(parse_or_raise("\n".join(lines) + "\n"), "Chain")
     monkeypatch.undo()
@@ -663,7 +752,7 @@ def _round_chain_query(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_round_chain_query_matches_fm_oracle(n, monkeypatch):
-    (decls, lits, retain, limit, _), (rows, order) = _round_chain_query(n, monkeypatch)
+    (decls, lits, retain, limit), (rows, order) = _round_chain_query(n, monkeypatch)
     got = solver._builtin_check(decls, lits, retain, limit)
     assert isinstance(got, Sat)
     assert got == oracle_fm._builtin_check(decls, lits, retain, limit)

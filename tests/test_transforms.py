@@ -15,7 +15,7 @@ from defcalc.transforms import (
 )
 
 from conftest import load_program
-from genutil import enumerate_inputs, gen_scope_program
+from genutil import enumerate_inputs, gen_bool_expr, gen_default_term, gen_scope_program
 
 BUNDLED_FILES = ("fig5.dfc", "income_tax.dfc", "geo_match.dfc", "trivial_just.dfc",
                  "soft_money.dfc", "benefits_medium.dfc")
@@ -188,6 +188,38 @@ def test_frontend_idempotent(trivial_just):
     twice, rep = simplify_frontend(once)
     assert twice == once
     assert rep.defaults_simplified == 0 and rep.booleans_folded == 0
+
+
+def _pass_until_equal(expr):
+    """The former `simplify_frontend_expr`: bottom-up passes, each adding
+    to one report, until a pass returns an equal expression; then the
+    expression before that pass."""
+    out, report = simplify_frontend_expr(expr)
+    while True:
+        again, more = simplify_frontend_expr(out)
+        report.merge(more)
+        if again == out:
+            return out, report
+        out = again
+
+
+def test_one_frontend_pass_matches_passing_until_equal():
+    rng = random.Random(1515)
+    exprs = [gen_default_term(rng) for _ in range(300)]
+    exprs += [gen_bool_expr(rng, 4) for _ in range(300)]
+    progs = [load_program(name) for name in BUNDLED_FILES]
+    progs += [gen_scope_program(rng) for _ in range(100)]
+    for prog in progs:
+        exprs += [f.body for f in prog.functions]
+        for sc in prog.scopes:
+            exprs += [*sc.assertions, *(b.expr for b in sc.bindings)]
+    rewritten = 0
+    for expr in exprs:
+        out, report = simplify_frontend_expr(expr)
+        assert (out, report) == _pass_until_equal(expr)
+        assert simplify_frontend_expr(out)[0] is out
+        rewritten += report != TransformReport()
+    assert rewritten >= 200
 
 
 # -- whole-pass properties -----------------------------------------------------
