@@ -760,9 +760,10 @@ def print_expr(e: Expr, prec: int = 0) -> str:
             return print_value(v)
         case BinOp(op, lhs, rhs):
             p = _PREC[op]
-            # Comparisons are non-associative; arithmetic chains print
-            # left-associated without parens.
-            lp = p if op in ("=", "<", "<=", ">", ">=") else p
+            # Comparisons do not chain, so a comparison's left operand is
+            # parenthesized like its right one; arithmetic and boolean chains
+            # print left-associated without parens.
+            lp = p + 1 if p == _PREC["="] else p
             rs = print_expr(rhs, p + 1)
             ls = print_expr(lhs, lp)
             return wrap(f"{ls} {op} {rs}", p)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from defcalc.lang import (
     BOOL, INT, MONEY, RAT,
-    Binding, Default, Lit, Program, Scope, VBool, VInt, VMoney, VRat,
-    validate,
+    BinOp, Binding, Default, Lit, Not, Program, Scope, VBool, VInt, VMoney, VRat,
+    Var, validate,
 )
 from defcalc.parser import (
-    parse, parse_literal, parse_or_raise, print_expr, print_program,
+    _PREC, parse, parse_literal, parse_or_raise, print_expr, print_program,
 )
 from fractions import Fraction
 
@@ -114,6 +115,22 @@ def test_round_trip_random_default_terms():
         assert validate(prog) == []
         printed = print_program(prog)
         assert parse_or_raise(printed) == prog, printed
+
+
+def _binary(op, lhs, rhs):
+    return Not(BinOp("=", lhs, rhs)) if op == "!=" else BinOp(op, lhs, rhs)
+
+
+@pytest.mark.parametrize("outer,inner", list(itertools.product(_PREC, repeat=2)))
+def test_round_trip_every_operator_pair(outer, inner):
+    # Each operator of the precedence table nested under each one, on the
+    # left and on the right; `(a = b) = c` needs its parentheses too.
+    a, b, c = Var("a"), Var("b"), Var("c")
+    for expr in (_binary(outer, _binary(inner, a, b), c),
+                 _binary(outer, a, _binary(inner, b, c))):
+        printed = print_expr(expr)
+        prog = parse_or_raise(f"scope S {{ def y: bool = {printed}; }}")
+        assert prog.scopes[0].bindings[0].expr == expr, printed
 
 
 def test_round_trip_struct_enum_opaque():
