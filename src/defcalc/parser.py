@@ -25,13 +25,19 @@ _ => e3 }``, ``if/then/else``, ``let x = e in e``, ``not e``, calls
 ``f(e, e)``, struct literals ``Name { field: e }``, field access ``e.f``, and
 ``opaque tag : type (args)`` for constructs with concrete-only semantics.
 
-A comparison or boolean operator at the top level of a default-exception
-must be parenthesized (the plain ``<`` ``>`` would be read as the exception
-list brackets).
+Binary operators, loosest first (`_PREC`): ``||``; ``&&``; the comparisons
+``= != < <= > >=``; ``+ -``; ``* /``.  Each level associates to the left,
+except that comparisons do not chain (``a < b < c`` is an error), and
+``a != b`` means ``not (a = b)``.  At the top level of a default exception,
+``<``, ``>``, ``&&`` and ``||`` must be parenthesized (a bare ``<`` or ``>``
+ends the exception); ``=``, ``!=``, ``<=`` and ``>=`` need not be.  An
+exception that starts with ``let``, ``if`` or ``match`` is read as a whole
+expression.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -57,9 +63,34 @@ _PUNCT = [
     ".", ",", ";", ":", "|", "_",
 ]
 
+# One token after any blanks and `#` comments, which are skipped atomically
+# so that a long run of them is never backtracked: a name, a number (`3/2`
+# without spaces is a rational, `25%` a percentage), a money literal (a `$`
+# without digits is malformed), a punctuation mark (longest first), or any
+# other character.  At the end of the text no group matches.  A name's first
+# character must pass `str.isalpha`; `[^\W\d_]` also accepts `²` and `½`,
+# which `_lex` reports as unexpected characters.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|\#[^\n]*)*+(?:"
+    r"(?P<name>[^\W\d_]\w*|_\w+)"
+    r"|(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+)|(?P<pct>%))?)"
+    r"|(?P<money>\$(?:(?P<dollars>[0-9][0-9,]*)(?:\.(?P<cents>[0-9]{2}))?)?)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")"
+    r"|(?P<other>.))?", re.S)
 
-def _is_digit(c: str) -> bool:
-    return "0" <= c <= "9"
+# Token kind of a numeric literal -> its value's constructor.
+_LITERAL = {"int": VInt, "rat": VRat, "pct": VRat, "money": VMoney}
+_CONSTANT = {"true": VBool(True), "false": VBool(False), "empty": VEmpty()}
+_TYPE = {"bool": BOOL, "int": INT, "rate": RAT, "money": MONEY}
+
+# Binary operator precedence, read by the parser and the printer alike.
+_PREC = {"||": 1, "&&": 2, "=": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+         "+": 4, "-": 4, "*": 5, "/": 5}
+_CMP_PREC = 3
+_UNARY_PREC = 6
+_ATOM_PREC = 8
+# Inside `default <...>` a bare `<` or `>` ends an exception.
+_EXCEPTION_PREC = {op: p for op, p in _PREC.items() if op not in ("<", ">")}
 
 
 @dataclass(frozen=True)
@@ -104,85 +135,46 @@ class ParseResult:
         return self.program is not None and not self.diagnostics
 
 
-def _lex(unit: SourceUnit) -> tuple:
-    text = unit.text
+def _lex(text: str) -> tuple:
     toks: list = []
     diags: list = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if c.isalpha() or c == "_" and i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_"):
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("name", word, i, j))
-            i = j
-            continue
-        if _is_digit(c):
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            num = int(text[i:j])
-            # `3/2` without spaces is a rational literal; `3 / 2` divides.
-            if j < n and text[j] == "/" and j + 1 < n and _is_digit(text[j + 1]):
-                k = j + 1
-                while k < n and _is_digit(text[k]):
-                    k += 1
-                den = int(text[j + 1:k])
+    pos = 0
+    while kind := (m := _TOKEN.match(text, pos)).lastgroup:
+        start, pos = m.start(kind), m.end()
+        word = m[kind]
+        if kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            kind, pos = "other", start + 1
+        if kind == "number":
+            num = int(m["num"])
+            if m["den"]:
+                den = int(m["den"])
                 if den == 0:
-                    diags.append(Diagnostic("rational literal with zero denominator", Span(i, k)))
+                    diags.append(Diagnostic("rational literal with zero denominator",
+                                            Span(start, pos)))
                     den = 1
-                toks.append(Token("rat", text[i:k], i, k, Fraction(num, den)))
-                i = k
-                continue
-            if j < n and text[j] == "%":
-                toks.append(Token("pct", text[i:j + 1], i, j + 1, Fraction(num, 100)))
-                i = j + 1
-                continue
-            toks.append(Token("int", text[i:j], i, j, num))
-            i = j
-            continue
-        if c == "$":
-            j = i + 1
-            if j >= n or not _is_digit(text[j]):
-                diags.append(Diagnostic("malformed money literal", Span(i, i + 1)))
-                i += 1
-                continue
-            while j < n and (_is_digit(text[j]) or text[j] == ","):
-                j += 1
-            dollars = int(text[i + 1:j].replace(",", ""))
-            cents = 0
-            if j < n and text[j] == "." and len(text[j + 1:j + 3]) == 2 and all(_is_digit(ch) for ch in text[j + 1:j + 3]):
-                cents = int(text[j + 1:j + 3])
-                j += 3
-            toks.append(Token("money", text[i:j], i, j, dollars * 100 + cents))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, i, i + len(p)))
-                i += len(p)
-                break
+                toks.append(Token("rat", word, start, pos, Fraction(num, den)))
+            elif m["pct"]:
+                toks.append(Token("pct", word, start, pos, Fraction(num, 100)))
+            else:
+                toks.append(Token("int", word, start, pos, num))
+        elif kind == "money" and m["dollars"]:
+            cents = int(m["dollars"].replace(",", "")) * 100 + int(m["cents"] or 0)
+            toks.append(Token("money", word, start, pos, cents))
+        elif kind == "money":
+            diags.append(Diagnostic("malformed money literal", Span(start, pos)))
+        elif kind == "other":
+            diags.append(Diagnostic(f"unexpected character {text[start]!r}",
+                                    Span(start, start + 1)))
         else:
-            diags.append(Diagnostic(f"unexpected character {c!r}", Span(i, i + 1)))
-            i += 1
-    toks.append(Token("eof", "", n, n))
+            toks.append(Token(kind, word, start, pos))
+    toks.append(Token("eof", "", len(text), len(text)))
     return toks, diags
 
 
 class _Parser:
     def __init__(self, unit: SourceUnit):
         self.unit = unit
-        self.toks, self.diags = _lex(unit)
+        self.toks, self.diags = _lex(unit.text)
         self.pos = 0
         self.saw_opaque = False
 
@@ -227,6 +219,23 @@ class _Parser:
                 return
             self.take()
 
+    def parse_list(self, opener: str, item, closer: str) -> tuple:
+        """The comma-separated `item()`s between `opener` and `closer`, as a
+        tuple, and the closing token."""
+        self.expect(opener)
+        items = []
+        while not self.at(closer):
+            items.append(item())
+            if not self.at(closer):
+                self.expect(",")
+        return tuple(items), self.expect(closer)
+
+    def parse_pair(self, what: str, item) -> tuple:
+        """`name : item()`, as in a field, a parameter or an input."""
+        name = self.expect_name(what).text
+        self.expect(":")
+        return name, item()
+
     # -- declarations ------------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -254,52 +263,32 @@ class _Parser:
     def parse_enum(self) -> EnumT:
         self.expect("enum")
         name = self.expect_name("enum name").text
-        self.expect("{")
-        variants = []
-        while not self.at("}"):
-            v = self.expect_name("variant name").text
-            payload = None
-            if self.at("("):
-                self.take()
-                payload = self.parse_type()
-                self.expect(")")
-            variants.append((v, payload))
-            if not self.at("}"):
-                self.expect(",")
-        self.expect("}")
-        return EnumT(name, tuple(variants))
+        return EnumT(name, self.parse_list("{", self.parse_variant, "}")[0])
+
+    def parse_variant(self) -> tuple:
+        name = self.expect_name("variant name").text
+        if not self.at("("):
+            return name, None
+        self.take()
+        payload = self.parse_type()
+        self.expect(")")
+        return name, payload
 
     def parse_struct(self) -> StructT:
         self.expect("struct")
         name = self.expect_name("struct name").text
-        self.expect("{")
-        fields = []
-        while not self.at("}"):
-            f = self.expect_name("field name").text
-            self.expect(":")
-            fields.append((f, self.parse_type()))
-            if not self.at("}"):
-                self.expect(",")
-        self.expect("}")
-        return StructT(name, tuple(fields))
+        fields = self.parse_list("{", lambda: self.parse_pair("field name", self.parse_type), "}")
+        return StructT(name, fields[0])
 
     def parse_fn(self) -> Function:
         self.expect("fn")
         name = self.expect_name("function name").text
-        self.expect("(")
-        params = []
-        while not self.at(")"):
-            p = self.expect_name("parameter name").text
-            self.expect(":")
-            params.append((p, self.parse_type()))
-            if not self.at(")"):
-                self.expect(",")
-        self.expect(")")
+        params, _ = self.parse_list(
+            "(", lambda: self.parse_pair("parameter name", self.parse_type), ")")
         self.expect("->")
         ret = self.parse_type()
         self.expect("=")
-        body = self.parse_expr()
-        return Function(name, tuple(params), ret, body)
+        return Function(name, params, ret, self.parse_expr())
 
     def parse_scope(self) -> Scope:
         self.expect("scope")
@@ -310,17 +299,13 @@ class _Parser:
             try:
                 if self.at("input"):
                     self.take()
-                    n = self.expect_name("input name").text
-                    self.expect(":")
-                    inputs.append((n, self.parse_type()))
+                    inputs.append(self.parse_pair("input name", self.parse_type))
                 elif self.at("assert"):
                     self.take()
                     assertions.append(self.parse_expr())
                 elif self.at("def"):
                     self.take()
-                    n = self.expect_name("binding name").text
-                    self.expect(":")
-                    ty = self.parse_type()
+                    n, ty = self.parse_pair("binding name", self.parse_type)
                     self.expect("=")
                     bindings.append(Binding(n, ty, self.parse_expr()))
                 elif self.at("output"):
@@ -337,22 +322,13 @@ class _Parser:
         return Scope(name, tuple(inputs), tuple(assertions), tuple(bindings), tuple(outputs))
 
     def parse_type(self) -> SemType:
-        t = self.peek()
-        if t.text == "bool":
-            self.take(); return BOOL
-        if t.text == "int":
-            self.take(); return INT
-        if t.text == "rate":
-            self.take(); return RAT
-        if t.text == "money":
-            self.take(); return MONEY
-        if t.kind == "name" and t.text not in KEYWORDS:
-            self.take()
-            return _TypeRef(t.text)
-        raise _Bail(Diagnostic(f"expected type, got {t.text!r}", t.span))
+        if self.peek().text in _TYPE:
+            return _TYPE[self.take().text]
+        return _TypeRef(self.expect_name("type").text)
 
     # -- expressions ---------------------------------------------------------
-    # Precedence: || < && < comparison < + - < * / < unary < postfix < atom.
+    # Precedence: let/if/match < binary operators (`_PREC`) < unary <
+    # postfix < atom.
 
     def parse_expr(self) -> Expr:
         t = self.peek()
@@ -373,20 +349,11 @@ class _Parser:
             els = self.parse_expr()
             return If(cond, then, els, span=t.span.merge(els.span))
         if t.text == "match":
-            return self.parse_match()
-        return self.parse_or()
-
-    def parse_match(self) -> Expr:
-        t = self.expect("match")
-        scrut = self.parse_or()
-        self.expect("{")
-        arms = []
-        while not self.at("}"):
-            arms.append(self.parse_arm())
-            if not self.at("}"):
-                self.expect(",")
-        end = self.expect("}")
-        return Match(scrut, tuple(arms), span=t.span.merge(end.span))
+            t = self.take()
+            scrut = self.parse_binary(1)
+            arms, end = self.parse_list("{", self.parse_arm, "}")
+            return Match(scrut, arms, span=t.span.merge(end.span))
+        return self.parse_binary(1)
 
     def parse_arm(self) -> MatchArm:
         if self.at("_"):
@@ -404,49 +371,23 @@ class _Parser:
         self.expect("=>")
         return MatchArm(tuple(variants), binder, self.parse_expr())
 
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self.at("||"):
-            self.take()
-            rhs = self.parse_and()
-            e = BinOp("||", e, rhs, span=_merge(e, rhs))
-        return e
-
-    def parse_and(self) -> Expr:
-        e = self.parse_cmp()
-        while self.at("&&"):
-            self.take()
-            rhs = self.parse_cmp()
-            e = BinOp("&&", e, rhs, span=_merge(e, rhs))
-        return e
-
-    def parse_cmp(self, no_angle: bool = False) -> Expr:
-        e = self.parse_add()
-        t = self.peek()
-        ops = ("=", "!=", "<=", ">=") if no_angle else ("=", "!=", "<", "<=", ">", ">=")
-        if t.kind == "punct" and t.text in ops:
-            self.take()
-            rhs = self.parse_add()
-            if t.text == "!=":
-                inner = BinOp("=", e, rhs, span=_merge(e, rhs))
-                return Not(inner, span=inner.span)
-            return BinOp(t.text, e, rhs, span=_merge(e, rhs))
-        return e
-
-    def parse_add(self) -> Expr:
-        e = self.parse_mul()
-        while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
-            op = self.take().text
-            rhs = self.parse_mul()
-            e = BinOp(op, e, rhs, span=_merge(e, rhs))
-        return e
-
-    def parse_mul(self) -> Expr:
+    def parse_binary(self, min_prec: int, prec: dict = _PREC) -> Expr:
+        """Operators of `prec` at `min_prec` or above, by precedence
+        climbing.  Each level associates to the left, but a comparison's
+        operands are read above it and a second comparison ends the chain;
+        the ceiling keeps an operator that a deeper call left over (a
+        chained comparison) from being read at a looser level."""
         e = self.parse_unary()
-        while self.peek().kind == "punct" and self.peek().text in ("*", "/"):
-            op = self.take().text
-            rhs = self.parse_unary()
-            e = BinOp(op, e, rhs, span=_merge(e, rhs))
+        ceiling = _UNARY_PREC
+        while min_prec <= (p := prec.get((t := self.peek()).text, 0)) < ceiling:
+            self.take()
+            rhs = self.parse_binary(p + 1)
+            if t.text == "!=":
+                e = BinOp("=", e, rhs, span=_merge(e, rhs))
+                e = Not(e, span=e.span)
+            else:
+                e = BinOp(t.text, e, rhs, span=_merge(e, rhs))
+            ceiling = p if p == _CMP_PREC else p + 1
         return e
 
     def parse_unary(self) -> Expr:
@@ -457,11 +398,11 @@ class _Parser:
             return Not(arg, span=t.span.merge(arg.span))
         if t.text == "-":
             # Unary minus folds into the following numeric literal only.
-            nxt = self.peek(1)
-            if nxt.kind in ("int", "rat", "pct", "money"):
+            lit = self.peek(1)
+            if lit.kind in _LITERAL:
                 self.take()
-                lit = self.take()
-                return Lit(_negate_literal(lit), span=t.span.merge(lit.span))
+                self.take()
+                return Lit(_LITERAL[lit.kind](-lit.value), span=t.span.merge(lit.span))
             raise _Bail(Diagnostic(
                 "unary minus is only supported on numeric literals "
                 "(write `$0.00 - e` or `0 - e` instead)", t.span))
@@ -477,38 +418,26 @@ class _Parser:
 
     def parse_atom(self) -> Expr:
         t = self.peek()
-        if t.kind == "int":
+        if t.kind in _LITERAL:
             self.take()
-            return Lit(VInt(t.value), span=t.span)
-        if t.kind in ("rat", "pct"):
+            return Lit(_LITERAL[t.kind](t.value), span=t.span)
+        if t.text in _CONSTANT:
             self.take()
-            return Lit(VRat(t.value), span=t.span)
-        if t.kind == "money":
-            self.take()
-            return Lit(VMoney(t.value), span=t.span)
-        if t.text == "true":
-            self.take()
-            return Lit(VBool(True), span=t.span)
-        if t.text == "false":
-            self.take()
-            return Lit(VBool(False), span=t.span)
-        if t.text == "empty":
-            self.take()
-            return Lit(VEmpty(), span=t.span)
+            return Lit(_CONSTANT[t.text], span=t.span)
         if t.text == "(":
             self.take()
             e = self.parse_expr()
             self.expect(")")
             return e
         if t.text == "default":
-            return self.parse_default()
+            self.take()
+            # A bare comparison would be ambiguous with the closing `>`.
+            excs, _ = self.parse_list("<", self.parse_exception, ">")
+            just, cons, end = self.parse_body()
+            return Default(excs, just, cons, span=t.span.merge(end.span))
         if t.text == "rule":
             self.take()
-            self.expect("(")
-            just = self.parse_expr()
-            self.expect(":-")
-            cons = self.parse_expr()
-            end = self.expect(")")
+            just, cons, end = self.parse_body()
             return Default((), just, cons, span=t.span.merge(end.span))
         if t.text == "assert":
             self.take()
@@ -524,14 +453,8 @@ class _Parser:
             tag = self.expect_name("opaque tag").text
             self.expect(":")
             ty = self.parse_type()
-            self.expect("(")
-            args = []
-            while not self.at(")"):
-                args.append(self.parse_expr())
-                if not self.at(")"):
-                    self.expect(",")
-            end = self.expect(")")
-            return Opaque(tag, ty, tuple(args), span=t.span.merge(end.span))
+            args, end = self.parse_list("(", self.parse_expr, ")")
+            return Opaque(tag, ty, args, span=t.span.merge(end.span))
         if t.kind == "name" and t.text not in KEYWORDS:
             name = self.take()
             if self.at("::"):
@@ -545,54 +468,29 @@ class _Parser:
                 return EnumMake(name.text, variant.text, payload,
                                 span=name.span.merge(variant.span))
             if self.at("("):
-                self.take()
-                args = []
-                while not self.at(")"):
-                    args.append(self.parse_expr())
-                    if not self.at(")"):
-                        self.expect(",")
-                end = self.expect(")")
-                return Call(name.text, tuple(args), span=name.span.merge(end.span))
+                args, end = self.parse_list("(", self.parse_expr, ")")
+                return Call(name.text, args, span=name.span.merge(end.span))
             # Struct literal needs `Name { field :` lookahead to stay
             # distinguishable from a match body brace.
             if self.at("{") and self.peek(1).kind == "name" and self.peek(2).text == ":":
-                self.take()
-                fields = []
-                while not self.at("}"):
-                    f = self.expect_name("field name").text
-                    self.expect(":")
-                    fields.append((f, self.parse_expr()))
-                    if not self.at("}"):
-                        self.expect(",")
-                end = self.expect("}")
-                return StructMake(name.text, tuple(fields), span=name.span.merge(end.span))
+                fields, end = self.parse_list(
+                    "{", lambda: self.parse_pair("field name", self.parse_expr), "}")
+                return StructMake(name.text, fields, span=name.span.merge(end.span))
             return Var(name.text, span=name.span)
         raise _Bail(Diagnostic(f"expected expression, got {t.text or 'end of input'!r}", t.span))
 
-    def parse_default(self) -> Expr:
-        t = self.expect("default")
-        self.expect("<")
-        excs = []
-        while not self.at(">"):
-            # Inside the exception brackets, a bare comparison would be
-            # ambiguous with the closing `>`; exceptions parse at additive
-            # precedence and lower-precedence operators need parens.
-            excs.append(self.parse_exception_expr())
-            if not self.at(">"):
-                self.expect(",")
-        self.expect(">")
+    def parse_body(self) -> tuple:
+        """`(just :- cons)` of a default or rule: just, cons and the `)`."""
         self.expect("(")
         just = self.parse_expr()
         self.expect(":-")
         cons = self.parse_expr()
-        end = self.expect(")")
-        return Default(tuple(excs), just, cons, span=t.span.merge(end.span))
+        return just, cons, self.expect(")")
 
-    def parse_exception_expr(self) -> Expr:
-        t = self.peek()
-        if t.text in ("let", "if", "match"):
+    def parse_exception(self) -> Expr:
+        if self.peek().text in ("let", "if", "match"):
             return self.parse_expr()
-        return self.parse_cmp(no_angle=True)
+        return self.parse_binary(_CMP_PREC, _EXCEPTION_PREC)
 
 
 class _Bail(Exception):
@@ -613,14 +511,6 @@ def _merge(e: Expr, rhs: Optional[Expr]) -> Optional[Span]:
     if rhs is None or rhs.span is None:
         return e.span
     return e.span.merge(rhs.span)
-
-
-def _negate_literal(tok: Token) -> Value:
-    if tok.kind == "int":
-        return VInt(-tok.value)
-    if tok.kind in ("rat", "pct"):
-        return VRat(-tok.value)
-    return VMoney(-tok.value)
 
 
 def _resolve_types(program: Program, diags: list, has_opaque: bool) -> Program:
@@ -706,11 +596,6 @@ def parse_literal(text: str) -> Value:
 # Canonical printer.  parse(print(p)) is structurally equal to p for every
 # validated program.
 
-_PREC = {"||": 1, "&&": 2, "=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-         "+": 4, "-": 4, "*": 5, "/": 5}
-_UNARY_PREC = 6
-_ATOM_PREC = 8
-
 
 def print_money(cents: int) -> str:
     sign = "-" if cents < 0 else ""
@@ -763,7 +648,7 @@ def print_expr(e: Expr, prec: int = 0) -> str:
             # Comparisons do not chain, so a comparison's left operand is
             # parenthesized like its right one; arithmetic and boolean chains
             # print left-associated without parens.
-            lp = p + 1 if p == _PREC["="] else p
+            lp = p + 1 if p == _CMP_PREC else p
             rs = print_expr(rhs, p + 1)
             ls = print_expr(lhs, lp)
             return wrap(f"{ls} {op} {rs}", p)
@@ -797,9 +682,9 @@ def print_expr(e: Expr, prec: int = 0) -> str:
         case Call(fname, args):
             return f"{fname}({', '.join(print_expr(a) for a in args)})"
         case Default(excs, just, cons):
-            # Exceptions parse at additive precedence: parenthesize anything
-            # lower so the closing `>` stays unambiguous.
-            exc_strs = [print_expr(x, 4) for x in excs]
+            # Exceptions print above the comparisons, so that no `<` or `>`
+            # of theirs can be read as the end of the list.
+            exc_strs = [print_expr(x, _CMP_PREC + 1) for x in excs]
             inner = ", ".join(exc_strs)
             body = f"({print_expr(just)} :- {print_expr(cons)})"
             if inner:
