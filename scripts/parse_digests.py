@@ -116,7 +116,7 @@ def corpus(mutations: int) -> dict:
 def digest(text: str) -> str:
     try:
         res = parser.parse(text)
-    except ValueError as e:  # an enum or struct declaration the types reject
+    except ValueError as e:  # a declaration the types reject, or an overlong number
         record = repr(e)
     else:
         program = res.program

@@ -697,8 +697,12 @@ class _Checker:
                 et = self.enums[ename]
                 if variant not in et.variant_names():
                     self.error(f"enum {ename} has no variant {variant}", span)
-                elif payload is not None:
-                    self.type_of_value(payload, span)
+                    return et
+                want = et.payload_of(variant)
+                got = None if payload is None else self.type_of_value(payload, span)
+                if got != want:
+                    self.error(f"variant {ename}::{variant} carries "
+                               f"{want or 'no payload'}, got {got or 'none'}", span)
                 return et
             case VStruct(sname, _):
                 if sname not in self.structs:

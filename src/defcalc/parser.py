@@ -67,9 +67,9 @@ _PUNCT = [
 # so that a long run of them is never backtracked: a name, a number (`3/2`
 # without spaces is a rational, `25%` a percentage), a money literal (a `$`
 # without digits is malformed), a punctuation mark (longest first), or any
-# other character.  At the end of the text no group matches.  A name's first
-# character must pass `str.isalpha`; `[^\W\d_]` also accepts `²` and `½`,
-# which `_lex` reports as unexpected characters.
+# other character.  A name's first character must pass `str.isalpha`;
+# `[^\W\d_]` also accepts `²` and `½`, which `_lex` reports as unexpected
+# characters.
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|\#[^\n]*)*+(?:"
     r"(?P<name>[^\W\d_]\w*|_\w+)"
@@ -86,7 +86,7 @@ _TYPE = {"bool": BOOL, "int": INT, "rate": RAT, "money": MONEY}
 # Binary operator precedence, read by the parser and the printer alike.
 _PREC = {"||": 1, "&&": 2, "=": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
          "+": 4, "-": 4, "*": 5, "/": 5}
-_CMP_PREC = 3
+_CMP_PREC = _PREC["="]
 _UNARY_PREC = 6
 _ATOM_PREC = 8
 # Inside `default <...>` a bare `<` or `>` ends an exception.
@@ -139,7 +139,11 @@ def _lex(text: str) -> tuple:
     toks: list = []
     diags: list = []
     pos = 0
-    while kind := (m := _TOKEN.match(text, pos)).lastgroup:
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup
+        if kind is None:  # only blanks and comments were left
+            break
         start, pos = m.start(kind), m.end()
         word = m[kind]
         if kind == "name" and not (word[0].isalpha() or word[0] == "_"):
@@ -263,7 +267,8 @@ class _Parser:
     def parse_enum(self) -> EnumT:
         self.expect("enum")
         name = self.expect_name("enum name").text
-        return EnumT(name, self.parse_list("{", self.parse_variant, "}")[0])
+        variants, _ = self.parse_list("{", self.parse_variant, "}")
+        return EnumT(name, variants)
 
     def parse_variant(self) -> tuple:
         name = self.expect_name("variant name").text
@@ -277,8 +282,9 @@ class _Parser:
     def parse_struct(self) -> StructT:
         self.expect("struct")
         name = self.expect_name("struct name").text
-        fields = self.parse_list("{", lambda: self.parse_pair("field name", self.parse_type), "}")
-        return StructT(name, fields[0])
+        fields, _ = self.parse_list(
+            "{", lambda: self.parse_pair("field name", self.parse_type), "}")
+        return StructT(name, fields)
 
     def parse_fn(self) -> Function:
         self.expect("fn")
@@ -349,7 +355,7 @@ class _Parser:
             els = self.parse_expr()
             return If(cond, then, els, span=t.span.merge(els.span))
         if t.text == "match":
-            t = self.take()
+            self.take()
             scrut = self.parse_binary(1)
             arms, end = self.parse_list("{", self.parse_arm, "}")
             return Match(scrut, arms, span=t.span.merge(end.span))
@@ -372,14 +378,19 @@ class _Parser:
         return MatchArm(tuple(variants), binder, self.parse_expr())
 
     def parse_binary(self, min_prec: int, prec: dict = _PREC) -> Expr:
-        """Operators of `prec` at `min_prec` or above, by precedence
-        climbing.  Each level associates to the left, but a comparison's
-        operands are read above it and a second comparison ends the chain;
-        the ceiling keeps an operator that a deeper call left over (a
-        chained comparison) from being read at a looser level."""
+        """Operators of `prec` that bind at `min_prec` or tighter, read by
+        precedence climbing.  Each level associates to the left, and
+        comparisons do not chain: after an operator of level p the next one
+        must bind looser than p + 1 (than p after a comparison).  A tighter
+        one is a comparison that a deeper call refused to chain, and it must
+        not be read here either."""
         e = self.parse_unary()
         ceiling = _UNARY_PREC
-        while min_prec <= (p := prec.get((t := self.peek()).text, 0)) < ceiling:
+        while True:
+            t = self.peek()
+            p = prec.get(t.text, 0)
+            if not min_prec <= p < ceiling:
+                return e
             self.take()
             rhs = self.parse_binary(p + 1)
             if t.text == "!=":
@@ -388,7 +399,6 @@ class _Parser:
             else:
                 e = BinOp(t.text, e, rhs, span=_merge(e, rhs))
             ceiling = p if p == _CMP_PREC else p + 1
-        return e
 
     def parse_unary(self) -> Expr:
         t = self.peek()

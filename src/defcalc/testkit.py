@@ -31,7 +31,7 @@ from .lang import (
     VInt, VMoney, VRat, VStruct, children, map_bottom_up,
 )
 from .interp import Outcome, OutcomeKind, run_scope
-from .explorer import ExploreConfig, TestSuite, Testcase, explore
+from .explorer import TestSuite, Testcase, explore
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +320,12 @@ def _outcome_class(outcome: Outcome):
     return (outcome.kind.value,)
 
 
-def screen_mutant(mutant: Mutant, limit: int = 4096) -> Optional[bool]:
+def screen_mutant(mutant: Mutant) -> Optional[bool]:
     """Grid-check whether the mutation manifests: some valid input where the
     mutant yields empty/conflict and the base does not.  None when the input
     space is not enumerable at this size."""
     scope = mutant.base.scope(mutant.scope)
-    grid = input_grid(scope, limit=limit)
+    grid = input_grid(scope)
     if grid is None:
         return None
     for inputs in grid:
@@ -361,12 +361,11 @@ class CampaignReport:
         return sum(1 for m in self.mutants if m.found)
 
 
-def find_issue(mutant: Mutant, config: Optional[ExploreConfig] = None) -> MutantReport:
+def find_issue(mutant: Mutant) -> MutantReport:
     """Explore the mutant; found when an empty/conflict testcase's inputs
     give a different outcome on the base program."""
-    config = config or ExploreConfig()
     start = time.monotonic()
-    suite = explore(mutant.program, mutant.scope, config)
+    suite = explore(mutant.program, mutant.scope)
     elapsed = time.monotonic() - start
     for tc in suite.testcases:
         if tc.outcome.kind in (OutcomeKind.EMPTY, OutcomeKind.CONFLICT):
@@ -380,18 +379,16 @@ def find_issue(mutant: Mutant, config: Optional[ExploreConfig] = None) -> Mutant
                         False, None, suite.stats.iterations, elapsed, note)
 
 
-def mutation_campaign(program: Program, count: int, ops: tuple = MUTATION_OPS,
-                      seed: int = 0, config: Optional[ExploreConfig] = None,
-                      screen: bool = True) -> CampaignReport:
+def mutation_campaign(program: Program, count: int, seed: int = 0) -> CampaignReport:
     """Generate `count` screened-reachable mutants (drawing fresh seeds when
     screening rejects one) and run the engine on each.  Deterministic for a
-    given (program, ops, seed)."""
+    given (program, seed)."""
     rng = random.Random(seed)
     reports = []
     attempted = 0
     cap = max(20 * count, 100)
     while len(reports) < count and attempted < cap:
-        op_kind = ops[attempted % len(ops)]
+        op_kind = MUTATION_OPS[attempted % len(MUTATION_OPS)]
         op = MutationOp.draw(op_kind, rng)
         mseed = rng.randrange(1 << 30)
         attempted += 1
@@ -399,9 +396,7 @@ def mutation_campaign(program: Program, count: int, ops: tuple = MUTATION_OPS,
             mutant = mutate(program, op, mseed)
         except NoEligibleDefaultTerm:
             continue
-        if screen:
-            reachable = screen_mutant(mutant)
-            if reachable is not True:
-                continue
-        reports.append(find_issue(mutant, config))
+        if screen_mutant(mutant) is not True:
+            continue
+        reports.append(find_issue(mutant))
     return CampaignReport(reports, attempted)

@@ -311,3 +311,17 @@ def test_initial_hint_type_mismatch_is_usage_error(programs_dir):
                  "--initial", "x=true", "--quiet"])
     assert p.returncode == 1
     assert "type" in p.stderr
+
+
+@pytest.mark.parametrize("value", [
+    "Zone::Overseas",  # missing payload
+    "Zone::Overseas($1.00)",  # payload of the wrong type
+    "Zone::Mainland(3)",  # payload on a variant that carries none
+])
+def test_initial_hint_enum_payload_must_match_its_variant(tmp_path, value):
+    src = tmp_path / "zone.dfc"
+    src.write_text("enum Zone { Mainland, Overseas(int) }\n"
+                   "scope S { input z: Zone;"
+                   " def y: int = match z { Mainland => 0, Overseas n => n }; output y; }\n")
+    p = run_cli(["run", str(src), "--scope", "S", "--initial", f"z={value}", "--quiet"])
+    assert (p.returncode, p.stderr) == (1, f"error: input z has type Zone, got {value!r}\n")
