@@ -63,15 +63,15 @@ _PUNCT = [
     ".", ",", ";", ":", "|", "_",
 ]
 
-# One token after any blanks and `#` comments, which are skipped atomically
-# so that a long run of them is never backtracked: a name, a number (`3/2`
+# One token after any blanks and `#` comments: a name, a number (`3/2`
 # without spaces is a rational, `25%` a percentage), a money literal (a `$`
 # without digits is malformed), a punctuation mark (longest first), or any
 # other character.  A name's first character must pass `str.isalpha`;
 # `[^\W\d_]` also accepts `²` and `½`, which `_lex` reports as unexpected
-# characters.
+# characters.  The tail cannot fail (`other` takes any character, and at the
+# end the empty option matches), so the skip is never backtracked.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|\#[^\n]*)*+(?:"
+    r"(?:[ \t\r\n]+|\#[^\n]*)*(?:"
     r"(?P<name>[^\W\d_]\w*|_\w+)"
     r"|(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+)|(?P<pct>%))?)"
     r"|(?P<money>\$(?:(?P<dollars>[0-9][0-9,]*)(?:\.(?P<cents>[0-9]{2}))?)?)"
