@@ -114,18 +114,14 @@ def corpus(mutations: int) -> dict:
 
 
 def digest(text: str) -> str:
-    try:
-        res = parser.parse(text)
-    except ValueError as e:  # a declaration the types reject, or an overlong number
-        record = repr(e)
-    else:
-        program = res.program
-        roots = [f.body for f in program.functions]
-        for s in program.scopes:
-            roots += [*s.assertions, *(b.expr for b in s.bindings)]
-        record = (parser.print_program(program),
-                  [node.span for root in roots for node in lang.walk(root)],
-                  [(d.message, d.span) for d in res.diagnostics])
+    res = parser.parse(text)
+    program = res.program
+    roots = [f.body for f in program.functions]
+    for s in program.scopes:
+        roots += [*s.assertions, *(b.expr for b in s.bindings)]
+    record = (parser.print_program(program),
+              [node.span for root in roots for node in lang.walk(root)],
+              [(d.message, d.span) for d in res.diagnostics])
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
 
 

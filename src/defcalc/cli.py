@@ -44,12 +44,12 @@ def _load_program(path: str):
     result = parse(text, path)
     if result.diagnostics:
         for d in result.diagnostics:
-            print(d.render(result.unit), file=sys.stderr)
+            print(f"error: {d.render(result.unit)}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
     errors = validate(result.program)
     if errors:
         for d in errors:
-            print(d.render(result.unit), file=sys.stderr)
+            print(f"error: {d.render(result.unit)}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
     return result.program
 

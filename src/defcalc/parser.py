@@ -65,16 +65,18 @@ _PUNCT = [
 
 # One token after any blanks and `#` comments: a name, a number (`3/2`
 # without spaces is a rational, `25%` a percentage), a money literal (a `$`
-# without digits is malformed), a punctuation mark (longest first), or any
-# other character.  A name's first character must pass `str.isalpha`;
-# `[^\W\d_]` also accepts `²` and `½`, which `_lex` reports as unexpected
-# characters.  The tail cannot fail (`other` takes any character, and at the
-# end the empty option matches), so the skip is never backtracked.
+# without digits is malformed; a comma joins it only before exactly three
+# digits, so `f($1, x)` has two arguments), a punctuation mark (longest
+# first), or any other character.  A name's first character must pass
+# `str.isalpha`; `[^\W\d_]` also accepts `²` and `½`, which `_lex` reports
+# as unexpected characters.  The tail cannot fail (`other` takes any
+# character, and at the end the empty option matches), so the skip is never
+# backtracked.
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|\#[^\n]*)*(?:"
     r"(?P<name>[^\W\d_]\w*|_\w+)"
     r"|(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+)|(?P<pct>%))?)"
-    r"|(?P<money>\$(?:(?P<dollars>[0-9][0-9,]*)(?:\.(?P<cents>[0-9]{2}))?)?)"
+    r"|(?P<money>\$(?:(?P<dollars>[0-9]+(?:,[0-9]{3}(?![0-9]))*)(?:\.(?P<cents>[0-9]{2}))?)?)"
     r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")"
     r"|(?P<other>.))?", re.S)
 
@@ -148,22 +150,12 @@ def _lex(text: str) -> tuple:
         word = m[kind]
         if kind == "name" and not (word[0].isalpha() or word[0] == "_"):
             kind, pos = "other", start + 1
-        if kind == "number":
-            num = int(m["num"])
-            if m["den"]:
-                den = int(m["den"])
-                if den == 0:
-                    diags.append(Diagnostic("rational literal with zero denominator",
-                                            Span(start, pos)))
-                    den = 1
-                toks.append(Token("rat", word, start, pos, Fraction(num, den)))
-            elif m["pct"]:
-                toks.append(Token("pct", word, start, pos, Fraction(num, 100)))
-            else:
-                toks.append(Token("int", word, start, pos, num))
-        elif kind == "money" and m["dollars"]:
-            cents = int(m["dollars"].replace(",", "")) * 100 + int(m["cents"] or 0)
-            toks.append(Token("money", word, start, pos, cents))
+        if kind == "number" or kind == "money" and m["dollars"]:
+            try:
+                toks.append(_numeric_token(m, kind, word, start, pos, diags))
+            except ValueError:  # more digits than `int` converts; read on as a 0
+                diags.append(Diagnostic("numeric literal too long", Span(start, pos)))
+                toks.append(Token("money" if kind == "money" else "int", word, start, pos, 0))
         elif kind == "money":
             diags.append(Diagnostic("malformed money literal", Span(start, pos)))
         elif kind == "other":
@@ -173,6 +165,24 @@ def _lex(text: str) -> tuple:
             toks.append(Token(kind, word, start, pos))
     toks.append(Token("eof", "", len(text), len(text)))
     return toks, diags
+
+
+def _numeric_token(m: re.Match, kind: str, word: str, start: int, pos: int,
+                   diags: list) -> Token:
+    """The token of a number or money literal matched by `_TOKEN`."""
+    if kind == "money":
+        cents = int(m["dollars"].replace(",", "")) * 100 + int(m["cents"] or 0)
+        return Token("money", word, start, pos, cents)
+    num = int(m["num"])
+    if m["pct"]:
+        return Token("pct", word, start, pos, Fraction(num, 100))
+    if not m["den"]:
+        return Token("int", word, start, pos, num)
+    den = int(m["den"])
+    if den == 0:
+        diags.append(Diagnostic("rational literal with zero denominator", Span(start, pos)))
+        den = 1
+    return Token("rat", word, start, pos, Fraction(num, den))
 
 
 class _Parser:
@@ -262,13 +272,23 @@ class _Parser:
                 self.sync_to((";",))
                 if self.at("}"):
                     self.take()
-        return Program(tuple(enums), tuple(structs), tuple(functions), tuple(scopes))
+        return Program(tuple(filter(None, enums)), tuple(filter(None, structs)),
+                       tuple(functions), tuple(scopes))
 
-    def parse_enum(self) -> EnumT:
-        self.expect("enum")
+    def declared(self, kind, name: str, members: tuple, span: Span):
+        """`kind(name, members)`, or None with the rule it breaks (no
+        variants, a repeated name) reported at the declaration's `span`."""
+        try:
+            return kind(name, members)
+        except ValueError as e:
+            self.diags.append(Diagnostic(str(e), span))
+            return None
+
+    def parse_enum(self) -> Optional[EnumT]:
+        start = self.expect("enum")
         name = self.expect_name("enum name").text
-        variants, _ = self.parse_list("{", self.parse_variant, "}")
-        return EnumT(name, variants)
+        variants, end = self.parse_list("{", self.parse_variant, "}")
+        return self.declared(EnumT, name, variants, start.span.merge(end.span))
 
     def parse_variant(self) -> tuple:
         name = self.expect_name("variant name").text
@@ -279,12 +299,12 @@ class _Parser:
         self.expect(")")
         return name, payload
 
-    def parse_struct(self) -> StructT:
-        self.expect("struct")
+    def parse_struct(self) -> Optional[StructT]:
+        start = self.expect("struct")
         name = self.expect_name("struct name").text
-        fields, _ = self.parse_list(
+        fields, end = self.parse_list(
             "{", lambda: self.parse_pair("field name", self.parse_type), "}")
-        return StructT(name, fields)
+        return self.declared(StructT, name, fields, start.span.merge(end.span))
 
     def parse_fn(self) -> Function:
         self.expect("fn")

@@ -25,11 +25,17 @@ enum tags, with Round occurrences.  The pipeline is:
    tightest of parallel inequalities (`_prune`).  One pass of eliminations
    per call decides rational feasibility and keeps, for every window the
    search reads, the projected rows it is read from (`_window_rows`);
-   variables are then fixed in order, integers by branch-and-bound over
-   their window.  Each node folds the values fixed above it into its
-   children's rows once (`_fold`), so a candidate reads a window at one
-   multiply-add per row (`_window`).  A value inside a projected window
-   always extends over the rationals, so only integrality forces a backtrack.
+   interval propagation with integer rounding over the integer-only rows
+   bounds every integer variable (`_int_bounds`), and each integer window
+   is clipped to its bounds.  Variables are then fixed in order, integers
+   by branch-and-bound over their window.  Each node folds the values fixed
+   above it into its children's rows once (`_fold`), so a candidate reads a
+   window at one multiply-add per row (`_window`).  A value inside a
+   projected window always extends over the rationals, so only integrality
+   forces a backtrack; a rational variable takes one value of its window,
+   and when no integer completion follows a value its window did not force
+   and a later integer window depends on, the branch is Unknown, not
+   refuted.
 
 Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
@@ -454,6 +460,11 @@ class _Infeasible(Exception):
     pass
 
 
+class _Incomplete(Exception):
+    """The linear core found no model, but only after fixing a rational
+    variable at one value of a wider window, with no integer completion."""
+
+
 def _row(coeffs: dict, const, op: str) -> tuple:
     """The row of sum(coeffs[v]*v) + const OP 0 over rationals: denominators
     cleared with their lcm, then divided by the gcd of the entries."""
@@ -684,13 +695,80 @@ def _window_rows(rows: list, todo: list) -> Optional[list]:
     return reads
 
 
+def _int_bounds(rows: list, todo: list) -> Optional[dict]:
+    """Bounds lo <= v <= hi that every integer solution of `rows` satisfies,
+    as {v: its rows lo - v <= 0 and v - hi <= 0 that are finite}: interval
+    propagation with integer rounding over the rows whose variables are all
+    integers in `todo`, at most one sweep per integer and one more.  None
+    when two bounds cross.  {} when no row has two variables: a
+    one-variable row is already exact in `_window`, and most calls have no
+    other, so this plain loop comes first."""
+    for coeffs, _, _ in rows:
+        if len(coeffs) > 1:
+            break
+    else:
+        return {}
+    ints = {n for n, is_int in todo if is_int}
+    les = []  # sum(c*v) <= r as (items, r); over integers, c.v + k < 0 is c.v <= -k - 1
+    for coeffs, k, op in rows:
+        if coeffs and ints.issuperset(coeffs):
+            items = list(coeffs.items())
+            les.append((items, -k - (op == "<")))
+            if op == "=":
+                les.append(([(n, -c) for n, c in items], k))
+    lo: dict = {}
+    hi: dict = {}
+    for _ in range(len(ints) + 1):
+        changed = False
+        for items, r in les:
+            # r less each term's least value; at most one term, `free`, has none.
+            free = None
+            for n, c in items:
+                if (b := (lo if c > 0 else hi).get(n)) is not None:
+                    r -= c * b
+                elif free is None:
+                    free = n
+                else:
+                    break
+            else:
+                for n, c in items:
+                    if free is None:
+                        s = r + c * (lo if c > 0 else hi)[n]
+                    elif n == free:
+                        s = r
+                    else:
+                        continue
+                    if c > 0:
+                        if (b := s // c) < hi.get(n, b + 1):
+                            hi[n], changed = b, True
+                    elif (b := -(s // -c)) > lo.get(n, b - 1):
+                        lo[n], changed = b, True
+                    if n in lo and n in hi and lo[n] > hi[n]:
+                        return None
+        if not changed:
+            break
+    clip: dict = {n: [({n: -1}, b, "<=")] for n, b in lo.items()}
+    for n, b in hi.items():
+        clip.setdefault(n, []).append(({n: 1}, -b, "<="))
+    return clip
+
+
 def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
     """Assign the ordered variables; `order` is [(name, is_int), ...].
-    Returns a partial model over mentioned variables, or None."""
+    Returns a partial model over mentioned variables, or None.  Raises
+    _Incomplete in place of None when a rational variable took a value its
+    window did not force, a later integer window depends on it, and no
+    integer completion followed it."""
     mentioned = {n for coeffs, _, _ in rows for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
-    if (reads := _window_rows(rows, todo)) is None:
+    if (clip := _int_bounds(rows, todo)) is None or (reads := _window_rows(rows, todo)) is None:
         return None
+    if clip:
+        # Every integer solution lies within the bounds, so clipping each
+        # integer window to them only drops candidates and completions that
+        # have no solution; rational windows stay as projected.
+        reads = [[(n, is_int, rs + clip[n] if n in clip else rs) for n, is_int, rs in read]
+                 for read in reads]
     vals: dict = {}
 
     # Invariant: the rows have a rational solution with the first d
@@ -715,9 +793,20 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
             vals[name] = c
             if (out := go(d + 1, below, c)) is not None:
                 return out
+        if not is_int:
+            # Another value of the window might complete, if an integer
+            # window read below depends on it.
+            lo, _, hi, _ = _window(read[0][1], x, False)
+            if (lo is None or lo != hi) and any(
+                    name in coeffs for later in reads[d + 1:]
+                    for _, n_int, rs in later if n_int for coeffs, _, _ in rs):
+                untried.append(name)
         return None
 
-    return go(0, _fold(reads[0], vals, None), 0)
+    untried: list = []
+    if (out := go(0, _fold(reads[0], vals, None), 0)) is None and untried:
+        raise _Incomplete(f"no integer completion of the value picked for {untried[0]}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +898,11 @@ class _Frames:
         if false:
             return UNSAT
         budget = _Budget(budget_limit)
-        # From here `reason` says why the search cannot answer Unsat, if it cannot.
+        # From here `reason` says why the search cannot answer Unsat, if it
+        # cannot; a rational pick (`picked`) is named only when nothing else is.
         # Every literal with one alternative holds on every branch, so its
         # linear forms make one root system, tested once before any choice.
+        picked = None
         try:
             if self.root:
                 try:
@@ -826,10 +917,14 @@ class _Frames:
                 except NonLinear as e:
                     reason = reason or str(e)
                     continue
+                except _Incomplete as e:
+                    picked = picked or str(e)
+                    continue
                 if result is not None:
                     return Sat(result)
         except _OutOfBudget:
             reason = reason or "case-split budget exhausted"
+        reason = reason or picked
         return UNSAT if reason is None else Unknown(reason)
 
 
@@ -888,6 +983,7 @@ def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
     # Each Round case costs one unit of budget, charged before the
     # branch's atoms are linearized (a NonLinear atom still pays for it).
     split_cost = 1 if specs else 0
+    incomplete = None
     for case in _round_cases(specs):
         budget.spend(split_cost)
         atoms = num_atoms + case
@@ -895,9 +991,15 @@ def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
         if None in system:
             _, op, a, b = atoms[system.index(None)]
             raise NonLinear(f"not linear: {render(SymBin(op, a, b))}")
-        solution = _solve_linear(system, order, budget)
+        try:
+            solution = _solve_linear(system, order, budget)
+        except _Incomplete as e:
+            incomplete = incomplete or e
+            continue
         if solution is not None:
             return _fill_model(decls, bools, allowed, solution, retain)
+    if incomplete is not None:
+        raise incomplete
     return None
 
 

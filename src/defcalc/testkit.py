@@ -20,6 +20,7 @@ import itertools
 import json
 import os
 import random
+import re
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -105,8 +106,10 @@ def testcase_to_json(tc: Testcase) -> dict:
 
 
 def emit_suite(suite: TestSuite, directory: str) -> list:
-    """Write one JSON file per testcase plus suite.json; byte-stable for
-    identical suites.  Returns the paths written."""
+    """Write one JSON file per testcase plus suite.json, and remove every
+    other tcNNNN.json, left by an earlier emission into `directory`;
+    byte-stable for identical suites.  Returns the paths written."""
+    existed = os.path.isdir(directory)
     os.makedirs(directory, exist_ok=True)
     written = []
     for i, tc in enumerate(suite.testcases, start=1):
@@ -115,6 +118,12 @@ def emit_suite(suite: TestSuite, directory: str) -> list:
             json.dump(testcase_to_json(tc), fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(path)
+    # A directory made here holds no earlier emission; skipping the listing
+    # keeps an emission into a fresh directory as cheap as before.
+    names = {os.path.basename(p) for p in written}
+    for name in os.listdir(directory) if existed else ():
+        if re.fullmatch(r"tc\d{4,}\.json", name) and name not in names:
+            os.remove(os.path.join(directory, name))
     manifest = {
         "scope": suite.scope,
         "complete": suite.complete,

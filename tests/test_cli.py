@@ -306,6 +306,34 @@ def test_run_rejects_invalid_program(tmp_path):
     assert "unbound" in p.stderr
 
 
+@pytest.mark.parametrize("decl,message", [
+    ("enum E { }", "1:1: enum E has no variants"),
+    ("enum E { A, A }", "1:1: enum E has duplicate variants"),
+    ("struct T { a: int, a: int }", "1:1: struct T has duplicate fields"),
+])
+def test_invalid_declaration_is_an_error_not_a_traceback(tmp_path, decl, message):
+    src = tmp_path / "bad.dfc"
+    src.write_text(decl + "\nscope S { input x: int; output x; }\n")
+    p = run_cli(["run", str(src), "--scope", "S", "--quiet"])
+    assert (p.returncode, p.stderr) == (1, f"error: {src}:{message}\n")
+
+
+def test_rational_pick_without_integer_completion_is_incomplete(tmp_path):
+    # r = 1/10, n = 1 reaches out = 1, but the solver fixes r first at the
+    # midpoint of its window [1/10, 4/5], where no integer n fits; that is
+    # an Unknown, not an Unsat, so the run is incomplete.
+    src = tmp_path / "pick.dfc"
+    src.write_text("scope S { input r: rate; input n: int; assert n >= 1; assert n <= 8;"
+                   " def out: int = if r = n / 10 then 1 else 0; output out; }\n")
+    p = run_cli(["run", str(src), "--scope", "S", "--stats"])
+    assert p.returncode == 2, p.stderr
+    assert "unsat=1 unknown=1 " in p.stdout and "exploration incomplete" in p.stderr
+    suite = tmp_path / "suite"
+    assert main(["run", str(src), "--scope", "S", "--quiet", "--emit-tests", str(suite)]) == 2
+    manifest = json.loads((suite / "suite.json").read_text())
+    assert (manifest["complete"], manifest["stats"]["unknown"]) == (False, 1)
+
+
 def test_initial_hint_type_mismatch_is_usage_error(programs_dir):
     p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
                  "--initial", "x=true", "--quiet"])

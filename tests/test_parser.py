@@ -10,7 +10,7 @@ from defcalc.lang import (
     Var, validate,
 )
 from defcalc.parser import (
-    _PREC, parse, parse_literal, parse_or_raise, print_expr, print_program,
+    _PREC, parse, parse_literal, parse_or_raise, print_expr, print_money, print_program,
 )
 from fractions import Fraction
 
@@ -34,6 +34,18 @@ def test_money_literal_is_exact_cents():
 def test_money_literal_without_cents():
     p = parses_clean("scope S { def y: money = $0; output y; }")
     assert p.scopes[0].bindings[0].expr == Lit(VMoney(0))
+
+
+def test_money_literal_comma_only_before_three_digits():
+    # A comma after a money literal separates list items unless exactly
+    # three digits follow it.
+    p = parses_clean("fn f(a: money, b: int) -> int = b\n"
+                     "scope S { input x: int; def y: int = f($1, x); output y; }")
+    assert p.scopes[0].bindings[0].expr.args[0] == Lit(VMoney(100))
+    p = parses_clean("scope S { def y: money = $1,000,000.05; output y; }")
+    assert p.scopes[0].bindings[0].expr == Lit(VMoney(100000005))
+    assert print_money(100000005) == "$1,000,000.05"
+    assert parse("scope S { def y: money = $1,0000; output y; }").diagnostics
 
 
 def test_rational_literal_no_spaces():
@@ -200,3 +212,17 @@ def test_unknown_type_diagnostics_follow_source_order():
                 " output y; }")
     assert [d.message for d in res.diagnostics] == [
         "unknown type Foo", "unknown type Bar", "unknown type Baz"]
+
+
+@pytest.mark.parametrize("text,message,at", [
+    ("enum E { }", "enum E has no variants", "enum"),
+    ("enum E { A, A }", "enum E has duplicate variants", "enum"),
+    ("struct S { a: int, a: int }", "struct S has duplicate fields", "struct"),
+    ("scope S { def y: int = " + "1" * 5000 + "; }", "numeric literal too long", "1" * 5000),
+])
+def test_invalid_declarations_and_literals_are_diagnostics(text, message, at):
+    # Each of these raised ValueError from EnumT, StructT or int().
+    res = parse(text + "\nscope T { input x: int; output x; }")
+    start = text.rindex(at)
+    assert [(d.message, d.span.start) for d in res.diagnostics] == [(message, start)]
+    assert [s.name for s in res.program.scopes][-1] == "T"  # parsing went on

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -9,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_fm
 from defcalc import solver
+from defcalc.explorer import explore
+from defcalc.interp import run_scope
 from defcalc.lang import (
     BOOL, INT, MONEY, RAT,
     EnumT, VBool, VEnum, VInt, VMoney, VRat,
 )
+from defcalc.parser import parse_or_raise
 from defcalc.solver import (
     Query, Sat, SolverSession, SolverUsageError, Unknown, Unsat, simplify,
 )
@@ -449,13 +453,68 @@ def _linear_systems(draw):
     return atoms, order, draw(st.integers(1, 24))
 
 
+_PICK = "no integer completion of the value picked for "
+_ORACLE_SOLVE, _ORACLE_BOUNDS = oracle_fm._solve_linear, oracle_fm._bounds_of
+
+
+def _oracle_within_int_bounds(atoms, order, budget):
+    """The oracle's linear core with each integer window clipped to the
+    bounds `solver._int_bounds` derives, None when those cross, as the linear
+    core's windows are.  Every integer solution lies within the bounds, so it
+    answers as the oracle does wherever the oracle's search ends; where it
+    does not (`test_bounds_refute_what_the_oracle_search_never_ends`), this
+    one ends with the linear core's."""
+    rows = [solver._row(c, k, op) for c, k, op in atoms]
+    mentioned = {n for coeffs, _, _ in atoms for n in coeffs}
+    clip = solver._int_bounds(rows, [(n, i) for n, i in order if n in mentioned])
+    if clip is None:
+        return None
+    box = {n: {("lo" if coeffs[n] < 0 else "hi"): -Fraction(k, coeffs[n])
+               for coeffs, k, _ in rs} for n, rs in clip.items()}
+
+    def bounds_of(system, name):
+        lo, lo_strict, hi, hi_strict = _ORACLE_BOUNDS(system, name)
+        if (b := box.get(name, {}).get("lo")) is not None and (lo is None or b > lo):
+            lo, lo_strict = b, False
+        if (b := box.get(name, {}).get("hi")) is not None and (hi is None or b < hi):
+            hi, hi_strict = b, False
+        return lo, lo_strict, hi, hi_strict
+    with mock.patch.object(oracle_fm, "_bounds_of", bounds_of):
+        return _ORACLE_SOLVE(atoms, order, budget)
+
+
 def _run_linear(solve, atoms, order, limit):
+    """(model or None, budget left), "out of budget", or the Unknown of a
+    rational pick with no integer completion."""
     budget = solver._Budget(limit)
     try:
         out = solve(atoms, order, budget)
     except solver._OutOfBudget:
         return "out of budget"
+    except solver._Incomplete as e:
+        return Unknown(str(e))
     return out, budget.left
+
+
+def _assert_matches_oracle(rows, atoms, order, limit):
+    """The linear core on `rows` against the FM oracle on the same `atoms`.
+    Where the oracle decides within `limit`, the same model or None for no
+    more budget; where it runs out, the core runs out or answers as the
+    oracle does with 1 << 20, its integer windows clipped to the core's
+    bounds.  A rational pick's Unknown may stand for an oracle None: the
+    oracle fixes the same one value and gives up the same way."""
+    got = _run_linear(solver._solve_linear, rows, order, limit)
+    want = _run_linear(oracle_fm._solve_linear, atoms, order, limit)
+    if want == "out of budget":
+        if got == "out of budget":
+            return
+        want = _run_linear(_oracle_within_int_bounds, atoms, order, 1 << 20)
+        assert want != "out of budget"
+        want = want[0], 0
+    if isinstance(got, Unknown):
+        assert got.reason.startswith(_PICK) and want[0] is None
+        return
+    assert got != "out of budget" and got[0] == want[0] and got[1] >= want[1]
 
 
 @settings(max_examples=400, deadline=None)
@@ -463,9 +522,21 @@ def _run_linear(solve, atoms, order, limit):
 def test_linear_core_matches_fm_oracle(system):
     atoms, order, limit = system
     rows = [solver._row(c, k, op) for c, k, op in atoms]
-    assert _run_linear(solver._solve_linear, rows, order, limit) == \
-        _run_linear(oracle_fm._solve_linear, [(dict(c), k, op) for c, k, op in atoms],
-                    order, limit)
+    _assert_matches_oracle(rows, [(dict(c), k, op) for c, k, op in atoms], order, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linear_systems())
+def test_clipped_oracle_answers_as_the_oracle(system):
+    # The re-run above clips the oracle's integer windows to the bounds;
+    # wherever the oracle decides, that changes neither its model nor None,
+    # and spends no more budget.
+    atoms, order, limit = system
+    atoms = [(dict(c), k, op) for c, k, op in atoms]
+    want = _run_linear(oracle_fm._solve_linear, atoms, order, limit)
+    if want != "out of budget":
+        got = _run_linear(_oracle_within_int_bounds, atoms, order, limit)
+        assert got[0] == want[0] and got[1] >= want[1]
 
 
 @st.composite
@@ -637,10 +708,16 @@ def test_builtin_check_matches_fm_oracle_pipeline(rng, limit):
     got = solver._builtin_check(_MIXED_LEAVES, lits, retain, limit)
     want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, limit)
     if isinstance(want, Unknown) and got != want:
-        # The search skips branches the oracle pays for, so it may decide
-        # what the oracle leaves Unknown: then as the oracle does unbounded.
-        want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, 1 << 20)
-    assert got == want
+        # The search skips branches and candidates the oracle pays for, so
+        # it may decide what the oracle leaves Unknown: then as the oracle
+        # does with 1 << 20 and the integer bounds that end its search.
+        with mock.patch.object(oracle_fm, "_solve_linear", _oracle_within_int_bounds):
+            want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, 1 << 20)
+    if isinstance(got, Unknown) and got.reason.startswith(_PICK):
+        # The oracle gives up on the same rational pick, as an Unsat.
+        assert want == solver.UNSAT
+    else:
+        assert got == want
 
 
 # Literals the frames must keep apart: one that does not linearize, one that
@@ -727,15 +804,18 @@ def test_session_frames_match_fresh_builtin_checks(rng, limit):
     assert s.stats.unknown == sum(isinstance(r, Unknown) for r in fresh_checks)
 
 
-def _round_chain_query(n, monkeypatch):
-    """The one query `explore` sends for a_i = a_{i-1} * 3/7 over money,
-    i = 1..n, under one `if` on a_n, with the rows and variable order of
-    its one linear-core call: an integer search that backtracks deeply."""
-    from defcalc.explorer import explore
-    from defcalc.parser import parse_or_raise
+def _round_chain(n):
+    """a_i = a_{i-1} * 3/7 over money, i = 1..n, under one `if` on a_n."""
     lines = ["scope Chain {", "  input x: money;", "  def a0: money = x;"]
     lines += [f"  def a{i}: money = a{i - 1} * 3/7;" for i in range(1, n + 1)]
     lines += [f"  def out: int = if a{n} > $1,000.00 then 1 else 0;", "  output out;", "}"]
+    return parse_or_raise("\n".join(lines) + "\n")
+
+
+def _round_chain_query(n, monkeypatch):
+    """The one query `explore` sends for `_round_chain(n)`, with the rows and
+    variable order of its one linear-core call: an integer search that,
+    without the integer bounds, backtracks deeply."""
     checks, cores = [], []
     decide, core = solver.SolverSession._decide, solver._solve_linear
 
@@ -744,7 +824,7 @@ def _round_chain_query(n, monkeypatch):
         return decide(session, decls, extra)
     monkeypatch.setattr(solver.SolverSession, "_decide", capture)
     monkeypatch.setattr(solver, "_solve_linear", lambda *a: cores.append(a[:2]) or core(*a))
-    explore(parse_or_raise("\n".join(lines) + "\n"), "Chain")
+    explore(_round_chain(n), "Chain")
     monkeypatch.undo()
     assert len(checks) == 1 and len(cores) == 1
     return checks[0], cores[0]
@@ -758,13 +838,13 @@ def test_round_chain_query_matches_fm_oracle(n, monkeypatch):
     assert got == oracle_fm._builtin_check(decls, lits, retain, limit)
     atoms = [({v: Fraction(k) for v, k in coeffs.items()}, Fraction(const), op)
              for coeffs, const, op in rows]
-    assert _run_linear(solver._solve_linear, rows, order, limit) == \
-        _run_linear(oracle_fm._solve_linear, atoms, order, limit)
+    _assert_matches_oracle(rows, atoms, order, limit)
 
 
 def test_round_chain_linear_core_projects_once(monkeypatch):
-    # round-chain-6: 7 variables and 580 integer candidates; re-projecting
-    # per candidate took 5,684 eliminations.
+    # round-chain-6: 7 variables and 7 integer candidates (580 before the
+    # integer bounds clipped the windows); re-projecting per candidate took
+    # 5,684 eliminations.
     _, (rows, order) = _round_chain_query(6, monkeypatch)
     k = len({v for coeffs, _, _ in rows for v in coeffs})
     calls = []
@@ -772,18 +852,139 @@ def test_round_chain_linear_core_projects_once(monkeypatch):
     monkeypatch.setattr(solver, "_eliminate", lambda *a: calls.append(1) or real(*a))
     budget = solver._Budget(solver.DEFAULT_BUDGET)
     assert solver._solve_linear(rows, order, budget) is not None
-    assert (k, solver.DEFAULT_BUDGET - budget.left) == (7, 580)
+    assert (k, solver.DEFAULT_BUDGET - budget.left) == (7, 7)
     assert len(calls) <= k * (k + 1) // 2 + k
 
 
 def test_round_chain_windows_read_pruned_rows(monkeypatch):
     # round-chain-6: every window read from the projections holds at most
     # 70 rows in all (252 with the parallel inequalities kept), and the
-    # search still spends 580 candidates.
+    # search spends 7 candidates.
     _, (rows, order) = _round_chain_query(6, monkeypatch)
     mentioned = {v for coeffs, _, _ in rows for v in coeffs}
     reads = solver._window_rows(rows, [(n, i) for n, i in order if n in mentioned])
     assert sum(len(rs) for read in reads for _, _, rs in read) <= 70
     budget = solver._Budget(solver.DEFAULT_BUDGET)
     assert solver._solve_linear(rows, order, budget) is not None
-    assert solver.DEFAULT_BUDGET - budget.left == 580
+    assert solver.DEFAULT_BUDGET - budget.left == 7
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_round_chain_completes_with_the_least_x(n):
+    # The candidates grew about 2.5x per step and round-chain-12 ran out of
+    # the whole budget; the integer bounds leave n + 1 candidates.
+    start = time.perf_counter()
+    suite = explore(_round_chain(n), "Chain")
+    assert time.perf_counter() - start < 1
+    assert suite.complete and suite.stats.unknown == 0
+    x = next(t.inputs["x"] for t in suite.testcases
+             if t.outcome.output("out") == VInt(1))
+    for cents, out in ((x.cents - 1, 0), (x.cents, 1)):
+        got = run_scope(_round_chain(n), "Chain", {"x": VMoney(cents)})
+        assert got.output("out") == VInt(out)
+
+
+_BOX = 6
+
+
+@st.composite
+def _boxed_int_systems(draw):
+    """Integer rows over 1-3 variables, each within |v| <= _BOX."""
+    names = "abc"[:draw(st.integers(1, 3))]
+    rows = [({n: 1}, -_BOX, "<=") for n in names] + [({n: -1}, -_BOX, "<=") for n in names]
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = {n: k for n, k in draw(st.dictionaries(
+            st.sampled_from(names), st.integers(-4, 4))).items() if k}
+        rows.append(solver._row({n: Fraction(k) for n, k in coeffs.items()},
+                                Fraction(draw(st.integers(-12, 12))),
+                                draw(st.sampled_from(["=", "<=", "<"]))))
+    return rows, [(n, True) for n in draw(st.permutations(names))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boxed_int_systems())
+def test_clipped_search_finds_the_first_box_point(system):
+    # The search's candidates run in order of |v|, ties toward nonnegative,
+    # in the variable order, so its model is the first point of the box in
+    # that lexicographic order that satisfies every row.
+    rows, order = system
+    mentioned = {n for coeffs, _, _ in rows for n in coeffs}
+    names = [n for n, _ in order if n in mentioned]
+    values = sorted(range(-_BOX, _BOX + 1), key=lambda k: (abs(k), k < 0))
+    want = next(({n: Fraction(k) for n, k in zip(names, point)}
+                 for point in itertools.product(values, repeat=len(names))
+                 if all(solver._holds(sum((c * point[names.index(n)]
+                                           for n, c in coeffs.items()), k), op)
+                        for coeffs, k, op in rows)), None)
+    assert solver._solve_linear(rows, order, solver._Budget(1 << 20)) == want
+
+
+def test_bounds_refute_what_the_oracle_search_never_ends():
+    # 3b - 3c = 1 has no integer solution.  With 0 <= b <= 1 the bounds
+    # cross (c = 0, then 1/3 <= b <= 1/3) before any candidate; the oracle
+    # walks a >= b upward forever, each a refuted only below it.
+    atoms = [({"b": Fraction(1), "a": Fraction(-1)}, Fraction(0), "<="),
+             ({"b": Fraction(-1)}, Fraction(0), "<="), ({"b": Fraction(1)}, Fraction(-1), "<="),
+             ({"b": Fraction(3), "c": Fraction(-3)}, Fraction(-1), "=")]
+    order = [("a", True), ("b", True), ("c", True)]
+    rows = [solver._row(c, k, op) for c, k, op in atoms]
+    assert _run_linear(solver._solve_linear, rows, order, 1) == (None, 1)
+    assert _run_linear(oracle_fm._solve_linear, atoms, order, 1 << 8) == "out of budget"
+    assert _run_linear(_oracle_within_int_bounds, atoms, order, 1) == (None, 1)
+
+
+def test_rational_pick_without_integer_completion_is_unknown():
+    # 10q - x = 0 and 1 <= x <= 8: q is fixed first, at the midpoint 9/20 of
+    # its window [1/10, 4/5], and x = 9/2 is no integer; q = 1/10 would do.
+    rows = [({"q": 10, "x": -1}, 0, "="), ({"x": -1}, 1, "<="), ({"x": 1}, -8, "<=")]
+    with pytest.raises(solver._Incomplete, match="picked for q"):
+        solver._solve_linear(rows, [("q", False), ("x", True)], solver._Budget(64))
+    # The FM oracle gives up the same way, as a None.
+    atoms = [({n: Fraction(k) for n, k in coeffs.items()}, Fraction(const), op)
+             for coeffs, const, op in rows]
+    assert oracle_fm._solve_linear(atoms, [("q", False), ("x", True)],
+                                   solver._Budget(64)) is None
+    # A pick its window forces is no guess: 2q = 1 leaves x = q no integer.
+    rows = [({"q": 2}, -1, "="), ({"q": 1, "x": -1}, 0, "=")]
+    assert solver._solve_linear(rows, [("q", False), ("x", True)], solver._Budget(64)) is None
+    q, x = v("q", RAT), v("x")
+    lits = (SymBin("=", q, SymBin("/", x, c(10))), SymBin(">=", x, c(1)),
+            SymBin("<=", x, c(8)))
+    res = solver._builtin_check((Leaf("q", RAT), X), lits, {})
+    assert isinstance(res, Unknown) and res.reason.startswith(_PICK + "q")
+
+
+def test_rational_pick_no_integer_window_reads_is_exact():
+    # q in [0, 1] is picked at 0 and every b is refuted below it (3b - 3c = 1
+    # has no integer solution, though three sweeps leave the bounds apart),
+    # but q is in no row with b or c, so no other value of q could help.
+    rows = [({"q": -1}, 0, "<="), ({"q": 1}, -1, "<="), ({"b": 3, "c": -3}, -1, "="),
+            ({"b": -1}, 0, "<="), ({"b": 1}, -10, "<="),
+            ({"c": -1}, 0, "<="), ({"c": 1}, -10, "<=")]
+    order = [("q", False), ("b", True), ("c", True)]
+    assert solver._int_bounds(rows, order) is not None
+    assert solver._solve_linear(rows, order, solver._Budget(1 << 10)) is None
+
+
+def test_budget_outranks_a_rational_pick_as_the_reason():
+    # One branch gives up on a rational pick, then the budget runs out before
+    # the branch that is Sat: more budget mends that, so the Unknown says so.
+    x, y = v("x"), v("y")
+    lits = (SymBin("=", SymRound(SymBin("+", SymBin("*", x, c(1)), y)), c(3)),
+            SymBin("<", x, c(2)),
+            SymNot(SymBin("=", SymRound(SymBin("+", SymBin("/", v("q", RAT), c(2)), y)),
+                          c(-4))),
+            SymBin("&&", SymNot(v("b", BOOL)), SymNot(SymBin("<", SymBin("-", x, y), c(-5)))))
+    picks, core = [], solver._solve_linear
+
+    def spy(*args):
+        try:
+            return core(*args)
+        except solver._Incomplete:
+            picks.append(args)
+            raise
+    with mock.patch.object(solver, "_solve_linear", spy):
+        assert solver._builtin_check(_MIXED_LEAVES, lits, {}, 16) == \
+            Unknown("case-split budget exhausted")
+    assert picks
+    assert isinstance(solver._builtin_check(_MIXED_LEAVES, lits, {}, 256), Sat)

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -86,6 +87,23 @@ def test_replay_round_trip(fig5, tmp_path):
     results = replay_dir(fig5, str(tmp_path))
     assert len(results) == 5
     assert all(r.passed for _, r in results)
+
+
+def test_reemission_removes_stale_testcases(fig5, trivial_just, tmp_path):
+    # fig5's five testcases, then trivial_just's four into the same directory:
+    # the fifth file would replay against a scope trivial_just does not have.
+    (tmp_path / "notes.json").write_text("{}")
+    emit_suite(fig5_suite(fig5), str(tmp_path))
+    other = tmp_path / "other"
+    written = emit_suite(explore(trivial_just, "Fees", ExploreConfig()), str(other))
+    assert emit_suite(explore(trivial_just, "Fees", ExploreConfig()), str(tmp_path)) == \
+        [str(tmp_path / os.path.basename(p)) for p in written]
+    results = replay_dir(trivial_just, str(tmp_path))
+    assert [name for name, _ in results] == [f"tc000{i}.json" for i in range(1, 5)]
+    assert all(r.passed for _, r in results)
+    assert (tmp_path / "notes.json").exists()
+    for p in written:  # the emitted bytes are as in a fresh directory
+        assert (tmp_path / os.path.basename(p)).read_bytes() == open(p, "rb").read()
 
 
 def test_replay_conflict_case(fig5, tmp_path):
