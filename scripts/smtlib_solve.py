@@ -20,8 +20,9 @@ end of input that is neither blank, a comment nor a complete command (a
 missing ``)``, an unclosed ``|`` or string) answers
 ``(error "incomplete command at end of input")``.  Commands are read with
 the package's own S-expression reader and tables (`defcalc.smtlib`).
-Decisions are delegated to the package's builtin procedure, which makes the
-shim a drop-in external backend for exercising the ``--solver smtlib:CMD``
+Each check is decided by a fresh `SolverSession` over the query's
+declarations, with the package's builtin procedure, which makes the shim a
+drop-in external backend for exercising the ``--solver smtlib:CMD``
 protocol without any third-party solver:
 
     defcalc run prog.dfc --scope S --solver "smtlib:python3 scripts/smtlib_solve.py"
@@ -38,7 +39,7 @@ from defcalc.smtlib import (
     _BLANK, _OPS, _SORTS, _const, _numeral, _show, _sort_of_leaf, _symname,
     read_sexpr,
 )
-from defcalc.solver import Sat, Unknown, _builtin_check
+from defcalc.solver import Sat, SolverSession, Unknown
 from defcalc.symbolic import (
     Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
 )
@@ -118,7 +119,7 @@ class _Query:
             print(f"; {e}", file=sys.stderr)
             return "unknown", None
         decls = tuple(Leaf(n, t) for n, t in self.sorts.items())
-        res = _builtin_check(decls, lits, retain={})
+        res = SolverSession(decls).check(lits)
         if isinstance(res, Sat):
             rows = "".join(
                 f"  (define-fun {_symname(leaf.name)} () {_sort_of_leaf(leaf.ty)} "

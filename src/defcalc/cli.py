@@ -169,7 +169,7 @@ def cmd_run(args) -> int:
               f"unknown={s.unknown} solver_failures={s.solver_failures} "
               f"tests={s.tests} conflicts={s.conflicts} empties={s.empties}")
     if not suite.complete:
-        print("exploration incomplete (budget or solver limits)", file=sys.stderr)
+        print(f"exploration incomplete: {suite.incomplete_reason}", file=sys.stderr)
         return EXIT_TRUNCATED
     return EXIT_OK
 

@@ -35,18 +35,16 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
-from .lang import MONEY, Program, validate
+from .lang import Program, validate
 from .interp import Outcome, OutcomeKind
 from .concolic import (
     BranchRecord, CompiledScope, ConcolicOpts, Origin, compile_scope,
     run_scope_concolic,
 )
-from .solver import (
-    SOFT_TIERS, Sat, SolverFailure, SolverSession, Unknown, Unsat,
-)
+from .solver import Sat, SolverFailure, SolverSession, Unknown, Unsat
 from .symbolic import (
     default_value, inputs_of_leaf_env, leaf_env_of_inputs, render,
     scope_leaves, sym_not,
@@ -125,6 +123,12 @@ class TestSuite:
     complete: bool
     opts: list
     depth_trace: list  # |path| per iteration
+    incomplete_reason: Optional[str] = None  # the first, once not `complete`
+
+    def give_up(self, reason: str) -> None:
+        """Mark the suite incomplete; the first reason given is kept."""
+        if self.complete:
+            self.complete, self.incomplete_reason = False, reason
 
 
 def path_fingerprint(path, entries=None) -> str:
@@ -210,7 +214,7 @@ class Frontier:
 
     def query(self, k: int, decide: Callable):
         """Decide the literals of `entries[:k]` and the negation of entry `k`
-        with `decide(extra)`, a session's `check` or bound `check_soft`."""
+        with `decide(extra)`, a session's `check` or `check_soft`."""
         negation = sym_not(self.entries[k].record.constraint)
         if not self.incremental:
             return decide([*(e.record.constraint for e in self.entries[:k]), negation])
@@ -242,15 +246,6 @@ def initial_inputs(scope, hints: dict) -> dict:
     return inputs
 
 
-def tier_of_inputs(leaf_env: dict, money_leaves: list) -> Optional[str]:
-    if not money_leaves:
-        return None
-    for tier_name, unit in SOFT_TIERS:
-        if all(leaf_env[m].cents % unit == 0 for m in money_leaves):
-            return tier_name
-    return None
-
-
 def _prepare(program: Program, scope_name: str, config: ExploreConfig) -> Program:
     if config.frontend:
         program = transforms.simplify_frontend(program)[0]
@@ -274,7 +269,6 @@ def explore(program: Program, scope_name: str,
     work = _prepare(program, scope_name, config)
     scope = work.scope(scope_name)
     leaves = scope_leaves(scope)
-    money_leaves = [l.name for l in leaves if l.ty == MONEY]
 
     compiled = compile_scope(work, scope_name, ConcolicOpts(
         lazy=config.lazy, early_error=config.early_error))
@@ -294,17 +288,17 @@ def explore(program: Program, scope_name: str,
         return suite
 
     frontier = Frontier(session, config.incremental)
-    decide = partial(session.check_soft, money_leaves) \
-        if config.soft and money_leaves else session.check
+    decide = session.check_soft if config.soft else session.check
     seen_fps = set()
-    tier = tier_of_inputs(leaf_env_of_inputs(scope, inputs), money_leaves) \
-        if config.soft else None
+    tier = session.tier_of(leaf_env_of_inputs(scope, inputs)) if config.soft else None
     deadline = None if config.timeout is None else time.monotonic() + config.timeout
 
     while True:
-        if stats.iterations >= config.max_iters or \
-                (deadline is not None and time.monotonic() > deadline):
-            suite.complete = False
+        if stats.iterations >= config.max_iters:
+            suite.give_up(f"iteration limit of {config.max_iters} reached")
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            suite.give_up(f"timeout of {config.timeout} s reached")
             break
         outcome, path = first or run_scope_concolic(compiled, inputs)
         first = None
@@ -328,32 +322,32 @@ def explore(program: Program, scope_name: str,
             # Post-bootstrap precondition violations only happen when an
             # external solver returns models violating hard records; note
             # the incompleteness and backtrack on the previous frontier.
-            suite.complete = False
+            suite.give_up("a solver model violated a scope assertion")
 
-        found_next = False
+        # The iteration's verdict: "sat" once a target is, else "unknown" if
+        # one was Unknown or failed, else "unsat".
+        verdict = "unsat"
         while True:
             k = frontier.next_target(config.trivial)
             if k is None:
                 break
             try:
                 res = frontier.query(k, decide)
-            except SolverFailure:
-                suite.complete = False
-                frontier.entries[k].done = True
-                continue
+            except SolverFailure as e:
+                res = Unknown(str(e))
             if isinstance(res, Sat):
                 inputs = inputs_of_leaf_env(scope, dict(res.model))
-                tier = res.tier if config.soft else None
+                tier = res.tier
                 frontier.flip(k)
-                found_next = True
+                verdict = "sat"
                 break
             if isinstance(res, Unknown):
-                suite.complete = False
+                suite.give_up(res.reason)
+                verdict = "unknown"
             frontier.entries[k].done = True
         if config.progress is not None:
-            config.progress(stats.iterations, "sat" if found_next else "unsat",
-                            len(path), stats.tests)
-        if not found_next:
+            config.progress(stats.iterations, verdict, len(path), stats.tests)
+        if verdict != "sat":
             break
 
     _sync_stats(stats, session)
@@ -365,7 +359,8 @@ def _bootstrap(compiled: CompiledScope, inputs: dict, session: SolverSession,
     """Find a starting input satisfying the scope assertions.  Returns
     (inputs, (outcome, path)) of the concolic run that accepted them, or
     (inputs, None): an unsatisfiable assertion system leaves the suite empty
-    and complete, and an Unknown or a solver failure marks it incomplete."""
+    and complete, and an Unknown, a solver failure or eight runs that each
+    violate an assertion mark it incomplete."""
     scope = compiled.scope
     for _ in range(8):
         outcome, path = run_scope_concolic(compiled, inputs)
@@ -379,17 +374,15 @@ def _bootstrap(compiled: CompiledScope, inputs: dict, session: SolverSession,
             required.append(lit)
         try:
             res = session.check(required)
-        except SolverFailure:
-            suite.complete = False
-            return inputs, None
+        except SolverFailure as e:
+            res = Unknown(str(e))
         if isinstance(res, Sat):
             inputs = inputs_of_leaf_env(scope, dict(res.model))
             continue
-        if isinstance(res, Unsat):
-            return inputs, None  # no valid inputs: empty, complete suite
-        suite.complete = False
-        return inputs, None
-    suite.complete = False
+        if not isinstance(res, Unsat):
+            suite.give_up(res.reason)
+        return inputs, None  # Unsat: no valid inputs, an empty, complete suite
+    suite.give_up("no input satisfying the scope assertions after 8 bootstrap runs")
     return inputs, None
 
 

@@ -52,7 +52,7 @@ from .lang import (
 from .solver import Query, Sat, SolverFailure, Unknown, UNSAT
 from .symbolic import (
     SymBin, SymConst, SymExpr, SymIsVariant, SymNot, SymRound,
-    SymVar, default_value,
+    SymVar, default_value, sym_sort,
 )
 
 _ROUND_DEF = (
@@ -78,36 +78,9 @@ def _sort_of_leaf(ty) -> str:
     return ty.name if isinstance(ty, EnumT) else _SORTS[ty]
 
 
-def _term_sort(e: SymExpr) -> str:
-    match e:
-        case SymVar(_, ty):
-            return _sort_of_leaf(ty)
-        case SymConst(v):
-            match v:
-                case VInt() | VMoney():
-                    return "Int"
-                case VRat():
-                    return "Real"
-                case VBool():
-                    return "Bool"
-                case VEnum():
-                    return "Enum"
-        case SymBin(op, a, b):
-            if op in ("&&", "||", "=", "<", "<=", ">", ">="):
-                return "Bool"
-            if op == "/":
-                return "Real"
-            return "Real" if "Real" in (_term_sort(a), _term_sort(b)) else "Int"
-        case SymNot(_) | SymIsVariant(_, _):
-            return "Bool"
-        case SymRound(_):
-            return "Int"
-    raise TypeError(f"no sort for {e!r}")
-
-
 def _emit(e: SymExpr, want: Optional[str] = None) -> str:
     """`e` as an SMT-LIB term, converted to Real if `want` is Real."""
-    if want == "Real" and _term_sort(e) == "Int":
+    if want == "Real" and sym_sort(e) == "Int":
         return f"(to_real {_emit(e)})"
     match e:
         case SymVar(name, _):
@@ -115,7 +88,7 @@ def _emit(e: SymExpr, want: Optional[str] = None) -> str:
         case SymConst(v):
             return _const(v)
         case SymBin(op, a, b):
-            real = op == "/" or "Real" in (_term_sort(a), _term_sort(b))
+            real = op == "/" or "Real" in (sym_sort(a), sym_sort(b))
             want = "Real" if real else None
             return f"({_OPS[op]} {_emit(a, want)} {_emit(b, want)})"
         case SymNot(a):

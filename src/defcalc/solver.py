@@ -28,14 +28,13 @@ enum tags, with Round occurrences.  The pipeline is:
    interval propagation with integer rounding over the integer-only rows
    bounds every integer variable (`_int_bounds`), and each integer window
    is clipped to its bounds.  Variables are then fixed in order, integers
-   by branch-and-bound over their window.  Each node folds the values fixed
-   above it into its children's rows once (`_fold`), so a candidate reads a
-   window at one multiply-add per row (`_window`).  A value inside a
-   projected window always extends over the rationals, so only integrality
-   forces a backtrack; a rational variable takes one value of its window,
-   and when no integer completion follows a value its window did not force
-   and a later integer window depends on, the branch is Unknown, not
-   refuted.
+   by branch-and-bound over their window, and a candidate reads each window
+   straight from its rows at the values fixed so far (`_window`).  A value
+   inside a projected window always extends over the rationals, so only
+   integrality forces a backtrack; a rational variable takes one value of
+   its window, and when no integer completion follows a value its window
+   did not force and a later integer window depends on, the budget notes
+   the pick (`_Budget.picked`) and the branch is Unknown, not refuted.
 
 Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
@@ -62,7 +61,7 @@ from .lang import (
 from .symbolic import (
     FALSE, Leaf, SymBin, SymConst, SymExpr, SymIsVariant, SymNot,
     SymRound, SymVar, TRUE, default_value, render, sym_eval, sym_eval_bool,
-    sym_free_vars, sym_not,
+    sym_free_vars, sym_not, sym_sort,
 )
 
 DEFAULT_BUDGET = 1 << 16
@@ -236,7 +235,7 @@ def simplify(e: SymExpr) -> SymExpr:
                 return sa
             return SymBin("||", sa, sb)
         case SymBin(op, a, b) if op in ("=", "<", "<=", ">", ">=") and \
-                _sort_of(a) == "num":
+                sym_sort(a) in ("Int", "Real"):
             sa, sb = simplify(a), simplify(b)
             try:
                 diff, k = _lin_diff(sa, sb)  # lhs - rhs
@@ -255,29 +254,6 @@ def simplify(e: SymExpr) -> SymExpr:
             return e
 
 
-def _sort_of(e: SymExpr) -> str:
-    match e:
-        case SymVar(_, ty):
-            if ty == BOOL:
-                return "bool"
-            if isinstance(ty, EnumT):
-                return "enum"
-            return "num"
-        case SymConst(v):
-            if isinstance(v, VBool):
-                return "bool"
-            if isinstance(v, VEnum):
-                return "enum"
-            return "num"
-        case SymBin(op, _, _):
-            return "bool" if op in ("&&", "||", "=", "<", "<=", ">", ">=") else "num"
-        case SymNot(_) | SymIsVariant(_, _):
-            return "bool"
-        case SymRound(_):
-            return "num"
-    raise TypeError(f"not a symbolic term: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Case-split branch enumeration
 
@@ -288,8 +264,13 @@ def _sort_of(e: SymExpr) -> str:
 
 
 class _Budget:
+    """The units a search may still spend (`left`), and the first rational
+    pick that left a linear-core call without a model (`picked`), which the
+    check names only when nothing else made it Unknown."""
+
     def __init__(self, limit: int):
         self.left = limit
+        self.picked: Optional[str] = None
 
     def spend(self, n: int = 1):
         self.left -= n
@@ -328,7 +309,7 @@ def _branches(e: SymExpr, pol: bool) -> Iterator[list]:
             else:
                 yield from _product(a, False, b, False)
             return
-        case SymBin("=", a, b) if _sort_of(a) == "bool" or _sort_of(b) == "bool":
+        case SymBin("=", a, b) if sym_sort(a) == "Bool" or sym_sort(b) == "Bool":
             if pol:
                 yield from itertools.chain(_product(a, True, b, True),
                                            _product(a, False, b, False))
@@ -336,7 +317,7 @@ def _branches(e: SymExpr, pol: bool) -> Iterator[list]:
                 yield from itertools.chain(_product(a, True, b, False),
                                            _product(a, False, b, True))
             return
-        case SymBin("=", a, b) if _sort_of(a) == "enum" or _sort_of(b) == "enum":
+        case SymBin("=", a, b) if sym_sort(a) == "Enum" or sym_sort(b) == "Enum":
             expanded = _expand_enum_eq(a, b)
             yield from _branches(expanded, pol)
             return
@@ -452,17 +433,12 @@ def _round_cases(specs: list) -> Iterator[list]:
 # entries whose gcd is 1.  A positive multiple of a row stands for the same
 # atom, so elimination combines rows in ints, divides by the gcd and keeps
 # the tightest of parallel inequalities.  A window is read off by evaluating
-# rows at fixed values, folded in once per search node: in ints for an
-# integer variable until a rational value enters, in Fractions otherwise.
+# its rows at the values fixed so far: in ints for an integer variable until
+# a rational value enters, in Fractions otherwise.
 
 
 class _Infeasible(Exception):
     pass
-
-
-class _Incomplete(Exception):
-    """The linear core found no model, but only after fixing a rational
-    variable at one value of a wider window, with no integer completion."""
 
 
 def _row(coeffs: dict, const, op: str) -> tuple:
@@ -577,30 +553,17 @@ def _project(rows: list, order=None) -> list:
     return chain
 
 
-def _fold(reads: list, vals: dict, last: Optional[str]) -> list:
-    """`reads` as (is_int, rows), each row (c, t, a, op): c the coefficient
-    of the window's variable, a `last`'s, t the rest evaluated at `vals`."""
-    out = []
-    for name, is_int, rows in reads:
-        folded = []
-        for coeffs, t, op in rows:
-            for n, a in coeffs.items():  # a loop, not sum(): no generator per row
-                if n != name and n != last:
-                    t += a * vals[n]
-            folded.append((coeffs[name], t, coeffs.get(last, 0), op))
-        out.append((is_int, folded))
-    return out
-
-
-def _window(rows: list, x, is_int: bool):
-    """The window of `_fold`ed rows with `last` at x: (lo, lo_strict, hi,
-    hi_strict), None meaning unbounded; with `is_int`, the integers in it as
-    (ilo, ihi), None if there are none, computed in ints while the values
-    are ints."""
+def _window(rows: list, name: str, vals: dict, is_int: bool):
+    """The window of `name` in rows that mention no other variable than it
+    and those fixed in `vals`: (lo, lo_strict, hi, hi_strict), None meaning
+    unbounded; with `is_int`, the integers in it as (ilo, ihi), None if
+    there are none, computed in ints while the values are ints."""
     lo, lo_strict, hi, hi_strict = None, False, None, False
-    for c, t, a, op in rows:
-        if a:
-            t += a * x
+    for coeffs, t, op in rows:
+        for n, a in coeffs.items():  # a loop, not sum(): no generator per row
+            if n != name:
+                t += a * vals[n]
+        c = coeffs[name]
         if is_int:
             # c*x + t OP 0 for an integer x is c*x + t' <= 0 (or = 0) for
             # an integer t': t rounded up, or rounded down plus one if strict.
@@ -660,12 +623,12 @@ def _int_candidates(ilo, ihi, budget: _Budget) -> Iterator[int]:
         k += 1
 
 
-def _pick_rational(rows: list, x) -> Fraction:
+def _pick_rational(rows: list, name: str, vals: dict) -> Fraction:
     """The value of least magnitude among 0 and the integers inside the
-    nonempty window of `_window(rows, x, ...)`, else its midpoint."""
-    window = _window(rows, x, True)
+    nonempty window of `_window(rows, name, vals, ...)`, else its midpoint."""
+    window = _window(rows, name, vals, True)
     if window is None:
-        lo, _, hi, _ = _window(rows, x, False)
+        lo, _, hi, _ = _window(rows, name, vals, False)
         return (lo + hi) / 2
     ilo, ihi = window
     k = 0 if ilo is None else max(0, ilo)
@@ -755,10 +718,10 @@ def _int_bounds(rows: list, todo: list) -> Optional[dict]:
 
 def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
     """Assign the ordered variables; `order` is [(name, is_int), ...].
-    Returns a partial model over mentioned variables, or None.  Raises
-    _Incomplete in place of None when a rational variable took a value its
-    window did not force, a later integer window depends on it, and no
-    integer completion followed it."""
+    Returns a partial model over mentioned variables, or None.  A None that
+    follows a value a rational variable took, that its window did not force
+    and that a later integer window depends on, is noted in `budget.picked`
+    (unless a pick is noted already): another value might have completed."""
     mentioned = {n for coeffs, _, _ in rows for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
     if (clip := _int_bounds(rows, todo)) is None or (reads := _window_rows(rows, todo)) is None:
@@ -773,30 +736,30 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
 
     # Invariant: the rows have a rational solution with the first d
     # variables at their values in `vals`.  A projection onto variables it
-    # keeps commutes with fixing them, so its rows, folded by the parent
-    # (`read`) and read at its value x, give the exact window, and a value
-    # inside it keeps the invariant.  Only integrality can fail, which the
-    # window pruning and the candidate backtracking handle.
-    def go(d: int, read: list, x) -> Optional[dict]:
+    # keeps commutes with fixing them, so its rows, read at those values,
+    # give the exact window, and a value inside it keeps the invariant.
+    # Only integrality can fail, which the window pruning and the candidate
+    # backtracking handle.
+    def go(d: int) -> Optional[dict]:
         if d == len(todo):
             return {n: Fraction(v) for n, v in vals.items()}
         # Integral-emptiness pruning: if any pending integer variable's
         # window holds no integer, the fixed values have no integer
         # completion.  No window costs budget.
-        windows = [_window(rs, x, True) for n_int, rs in read if n_int]
+        windows = [_window(rs, n, vals, True) for n, n_int, rs in reads[d] if n_int]
         if None in windows:
             return None
         name, is_int = todo[d]
-        below = _fold(reads[d + 1], vals, name)
+        own = reads[d][0][2]
         for c in (_int_candidates(*windows[0], budget) if is_int
-                  else [_pick_rational(read[0][1], x)]):
+                  else [_pick_rational(own, name, vals)]):
             vals[name] = c
-            if (out := go(d + 1, below, c)) is not None:
+            if (out := go(d + 1)) is not None:
                 return out
         if not is_int:
             # Another value of the window might complete, if an integer
             # window read below depends on it.
-            lo, _, hi, _ = _window(read[0][1], x, False)
+            lo, _, hi, _ = _window(own, name, vals, False)
             if (lo is None or lo != hi) and any(
                     name in coeffs for later in reads[d + 1:]
                     for _, n_int, rs in later if n_int for coeffs, _, _ in rs):
@@ -804,23 +767,13 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
         return None
 
     untried: list = []
-    if (out := go(0, _fold(reads[0], vals, None), 0)) is None and untried:
-        raise _Incomplete(f"no integer completion of the value picked for {untried[0]}")
+    if (out := go(0)) is None and untried and budget.picked is None:
+        budget.picked = f"no integer completion of the value picked for {untried[0]}"
     return out
 
 
 # ---------------------------------------------------------------------------
 # Full builtin check
-
-
-def _builtin_check(decls: tuple, literals: tuple, retain: dict,
-                   budget_limit: int = DEFAULT_BUDGET) -> object:
-    """Decide the conjunction of `literals`, one frame each, with a fresh memo."""
-    frames = _Frames({})
-    declared = {l.name for l in decls}
-    for lit in literals:
-        frames.push(lit, declared)
-    return frames.check(decls, retain, budget_limit)
 
 
 def _prepared(lit: SymExpr, memo: dict) -> list:
@@ -899,10 +852,10 @@ class _Frames:
             return UNSAT
         budget = _Budget(budget_limit)
         # From here `reason` says why the search cannot answer Unsat, if it
-        # cannot; a rational pick (`picked`) is named only when nothing else is.
-        # Every literal with one alternative holds on every branch, so its
-        # linear forms make one root system, tested once before any choice.
-        picked = None
+        # cannot; a rational pick (`budget.picked`) is named only when nothing
+        # else is.  Every literal with one alternative holds on every branch,
+        # so its linear forms make one root system, tested once before any
+        # choice.
         try:
             if self.root:
                 try:
@@ -917,14 +870,11 @@ class _Frames:
                 except NonLinear as e:
                     reason = reason or str(e)
                     continue
-                except _Incomplete as e:
-                    picked = picked or str(e)
-                    continue
                 if result is not None:
                     return Sat(result)
         except _OutOfBudget:
             reason = reason or "case-split budget exhausted"
-        reason = reason or picked
+        reason = reason or budget.picked
         return UNSAT if reason is None else Unknown(reason)
 
 
@@ -983,7 +933,6 @@ def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
     # Each Round case costs one unit of budget, charged before the
     # branch's atoms are linearized (a NonLinear atom still pays for it).
     split_cost = 1 if specs else 0
-    incomplete = None
     for case in _round_cases(specs):
         budget.spend(split_cost)
         atoms = num_atoms + case
@@ -991,15 +940,9 @@ def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
         if None in system:
             _, op, a, b = atoms[system.index(None)]
             raise NonLinear(f"not linear: {render(SymBin(op, a, b))}")
-        try:
-            solution = _solve_linear(system, order, budget)
-        except _Incomplete as e:
-            incomplete = incomplete or e
-            continue
+        solution = _solve_linear(system, order, budget)
         if solution is not None:
             return _fill_model(decls, bools, allowed, solution, retain)
-    if incomplete is not None:
-        raise incomplete
     return None
 
 
@@ -1075,7 +1018,9 @@ class SolverSession:
     from one literal alone (simplification, alternatives, linear forms) for
     the session's life, so neither a frame nor `literal_key` prepares a
     literal, or its negation, a second time.  What a check still pays for is
-    its root test and case splits.
+    its root test and case splits.  The soft ladder over the money
+    declarations is the session's too: `check_soft` walks it and `tier_of`
+    places a model on it.
     """
 
     def __init__(self, decls, backend=None, budget: int = DEFAULT_BUDGET,
@@ -1089,6 +1034,7 @@ class SolverSession:
         self.on_query = on_query  # callback(Query) for SMT-LIB emission
         self._memo: dict = {}
         self._frames = _Frames(self._memo)  # of a prefix of `stack`
+        self._money = [l.name for l in self.decls if l.ty == MONEY]
 
     # -- stack ------------------------------------------------------------
 
@@ -1155,24 +1101,31 @@ class SolverSession:
     def check(self, extra=()) -> object:
         return self._decide(self.decls, extra)
 
-    def check_soft(self, money_vars, extra=()) -> object:
-        """Hard check first; on Sat, walk the soft ladder for the given
+    def check_soft(self, extra=()) -> object:
+        """Hard check first; on Sat, walk the soft ladder for the session's
         money variables jointly (multiples of $100, $10, $1) and return the
-        first satisfiable tier's model."""
+        first satisfiable tier's model.  With no money variable, the hard
+        check's answer as it is."""
         hard = self.check(extra)
-        if not isinstance(hard, Sat):
-            return hard
-        money_vars = [m for m in money_vars if any(l.name == m for l in self.decls)]
-        if not money_vars:
+        if not isinstance(hard, Sat) or not self._money:
             return hard
         for tier_name, unit in SOFT_TIERS:
-            decls, tier_lits = divisibility_constraints(self.decls, money_vars, unit)
+            decls, tier_lits = divisibility_constraints(self.decls, self._money, unit)
             res = self._decide(decls, (*extra, *tier_lits))
             if isinstance(res, Sat):
                 model = {k: v for k, v in res.model.items()
                          if not k.startswith(".mult")}
                 return Sat(model, tier=tier_name)
         return hard
+
+    def tier_of(self, leaf_env: dict) -> Optional[str]:
+        """The first soft tier whose unit divides every money variable's
+        value in `leaf_env`, None if there is none or no money variable."""
+        if self._money:
+            for tier_name, unit in SOFT_TIERS:
+                if all(leaf_env[m].cents % unit == 0 for m in self._money):
+                    return tier_name
+        return None
 
 
 def _assert_model(model: dict, literals, error=AssertionError) -> None:

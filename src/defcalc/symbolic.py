@@ -131,6 +131,32 @@ def sym_free_vars(e: SymExpr) -> frozenset:
     return _kept(e, "_free", free)
 
 
+def sym_sort(e: SymExpr) -> str:
+    """The SMT-LIB sort of a term: "Bool", "Enum" (a tag), "Int" (ints and
+    money in cents) or "Real"; a sum, difference or product is Real when
+    either side is, a quotient always."""
+    match e:
+        case SymBin(op, a, b):
+            if op in ("&&", "||", "=", "<", "<=", ">", ">="):
+                return "Bool"
+            return "Real" if op == "/" or sym_sort(a) == "Real" or sym_sort(b) == "Real" \
+                else "Int"
+        case SymVar(_, t) | SymConst(t):  # a leaf's type, a constant's value
+            match t:
+                case BoolT() | VBool():
+                    return "Bool"
+                case EnumT() | VEnum():
+                    return "Enum"
+                case RatT() | VRat():
+                    return "Real"
+            return "Int"
+        case SymNot() | SymIsVariant():
+            return "Bool"
+        case SymRound():
+            return "Int"
+    raise TypeError(f"not a symbolic term: {e!r}")
+
+
 def render(e: SymExpr) -> str:
     """Deterministic rendering used for display, fingerprints, and the
     negation-of-earlier check."""

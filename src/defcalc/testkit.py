@@ -383,9 +383,8 @@ def find_issue(mutant: Mutant) -> MutantReport:
                 return MutantReport(mutant.op.kind, mutant.seed,
                                     mutant.target_index, True, dict(tc.inputs),
                                     suite.stats.iterations, elapsed)
-    note = "" if suite.complete else "budget exhausted"
-    return MutantReport(mutant.op.kind, mutant.seed, mutant.target_index,
-                        False, None, suite.stats.iterations, elapsed, note)
+    return MutantReport(mutant.op.kind, mutant.seed, mutant.target_index, False, None,
+                        suite.stats.iterations, elapsed, suite.incomplete_reason or "")
 
 
 def mutation_campaign(program: Program, count: int, seed: int = 0) -> CampaignReport:

@@ -328,10 +328,25 @@ def test_rational_pick_without_integer_completion_is_incomplete(tmp_path):
     p = run_cli(["run", str(src), "--scope", "S", "--stats"])
     assert p.returncode == 2, p.stderr
     assert "unsat=1 unknown=1 " in p.stdout and "exploration incomplete" in p.stderr
+    # The iteration's verdict and the incomplete line say why.
+    assert p.stderr.splitlines() == [
+        "iter=1 unknown depth=4 tests=1",
+        "exploration incomplete: no integer completion of the value picked for r"]
     suite = tmp_path / "suite"
     assert main(["run", str(src), "--scope", "S", "--quiet", "--emit-tests", str(suite)]) == 2
     manifest = json.loads((suite / "suite.json").read_text())
     assert (manifest["complete"], manifest["stats"]["unknown"]) == (False, 1)
+
+
+@pytest.mark.parametrize("args,reason", [
+    (["--max-iters", "1"], "iteration limit of 1 reached"),
+    # `true` exits at once: its output closes, or a write to it fails.
+    (["--solver", "smtlib:true"], "external solver failed: "),
+])
+def test_incomplete_run_names_its_reason(programs_dir, args, reason):
+    p = run_cli(["run", str(programs_dir / "income_tax.dfc"), "--scope", "IncomeTax", *args])
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.splitlines()[-1].startswith(f"exploration incomplete: {reason}")
 
 
 def test_initial_hint_type_mismatch_is_usage_error(programs_dir):

@@ -391,6 +391,7 @@ def test_bootstrap_solver_failure_gives_incomplete_suite():
         "scope S { input x: int; assert x > 5; def y: int = x; output y; }")
     suite = explore(prog, "S", ExploreConfig(backend=_BrokenBackend()))
     assert not suite.complete and suite.testcases == []
+    assert suite.incomplete_reason == "backend crashed"
     s = suite.stats
     assert s.solver_failures == s.solver_calls == 1
     assert s.solver_calls == s.sat + s.unsat + s.unknown + s.solver_failures
@@ -481,6 +482,7 @@ def test_brackets_check_cost_does_not_grow_with_the_prefix(monkeypatch):
 def test_wall_clock_timeout_flags_incomplete(benefits_medium):
     suite = explore(benefits_medium, "Benefits", ExploreConfig(timeout=0.0))
     assert not suite.complete
+    assert suite.incomplete_reason == "timeout of 0.0 s reached"
 
 
 def test_incremental_mode_drives_the_assertion_stack(fig5):
@@ -560,9 +562,13 @@ scope S {
   output res;
 }
 """)
-    suite = explore(prog, "S", ExploreConfig())
+    progress = []
+    suite = explore(prog, "S", ExploreConfig(progress=lambda *a: progress.append(a)))
     assert suite.testcases  # the concrete side still runs
     assert not suite.complete
+    # The first Unknown names the term, and its iteration's verdict says so.
+    assert suite.incomplete_reason == "not linear: (0 <= (1000 / r))"
+    assert progress[-1][1] == "unknown"
 
 
 def test_all_opts_match_brute_force_on_random_scopes():

@@ -42,6 +42,11 @@ def session(*leaves):
     return SolverSession(tuple(leaves))
 
 
+def _fresh_check(decls, lits, retain=None, limit=solver.DEFAULT_BUDGET):
+    """The conjunction of `lits` decided by a fresh session."""
+    return SolverSession(decls, budget=limit, retain=retain).check(lits)
+
+
 B = Leaf("b", BOOL)
 X = Leaf("x", INT)
 
@@ -200,7 +205,7 @@ def money_sym():
 def test_soft_tier_t100_when_satisfiable():
     s = session(M)
     s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
-    res = s.check_soft(["x"])
+    res = s.check_soft()
     assert isinstance(res, Sat) and res.tier == "T100"
     assert res.model["x"].cents % 10000 == 0
     assert res.model["x"].cents > 1000000
@@ -209,7 +214,7 @@ def test_soft_tier_t100_when_satisfiable():
 def test_soft_tier_none_when_pinned_to_cents():
     s = session(M)
     s.push(SymBin("=", money_sym(), SymConst(VMoney(1000001))))
-    res = s.check_soft(["x"])
+    res = s.check_soft()
     assert isinstance(res, Sat) and res.tier is None
     assert res.model["x"] == VMoney(1000001)
 
@@ -225,7 +230,7 @@ def test_soft_tier_narrow_window_falls_to_t1():
     s = session(M)
     s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
     s.push(SymBin("<", money_sym(), SymConst(VMoney(1000500))))
-    res = s.check_soft(["x"])
+    res = s.check_soft()
     assert res.tier == "T1"
     assert res.model["x"] == VMoney(1000100)
 
@@ -235,10 +240,62 @@ def test_soft_tier_maximality_independent_check():
     s = session(M)
     s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
     s.push(SymBin("<", money_sym(), SymConst(VMoney(1010000))))
-    res = s.check_soft(["x"])
+    res = s.check_soft()
     assert res.tier == "T10"  # no multiple of $100 inside the open window
     decls, lits = divisibility_constraints(s.decls, ["x"], 10000)
     assert isinstance(SolverSession(decls).check((*s.stack, *lits)), Unsat)
+
+
+# Cent amounts, multiples of 1 cent, $1, $10 or $100 alike, so that every
+# tier of the ladder is reached.
+_cents = st.builds(lambda k, unit: k * unit, st.integers(-30_000, 30_000),
+                   st.sampled_from([1, 100, 1000, 10000]))
+
+
+@st.composite
+def _money_queries(draw):
+    """Sessions over one or two money leaves, each leaf pinned, in a window
+    of 1 cent to $300, bounded on one side, or free, the two sometimes tied
+    by a sum or a difference."""
+    names = ["m", "n"][:draw(st.integers(1, 2))]
+    s = SolverSession([Leaf(name, MONEY) for name in names])
+    for name in names:
+        var = SymVar(name, MONEY)
+        kind = draw(st.sampled_from(["pin", "window", "above", "below", "free"]))
+        lo = draw(_cents)
+        if kind == "pin":
+            s.push(SymBin("=", var, SymConst(VMoney(lo))))
+        if kind in ("window", "above"):
+            s.push(SymBin(draw(st.sampled_from([">", ">="])), var, SymConst(VMoney(lo))))
+        if kind in ("window", "below"):
+            hi = lo + draw(st.integers(1, 30_000)) if kind == "window" else lo
+            s.push(SymBin(draw(st.sampled_from(["<", "<="])), var, SymConst(VMoney(hi))))
+    if len(names) == 2 and draw(st.booleans()):
+        op = draw(st.sampled_from(["+", "-"]))
+        s.push(SymBin(draw(st.sampled_from(["=", "<=", ">"])),
+                      SymBin(op, SymVar("m", MONEY), SymVar("n", MONEY)),
+                      SymConst(VMoney(draw(_cents)))))
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_money_queries())
+def test_soft_tier_is_the_tier_of_its_model(s):
+    # The ladder's two halves agree: a later tier's model that fit an
+    # earlier tier would contradict that tier's Unsat, and the hard model
+    # fits no tier when every tier is Unsat.
+    res = s.check_soft()
+    if isinstance(res, Sat):
+        assert s.tier_of(res.model) == res.tier
+        assert set(res.model) == {leaf.name for leaf in s.decls}
+
+
+def test_soft_check_without_money_is_the_hard_check():
+    s = session(X)
+    s.push(SymBin(">", v("x"), c(7)))
+    res = s.check_soft()
+    assert res == Sat({"x": VInt(8)}) and s.stats.checks == 1
+    assert s.tier_of(res.model) is None
 
 
 # -- simplify ---------------------------------------------------------------
@@ -342,7 +399,7 @@ def test_unsat_past_four_thousand_branches():
     def both_above(i):
         return SymBin("&&", SymBin(">", v("x"), c(i)), SymBin(">", v("y"), c(i)))
     lits = (both_above(20),) + tuple(SymNot(both_above(i)) for i in range(1, 14))
-    assert solver._builtin_check((X, Leaf("y", INT)), lits, {}) == solver.UNSAT
+    assert _fresh_check((X, Leaf("y", INT)), lits) == solver.UNSAT
 
 
 def test_unit_literals_bound_the_search_from_the_root():
@@ -352,15 +409,15 @@ def test_unit_literals_bound_the_search_from_the_root():
         return SymBin("&&", SymBin(">", v("x"), c(i)), SymBin(">", v("y"), c(i)))
     lits = tuple(SymNot(both_above(i)) for i in range(1, 21)) + (both_above(30),)
     decls = (X, Leaf("y", INT))
-    assert solver._builtin_check(decls, lits, {}, budget_limit=64) == solver.UNSAT
+    assert _fresh_check(decls, lits, limit=64) == solver.UNSAT
     # An infeasible root is one cut.
     lits = (SymBin(">", v("x"), c(3)), SymNot(both_above(1)), SymBin("<", v("x"), c(2)))
-    assert solver._builtin_check(decls, lits, {}, budget_limit=1) == solver.UNSAT
-    assert isinstance(solver._builtin_check(decls, lits, {}, budget_limit=0), Unknown)
+    assert _fresh_check(decls, lits, limit=1) == solver.UNSAT
+    assert isinstance(_fresh_check(decls, lits, limit=0), Unknown)
     # The root's linear atoms refute it beside one that does not linearize.
     lits = (SymBin(">", v("x"), c(5)), SymBin(">", SymBin("*", v("x"), v("y")), c(1)),
             SymBin("<", v("x"), c(3)))
-    assert solver._builtin_check(decls, lits, {}) == solver.UNSAT
+    assert _fresh_check(decls, lits) == solver.UNSAT
 
 
 def test_session_prepares_each_literal_once(monkeypatch):
@@ -485,14 +542,15 @@ def _oracle_within_int_bounds(atoms, order, budget):
 
 def _run_linear(solve, atoms, order, limit):
     """(model or None, budget left), "out of budget", or the Unknown of a
-    rational pick with no integer completion."""
+    rational pick with no integer completion (a None with `budget.picked`)."""
     budget = solver._Budget(limit)
     try:
         out = solve(atoms, order, budget)
     except solver._OutOfBudget:
         return "out of budget"
-    except solver._Incomplete as e:
-        return Unknown(str(e))
+    if budget.picked is not None:
+        assert out is None
+        return Unknown(budget.picked)
     return out, budget.left
 
 
@@ -572,9 +630,7 @@ def _integers_within(lo, lo_strict, hi, hi_strict):
 def test_one_pass_windows_match_fm_oracle_bounds(system):
     # The window read at depth d, with the point's first d values fixed
     # (as Fractions, and with integral ones as ints as the search fixes
-    # them), all but the last folded into the rows and the last given
-    # apart as the search does, is the oracle's window of the system with
-    # them substituted.
+    # them), is the oracle's window of the system with them substituted.
     atoms, point, order = system
     mentioned = {n for coeffs, _, _ in atoms for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
@@ -587,15 +643,11 @@ def test_one_pass_windows_match_fm_oracle_bounds(system):
             prefix = oracle_fm._substitute(prefix, n, x)
         ints = {n: x.numerator if x.denominator == 1 else x for n, x in fixed.items()}
         assert [n for n, _, _ in reads[d]] == [name] + [n for n, i in todo[d + 1:] if i]
-        last = todo[d - 1][0] if d else None
         for vals in (fixed, ints):
-            # `vals` also holds `last`, whose value the fold must leave out.
-            folded = solver._fold(reads[d], vals, last)
-            x = vals.get(last, 0)
-            for (n, _, _), (_, rows) in zip(reads[d], folded):
+            for n, _, rows in reads[d]:
                 bounds = oracle_fm._bounds_of(prefix, n)
-                assert solver._window(rows, x, False) == bounds
-                assert solver._window(rows, x, True) == _integers_within(*bounds)
+                assert solver._window(rows, n, vals, False) == bounds
+                assert solver._window(rows, n, vals, True) == _integers_within(*bounds)
 
 
 @settings(max_examples=300, deadline=None)
@@ -705,7 +757,7 @@ def _random_mixed_literal(rng):
 def test_builtin_check_matches_fm_oracle_pipeline(rng, limit):
     lits = tuple(_random_mixed_literal(rng) for _ in range(rng.randrange(1, 7)))
     retain = {"x": VInt(rng.randrange(-3, 4)), "z": VEnum("Zone", "C")}
-    got = solver._builtin_check(_MIXED_LEAVES, lits, retain, limit)
+    got = _fresh_check(_MIXED_LEAVES, lits, retain, limit)
     want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, limit)
     if isinstance(want, Unknown) and got != want:
         # The search skips branches and candidates the oracle pays for, so
@@ -734,7 +786,8 @@ _ODD_LITERALS = (
 
 
 def _check_soft(check, lits):
-    """`SolverSession.check_soft(["m"])` with `check(decls, lits)` for each query."""
+    """`SolverSession.check_soft()` over `_MIXED_LEAVES`, whose one money leaf is
+    "m", with `check(decls, lits)` for each query."""
     hard = check(_MIXED_LEAVES, lits)
     if not isinstance(hard, Sat):
         return hard
@@ -751,7 +804,7 @@ def _check_soft(check, lits):
 @given(st.randoms(use_true_random=False), st.sampled_from([4, 16, 64, 4096]))
 def test_session_frames_match_fresh_builtin_checks(rng, limit):
     # A session keeps its stack prepared frame by frame across pushes, pops
-    # and checks; each check must answer as a fresh `_builtin_check` of the
+    # and checks; each check must answer as a fresh session's check of the
     # whole conjunction, down to the Unknown reason and the budget spent.
     budgets, fresh_checks = [], []
 
@@ -769,7 +822,7 @@ def test_session_frames_match_fresh_builtin_checks(rng, limit):
         return out, [limit - b.left for b in budgets]
 
     def fresh(decls, lits):
-        res = solver._builtin_check(decls, lits, retain, limit)
+        res = _fresh_check(decls, lits, retain, limit)
         fresh_checks.append(res)
         return res
 
@@ -795,7 +848,7 @@ def test_session_frames_match_fresh_builtin_checks(rng, limit):
                     got = run(lambda: s.check(extra))
                     want = run(lambda: fresh(_MIXED_LEAVES, lits))
                 else:
-                    got = run(lambda: s.check_soft(["m"], extra))
+                    got = run(lambda: s.check_soft(extra))
                     want = run(lambda: _check_soft(fresh, lits))
                 assert got == want
     assert s.stack == stack
@@ -833,7 +886,7 @@ def _round_chain_query(n, monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_round_chain_query_matches_fm_oracle(n, monkeypatch):
     (decls, lits, retain, limit), (rows, order) = _round_chain_query(n, monkeypatch)
-    got = solver._builtin_check(decls, lits, retain, limit)
+    got = _fresh_check(decls, lits, retain, limit)
     assert isinstance(got, Sat)
     assert got == oracle_fm._builtin_check(decls, lits, retain, limit)
     atoms = [({v: Fraction(k) for v, k in coeffs.items()}, Fraction(const), op)
@@ -937,8 +990,9 @@ def test_rational_pick_without_integer_completion_is_unknown():
     # 10q - x = 0 and 1 <= x <= 8: q is fixed first, at the midpoint 9/20 of
     # its window [1/10, 4/5], and x = 9/2 is no integer; q = 1/10 would do.
     rows = [({"q": 10, "x": -1}, 0, "="), ({"x": -1}, 1, "<="), ({"x": 1}, -8, "<=")]
-    with pytest.raises(solver._Incomplete, match="picked for q"):
-        solver._solve_linear(rows, [("q", False), ("x", True)], solver._Budget(64))
+    budget = solver._Budget(64)
+    assert solver._solve_linear(rows, [("q", False), ("x", True)], budget) is None
+    assert budget.picked == _PICK + "q"
     # The FM oracle gives up the same way, as a None.
     atoms = [({n: Fraction(k) for n, k in coeffs.items()}, Fraction(const), op)
              for coeffs, const, op in rows]
@@ -946,11 +1000,13 @@ def test_rational_pick_without_integer_completion_is_unknown():
                                    solver._Budget(64)) is None
     # A pick its window forces is no guess: 2q = 1 leaves x = q no integer.
     rows = [({"q": 2}, -1, "="), ({"q": 1, "x": -1}, 0, "=")]
-    assert solver._solve_linear(rows, [("q", False), ("x", True)], solver._Budget(64)) is None
+    budget = solver._Budget(64)
+    assert solver._solve_linear(rows, [("q", False), ("x", True)], budget) is None
+    assert budget.picked is None
     q, x = v("q", RAT), v("x")
     lits = (SymBin("=", q, SymBin("/", x, c(10))), SymBin(">=", x, c(1)),
             SymBin("<=", x, c(8)))
-    res = solver._builtin_check((Leaf("q", RAT), X), lits, {})
+    res = _fresh_check((Leaf("q", RAT), X), lits)
     assert isinstance(res, Unknown) and res.reason.startswith(_PICK + "q")
 
 
@@ -963,7 +1019,9 @@ def test_rational_pick_no_integer_window_reads_is_exact():
             ({"c": -1}, 0, "<="), ({"c": 1}, -10, "<=")]
     order = [("q", False), ("b", True), ("c", True)]
     assert solver._int_bounds(rows, order) is not None
-    assert solver._solve_linear(rows, order, solver._Budget(1 << 10)) is None
+    budget = solver._Budget(1 << 10)
+    assert solver._solve_linear(rows, order, budget) is None
+    assert budget.picked is None
 
 
 def test_budget_outranks_a_rational_pick_as_the_reason():
@@ -978,13 +1036,12 @@ def test_budget_outranks_a_rational_pick_as_the_reason():
     picks, core = [], solver._solve_linear
 
     def spy(*args):
-        try:
-            return core(*args)
-        except solver._Incomplete:
+        out = core(*args)
+        if args[2].picked is not None:
             picks.append(args)
-            raise
+        return out
     with mock.patch.object(solver, "_solve_linear", spy):
-        assert solver._builtin_check(_MIXED_LEAVES, lits, {}, 16) == \
+        assert _fresh_check(_MIXED_LEAVES, lits, limit=16) == \
             Unknown("case-split budget exhausted")
     assert picks
-    assert isinstance(solver._builtin_check(_MIXED_LEAVES, lits, {}, 256), Sat)
+    assert isinstance(_fresh_check(_MIXED_LEAVES, lits, limit=256), Sat)
