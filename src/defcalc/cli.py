@@ -21,7 +21,7 @@ import contextlib
 import os
 import sys
 
-from .lang import validate
+from .lang import Diagnostic, validate
 from .parser import ParseError, parse, parse_literal, print_program, print_value
 from .interp import OutcomeKind
 from .explorer import OPT_NAMES, ExploreConfig, explore
@@ -35,7 +35,8 @@ EXIT_ERROR = 1
 EXIT_TRUNCATED = 2
 
 
-def _load_program(path: str):
+def _load(path: str):
+    """The parse of a program file that parses and validates."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -51,7 +52,7 @@ def _load_program(path: str):
         for d in errors:
             print(f"error: {d.render(result.unit)}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
-    return result.program
+    return result
 
 
 @contextlib.contextmanager
@@ -122,7 +123,8 @@ def _outcome_summary(tc) -> str:
 
 
 def cmd_run(args) -> int:
-    program = _load_program(args.file)
+    loaded = _load(args.file)
+    program = loaded.program
     try:
         program.scope(args.scope)
     except KeyError:
@@ -169,13 +171,14 @@ def cmd_run(args) -> int:
               f"unknown={s.unknown} solver_failures={s.solver_failures} "
               f"tests={s.tests} conflicts={s.conflicts} empties={s.empties}")
     if not suite.complete:
-        print(f"exploration incomplete: {suite.incomplete_reason}", file=sys.stderr)
+        reason = Diagnostic(suite.incomplete_reason, suite.incomplete_span)
+        print(f"exploration incomplete: {reason.render(loaded.unit)}", file=sys.stderr)
         return EXIT_TRUNCATED
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
-    program = _load_program(args.file)
+    program = _load(args.file).program
     try:
         results = replay_dir(program, args.tests)
     except OSError as e:
@@ -189,7 +192,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    program = _load_program(args.file)
+    program = _load(args.file).program
     _positive("--count", args.count)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
     if not ops:
@@ -212,7 +215,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    program = _load_program(args.file)
+    program = _load(args.file).program
     report = mutation_campaign(program, _positive("--count", args.count), seed=args.seed)
     for i, m in enumerate(report.mutants):
         status = "found" if m.found else f"missed {m.note}".strip()

@@ -12,6 +12,12 @@ code.  Chronological order is what keeps the previous path a prefix of the
 next one during depth-first exploration.  Which records are trivial is the
 solver session's to say (`SolverSession.literal_key`).
 
+A branch whose condition has no symbolic form (it tests an opaque call's
+result, or compares enums that carry payloads, or matches on or divides
+by such a value) appends a `CONCRETIZED` record whose constraint is true:
+the explorer never flips it and marks the run incomplete at its span.  An
+opaque call records nothing itself: its value alone decides no branch.
+
 With the early-conflict option enabled, an exception that evaluates to the
 conflict value cuts the trail back to where its default term started, so
 the records of the exceptions before it are dropped and only the erroring
@@ -45,7 +51,7 @@ class Origin(enum.Enum):
     IF_COND = "if"
     MATCH_ARM = "match"
     DIV_ZERO_CHECK = "div0"
-    OPAQUE_CONCRETIZED = "opaque"
+    CONCRETIZED = "concretized"
     ASSERTION = "assertion"
 
 
@@ -78,8 +84,9 @@ class ConcolicOpts:
 
 @dataclass
 class CV:
-    """Scalar (or fully concretized) value; sym is None when the symbolic
-    side was lost to an opaque construct."""
+    """Scalar (or fully concretized) value; sym is None when it has no
+    symbolic form (an opaque call's result, an equality of enums that
+    carry payloads)."""
     value: Value
     sym: Optional[SymExpr]
 
@@ -192,9 +199,9 @@ class ConcolicState:
         self.path.append(BranchRecord(literal, taken, origin, self.hard_mode, span))
 
     def emit_concretized(self, span: Optional[Span]) -> None:
-        # Documents incompleteness: the branch depends on inputs through a
-        # construct with no symbolic form.
-        self.path.append(BranchRecord(TRUE, True, Origin.OPAQUE_CONCRETIZED,
+        # A branch whose condition has no symbolic form: the explorer never
+        # flips it and marks the run incomplete, naming `span`.
+        self.path.append(BranchRecord(TRUE, True, Origin.CONCRETIZED,
                                       self.hard_mode, span))
 
 
@@ -339,7 +346,6 @@ def _compile(expr: Expr, ctx: _Ctx):
                 cvs = _run_all(runs, env, st)
                 if not isinstance(cvs, list):
                     return cvs
-                st.emit_concretized(span)
                 handler = OPAQUE_HANDLERS.get(tag)
                 if handler is None:
                     return _conflict_cv(span)

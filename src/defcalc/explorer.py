@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
-from .lang import Program, validate
+from .lang import Program, Span, validate
 from .interp import Outcome, OutcomeKind
 from .concolic import (
     BranchRecord, CompiledScope, ConcolicOpts, Origin, compile_scope,
@@ -124,11 +124,13 @@ class TestSuite:
     opts: list
     depth_trace: list  # |path| per iteration
     incomplete_reason: Optional[str] = None  # the first, once not `complete`
+    incomplete_span: Optional[Span] = None  # the branch it names, if any
 
-    def give_up(self, reason: str) -> None:
+    def give_up(self, reason: str, span: Optional[Span] = None) -> None:
         """Mark the suite incomplete; the first reason given is kept."""
         if self.complete:
             self.complete, self.incomplete_reason = False, reason
+            self.incomplete_span = span
 
 
 def path_fingerprint(path, entries=None) -> str:
@@ -197,7 +199,7 @@ class Frontier:
             e = self.entries[k]
             if e.done:
                 continue
-            if e.record.hard:
+            if e.record.hard or e.record.origin is Origin.CONCRETIZED:
                 e.done = True
                 continue
             if trivial_filter and not filter_trivial(e.key, first[e.key] < k):
@@ -304,6 +306,7 @@ def explore(program: Program, scope_name: str,
         first = None
         stats.iterations += 1
         suite.depth_trace.append(len(path))
+        _note_concretized(path, suite)
 
         if outcome.kind is not OutcomeKind.PRECONDITION:
             frontier.reconcile(path, config.early_error)
@@ -319,9 +322,10 @@ def explore(program: Program, scope_name: str,
                 elif outcome.kind is OutcomeKind.EMPTY:
                     stats.empties += 1
         else:
-            # Post-bootstrap precondition violations only happen when an
-            # external solver returns models violating hard records; note
-            # the incompleteness and backtrack on the previous frontier.
+            # Every model satisfies the hard records it was solved under, so
+            # an assertion fails after the bootstrap only where the records
+            # do not hold it all: an assertion branch with no symbolic form
+            # (noted above).  Backtrack on the previous frontier.
             suite.give_up("a solver model violated a scope assertion")
 
         # The iteration's verdict: "sat" once a target is, else "unknown" if
@@ -366,6 +370,7 @@ def _bootstrap(compiled: CompiledScope, inputs: dict, session: SolverSession,
         outcome, path = run_scope_concolic(compiled, inputs)
         if outcome.kind is not OutcomeKind.PRECONDITION:
             return inputs, (outcome, path)
+        _note_concretized(path, suite)
         required = []
         for rec in path:
             lit = rec.constraint
@@ -384,6 +389,16 @@ def _bootstrap(compiled: CompiledScope, inputs: dict, session: SolverSession,
         return inputs, None  # Unsat: no valid inputs, an empty, complete suite
     suite.give_up("no input satisfying the scope assertions after 8 bootstrap runs")
     return inputs, None
+
+
+def _note_concretized(path: list, suite: TestSuite) -> None:
+    """Mark the suite incomplete at the first record of `path` whose branch
+    has no symbolic form: the solver cannot reach its other side."""
+    for rec in path:
+        if rec.origin is Origin.CONCRETIZED:
+            suite.give_up("a branch with no symbolic form: its other side"
+                          " is never tried", rec.span)
+            return
 
 
 def _sync_stats(stats: SuiteStats, session: SolverSession) -> None:

@@ -33,8 +33,8 @@ enum tags, with Round occurrences.  The pipeline is:
    inside a projected window always extends over the rationals, so only
    integrality forces a backtrack; a rational variable takes one value of
    its window, and when no integer completion follows a value its window
-   did not force and a later integer window depends on, the budget notes
-   the pick (`_Budget.picked`) and the branch is Unknown, not refuted.
+   did not force and a later integer window depends on, the same rows are
+   searched again with every integer first, so the branch is decided.
 
 Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
@@ -264,13 +264,10 @@ def simplify(e: SymExpr) -> SymExpr:
 
 
 class _Budget:
-    """The units a search may still spend (`left`), and the first rational
-    pick that left a linear-core call without a model (`picked`), which the
-    check names only when nothing else made it Unknown."""
+    """The units a search may still spend (`left`)."""
 
     def __init__(self, limit: int):
         self.left = limit
-        self.picked: Optional[str] = None
 
     def spend(self, n: int = 1):
         self.left -= n
@@ -592,33 +589,18 @@ def _window(rows: list, name: str, vals: dict, is_int: bool):
 
 def _int_candidates(ilo, ihi, budget: _Budget) -> Iterator[int]:
     """Integers within a nonempty window in order of |x|, ties toward
-    nonnegative."""
-    if ilo is not None and ilo > 0:
-        k = ilo
-        while ihi is None or k <= ihi:
-            budget.spend()
-            yield k
-            k += 1
-        return
-    if ihi is not None and ihi < 0:
-        k = ihi
-        while ilo is None or k >= ilo:
-            budget.spend()
-            yield k
-            k -= 1
-        return
-    k = 0
+    nonnegative: k counts up from the least magnitude in the window, each
+    k gives k and then -k where they are inside, and the first k with
+    neither ends the walk."""
+    k = ilo if ilo is not None and ilo > 0 else -ihi if ihi is not None and ihi < 0 else 0
     while True:
         hit = False
-        if (ihi is None or k <= ihi) and (ilo is None or k >= ilo):
-            budget.spend()
-            yield k
-            hit = True
-        if k > 0 and (ilo is None or -k >= ilo) and (ihi is None or -k <= ihi):
-            budget.spend()
-            yield -k
-            hit = True
-        if not hit and k > 0:
+        for x in (k, -k) if k else (0,):
+            if (ilo is None or x >= ilo) and (ihi is None or x <= ihi):
+                budget.spend()
+                yield x
+                hit = True
+        if not hit:
             return
         k += 1
 
@@ -718,10 +700,13 @@ def _int_bounds(rows: list, todo: list) -> Optional[dict]:
 
 def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
     """Assign the ordered variables; `order` is [(name, is_int), ...].
-    Returns a partial model over mentioned variables, or None.  A None that
-    follows a value a rational variable took, that its window did not force
-    and that a later integer window depends on, is noted in `budget.picked`
-    (unless a pick is noted already): another value might have completed."""
+    Returns a partial model over mentioned variables, or None when the rows
+    have no solution with the integers integral.  A None that follows a
+    value a rational variable took, that its window did not force and that
+    a later integer window depends on, proves nothing: another value might
+    have completed.  Then the same rows are searched again, on the same
+    budget, with every integer before every rational, where a rational is
+    fixed only once the integers are and always extends."""
     mentioned = {n for coeffs, _, _ in rows for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
     if (clip := _int_bounds(rows, todo)) is None or (reads := _window_rows(rows, todo)) is None:
@@ -767,8 +752,8 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
         return None
 
     untried: list = []
-    if (out := go(0)) is None and untried and budget.picked is None:
-        budget.picked = f"no integer completion of the value picked for {untried[0]}"
+    if (out := go(0)) is None and untried:
+        return _solve_linear(rows, sorted(todo, key=lambda v: not v[1]), budget)
     return out
 
 
@@ -852,8 +837,7 @@ class _Frames:
             return UNSAT
         budget = _Budget(budget_limit)
         # From here `reason` says why the search cannot answer Unsat, if it
-        # cannot; a rational pick (`budget.picked`) is named only when nothing
-        # else is.  Every literal with one alternative holds on every branch,
+        # cannot.  Every literal with one alternative holds on every branch,
         # so its linear forms make one root system, tested once before any
         # choice.
         try:
@@ -874,7 +858,6 @@ class _Frames:
                     return Sat(result)
         except _OutOfBudget:
             reason = reason or "case-split budget exhausted"
-        reason = reason or budget.picked
         return UNSAT if reason is None else Unknown(reason)
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 from .lang import (
     BOOL, INT, MONEY, RAT,
     Default, EnumT, Expr, Not, Program, Scope, StructT, Value, VBool, VEnum,
-    VInt, VMoney, VRat, VStruct, children, map_bottom_up,
+    VInt, VMoney, VRat, VStruct, map_bottom_up,
 )
 from .interp import Outcome, OutcomeKind, run_scope
 from .explorer import TestSuite, Testcase, explore
@@ -223,47 +223,33 @@ class Mutant:
     seed: int
 
 
-def _post_order_defaults(expr: Expr) -> list:
-    out: list = []
-
-    def go(e: Expr) -> None:
-        for c in children(e):
-            go(c)
-        if isinstance(e, Default):
-            out.append(e)
-
-    go(expr)
-    return out
-
-
-def _default_sites(program: Program, need_exceptions: bool) -> list:
-    """(scope name, traversal index) of eligible default terms; indices
-    follow the same post-order numbering the replacement walk uses."""
-    sites = []
-    idx = 0
-    for sc in program.scopes:
-        for b in sc.bindings:
-            for e in _post_order_defaults(b.expr):
-                if not need_exceptions or e.exceptions:
-                    sites.append((sc.name, idx))
-                idx += 1
-    return sites
-
-
-def _replace_default(program: Program, target: int, f) -> Program:
+def _map_defaults(program: Program, f) -> Program:
+    """The program with each default term d of a scope binding replaced by
+    f(scope name, index, d), indices counting the default terms in the
+    post-order of `map_bottom_up`, binding by binding."""
     numbering = itertools.count()
-
-    def visit(e: Expr) -> Expr:
-        if isinstance(e, Default) and next(numbering) == target:
-            return f(e)
-        return e
-
     scopes = []
     for sc in program.scopes:
+        def visit(e: Expr, scope_name=sc.name) -> Expr:
+            return f(scope_name, next(numbering), e) if isinstance(e, Default) else e
         bindings = tuple(replace(b, expr=map_bottom_up(b.expr, visit))
                          for b in sc.bindings)
         scopes.append(replace(sc, bindings=bindings))
     return replace(program, scopes=tuple(scopes))
+
+
+def _default_sites(program: Program, need_exceptions: bool) -> list:
+    """(scope name, index) of eligible default terms, numbered by the walk
+    that replaces them (`_map_defaults`)."""
+    sites = []
+
+    def note(scope_name: str, idx: int, d: Default) -> Default:
+        if not need_exceptions or d.exceptions:
+            sites.append((scope_name, idx))
+        return d
+
+    _map_defaults(program, note)
+    return sites
 
 
 def mutate(program: Program, op: MutationOp, seed: int) -> Mutant:
@@ -293,7 +279,7 @@ def mutate(program: Program, op: MutationOp, seed: int) -> Mutant:
                            span=d.span)
         raise ValueError(f"unknown mutation op {op.kind!r}")
 
-    mutated = _replace_default(program, target, apply)
+    mutated = _map_defaults(program, lambda _, i, d: apply(d) if i == target else d)
     return Mutant(program, mutated, op, scope_name, target, target_span[0], seed)
 
 

@@ -130,7 +130,7 @@ class ConcolicState:
         ))
 
     def emit_concretized(self, span: Optional[Span]) -> None:
-        self.emit(BranchRecord(TRUE, True, Origin.OPAQUE_CONCRETIZED,
+        self.emit(BranchRecord(TRUE, True, Origin.CONCRETIZED,
                                hard=self.hard_mode, span=span))
 
     def push_frame(self) -> None:
@@ -239,7 +239,6 @@ def ceval(expr: Expr, cenv: dict, state: ConcolicState, ctx: tuple):
                 if is_error(av):
                     return acv
                 vals.append(av)
-            state.emit_concretized(expr.span)
             handler = OPAQUE_HANDLERS.get(tag)
             if handler is None:
                 return _conflict_cv(expr.span)

@@ -318,24 +318,39 @@ def test_invalid_declaration_is_an_error_not_a_traceback(tmp_path, decl, message
     assert (p.returncode, p.stderr) == (1, f"error: {src}:{message}\n")
 
 
-def test_rational_pick_without_integer_completion_is_incomplete(tmp_path):
-    # r = 1/10, n = 1 reaches out = 1, but the solver fixes r first at the
-    # midpoint of its window [1/10, 4/5], where no integer n fits; that is
-    # an Unknown, not an Unsat, so the run is incomplete.
+def test_rational_pick_without_integer_completion_is_decided(tmp_path):
+    # r = 1/10, n = 1 reaches out = 1.  The solver fixes r first at the
+    # midpoint of its window [1/10, 4/5], where no integer n fits, and then
+    # searches the same rows again with n first, which finds n = 1.
     src = tmp_path / "pick.dfc"
     src.write_text("scope S { input r: rate; input n: int; assert n >= 1; assert n <= 8;"
                    " def out: int = if r = n / 10 then 1 else 0; output out; }\n")
     p = run_cli(["run", str(src), "--scope", "S", "--stats"])
-    assert p.returncode == 2, p.stderr
-    assert "unsat=1 unknown=1 " in p.stdout and "exploration incomplete" in p.stderr
-    # The iteration's verdict and the incomplete line say why.
-    assert p.stderr.splitlines() == [
-        "iter=1 unknown depth=4 tests=1",
-        "exploration incomplete: no integer completion of the value picked for r"]
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines()[:2] == ["[1] r = 0/1, n = 1 -> out = 0",
+                                         "[2] r = 1/10, n = 1 -> out = 1"]
+    assert " unknown=0 " in p.stdout and "incomplete" not in p.stderr
     suite = tmp_path / "suite"
-    assert main(["run", str(src), "--scope", "S", "--quiet", "--emit-tests", str(suite)]) == 2
+    assert main(["run", str(src), "--scope", "S", "--quiet", "--emit-tests", str(suite)]) == 0
     manifest = json.loads((suite / "suite.json").read_text())
-    assert (manifest["complete"], manifest["stats"]["unknown"]) == (False, 1)
+    assert (manifest["complete"], manifest["stats"]["unknown"]) == (True, 0)
+
+
+def test_branch_with_no_symbolic_form_is_named_and_never_flipped(tmp_path):
+    # An equality of enums that carry payloads has no symbolic form, so
+    # out = 1 cannot be reached: the run says where, and asks no solver.
+    src = tmp_path / "zone.dfc"
+    src.write_text("enum Zone { Mainland, Overseas(int) }\n"
+                   "scope S { input z: Zone;\n"
+                   "  def out: int = if z = Zone::Overseas(3) then 1 else 0; output out; }\n")
+    p = run_cli(["run", str(src), "--scope", "S", "--stats"])
+    assert p.returncode == 2, p.stderr
+    assert p.stdout.splitlines() == [
+        "[1] z = Zone::Mainland -> out = 0",
+        "solver_calls=0 sat=0 unsat=0 unknown=0 solver_failures=0 tests=1 conflicts=0 empties=0"]
+    assert p.stderr.splitlines()[-1] == (
+        f"exploration incomplete: {src}:3:18: a branch with no symbolic form:"
+        " its other side is never tried")
 
 
 @pytest.mark.parametrize("args,reason", [

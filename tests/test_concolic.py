@@ -118,14 +118,21 @@ def test_ground_division_check_is_trivial():
 
 
 def test_opaque_emits_concretization_marker():
+    # The opaque value alone decides no branch and adds no record; an if on
+    # it adds one, with no literal to flip.
     from defcalc.interp import register_opaque
     register_opaque("ident", lambda vals: vals[0])
     expr = Opaque("ident", INT, (Var("x"),))
     prog = Program(scopes=(Scope(
         "S", (("x", INT),), (), (Binding("y", INT, expr),), ("y",)),))
     out, path = run(prog, "S", {"x": VInt(3)})
-    assert out.output("y") == VInt(3)
-    assert [r.origin for r in path] == [Origin.OPAQUE_CONCRETIZED]
+    assert out.output("y") == VInt(3) and path == []
+    cond = If(BinOp(">", expr, Lit(VInt(5))), Lit(VInt(1)), Lit(VInt(0)))
+    prog = Program(scopes=(Scope(
+        "S", (("x", INT),), (), (Binding("y", INT, cond),), ("y",)),))
+    out, path = run(prog, "S", {"x": VInt(3)})
+    assert out.output("y") == VInt(0)
+    assert [r.origin for r in path] == [Origin.CONCRETIZED]
     assert literal_key(path[0]) is None
 
 

@@ -549,6 +549,43 @@ scope S {
         assert (q > Fraction(1, 2)) == (tc.outcome.outputs[0][1] == VInt(1))
 
 
+_CONCRETIZED = "a branch with no symbolic form: its other side is never tried"
+
+
+@pytest.mark.parametrize("body,site,tests,calls", [
+    # The if on the opaque value is never flipped, so y > 5 is not reached.
+    ("def y: int = opaque ident : int (x);"
+     " def out: int = if y > 5 then 1 else 0; output out;", "if y > 5", 1, 0),
+    # x = 0 fails an assertion the solver cannot see; the bootstrap runs
+    # out, but the reason kept is the assertion's branch.
+    ("assert (opaque ident : int (x)) > 3; def out: int = x; output out;",
+     "opaque ident : int (x)) > 3", 0, 8),
+    # x = 6 reaches out = 1 but fails the assertion it never saw.
+    ("assert (opaque ident : int (x)) < 3;"
+     " def out: int = if x > 5 then 1 else 0; output out;",
+     "opaque ident : int (x)) < 3", 1, 1),
+])
+def test_branch_on_an_opaque_value_makes_the_run_incomplete(body, site, tests, calls):
+    from defcalc.interp import register_opaque
+    from defcalc.parser import parse_or_raise
+    register_opaque("ident", lambda vals: vals[0])
+    src = "scope S { input x: int; " + body + " }"
+    suite = explore(parse_or_raise(src), "S")
+    assert not suite.complete and suite.incomplete_reason == _CONCRETIZED
+    assert src[suite.incomplete_span.start:].startswith(site)
+    assert (len(suite.testcases), suite.stats.solver_calls) == (tests, calls)
+
+
+def test_opaque_value_that_no_branch_tests_leaves_the_run_complete():
+    # An opaque with no handler conflicts; its value decides no branch.
+    from defcalc.parser import parse_or_raise
+    suite = explore(parse_or_raise(
+        "scope S { input x: int; def y: int = opaque nohandler : int (x); output y; }"), "S")
+    assert suite.complete and suite.incomplete_span is None
+    assert [tc.outcome.kind for tc in suite.testcases] == [OutcomeKind.CONFLICT]
+    assert suite.stats.solver_calls == 0
+
+
 def test_nonlinear_program_degrades_to_incomplete():
     # money divided by a symbolic rate leaves the linear fragment; the
     # engine must flag incompleteness rather than mis-explore

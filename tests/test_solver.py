@@ -510,7 +510,6 @@ def _linear_systems(draw):
     return atoms, order, draw(st.integers(1, 24))
 
 
-_PICK = "no integer completion of the value picked for "
 _ORACLE_SOLVE, _ORACLE_BOUNDS = oracle_fm._solve_linear, oracle_fm._bounds_of
 
 
@@ -541,37 +540,42 @@ def _oracle_within_int_bounds(atoms, order, budget):
 
 
 def _run_linear(solve, atoms, order, limit):
-    """(model or None, budget left), "out of budget", or the Unknown of a
-    rational pick with no integer completion (a None with `budget.picked`)."""
+    """(model or None, budget left), or "out of budget"."""
     budget = solver._Budget(limit)
     try:
         out = solve(atoms, order, budget)
     except solver._OutOfBudget:
         return "out of budget"
-    if budget.picked is not None:
-        assert out is None
-        return Unknown(budget.picked)
     return out, budget.left
 
 
+def _deciding(solve):
+    """`solve(atoms, order, budget)`, and on None `solve` again on the same
+    budget with every integer first: the oracle fixes a rational at one
+    value, which may strand a later integer, but once the integers come
+    first its None is a proof."""
+    def decide(atoms, order, budget):
+        out = solve(atoms, order, budget)
+        if out is None:
+            out = solve(atoms, sorted(order, key=lambda v: not v[1]), budget)
+        return out
+    return decide
+
+
 def _assert_matches_oracle(rows, atoms, order, limit):
-    """The linear core on `rows` against the FM oracle on the same `atoms`.
-    Where the oracle decides within `limit`, the same model or None for no
-    more budget; where it runs out, the core runs out or answers as the
-    oracle does with 1 << 20, its integer windows clipped to the core's
-    bounds.  A rational pick's Unknown may stand for an oracle None: the
-    oracle fixes the same one value and gives up the same way."""
+    """The linear core on `rows` against the deciding FM oracle on the same
+    `atoms`.  Where the oracle decides within `limit`, the same model or
+    None for no more budget; where it runs out, the core runs out or
+    answers as the oracle does with 1 << 20, its integer windows clipped to
+    the core's bounds."""
     got = _run_linear(solver._solve_linear, rows, order, limit)
-    want = _run_linear(oracle_fm._solve_linear, atoms, order, limit)
+    want = _run_linear(_deciding(oracle_fm._solve_linear), atoms, order, limit)
     if want == "out of budget":
         if got == "out of budget":
             return
-        want = _run_linear(_oracle_within_int_bounds, atoms, order, 1 << 20)
+        want = _run_linear(_deciding(_oracle_within_int_bounds), atoms, order, 1 << 20)
         assert want != "out of budget"
         want = want[0], 0
-    if isinstance(got, Unknown):
-        assert got.reason.startswith(_PICK) and want[0] is None
-        return
     assert got != "out of budget" and got[0] == want[0] and got[1] >= want[1]
 
 
@@ -758,18 +762,16 @@ def test_builtin_check_matches_fm_oracle_pipeline(rng, limit):
     lits = tuple(_random_mixed_literal(rng) for _ in range(rng.randrange(1, 7)))
     retain = {"x": VInt(rng.randrange(-3, 4)), "z": VEnum("Zone", "C")}
     got = _fresh_check(_MIXED_LEAVES, lits, retain, limit)
-    want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, limit)
+    with mock.patch.object(oracle_fm, "_solve_linear", _deciding(_ORACLE_SOLVE)):
+        want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, limit)
     if isinstance(want, Unknown) and got != want:
         # The search skips branches and candidates the oracle pays for, so
         # it may decide what the oracle leaves Unknown: then as the oracle
         # does with 1 << 20 and the integer bounds that end its search.
-        with mock.patch.object(oracle_fm, "_solve_linear", _oracle_within_int_bounds):
+        with mock.patch.object(oracle_fm, "_solve_linear",
+                               _deciding(_oracle_within_int_bounds)):
             want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, 1 << 20)
-    if isinstance(got, Unknown) and got.reason.startswith(_PICK):
-        # The oracle gives up on the same rational pick, as an Unsat.
-        assert want == solver.UNSAT
-    else:
-        assert got == want
+    assert got == want
 
 
 # Literals the frames must keep apart: one that does not linearize, one that
@@ -986,62 +988,104 @@ def test_bounds_refute_what_the_oracle_search_never_ends():
     assert _run_linear(_oracle_within_int_bounds, atoms, order, 1) == (None, 1)
 
 
-def test_rational_pick_without_integer_completion_is_unknown():
+_MIXED_BOX = 4
+
+
+@st.composite
+def _boxed_mixed_systems(draw):
+    """Rows over 2-4 variables, each within |v| <= _MIXED_BOX, integers and
+    rationals in a drawn order, and 1-4 drawn rows over them."""
+    names = "abcd"[:draw(st.integers(2, 4))]
+    rows = [({n: 1}, -_MIXED_BOX, "<=") for n in names] + \
+        [({n: -1}, -_MIXED_BOX, "<=") for n in names]
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = {n: k for n, k in draw(st.dictionaries(st.sampled_from(names), _coeff)).items()
+                  if k}
+        rows.append(solver._row(coeffs, draw(st.fractions(-6, 6, max_denominator=3)),
+                                draw(st.sampled_from(["=", "<=", "<"]))))
+    return rows, [(n, draw(st.booleans())) for n in draw(st.permutations(names))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_boxed_mixed_systems())
+def test_linear_core_decides_boxed_mixed_systems(system):
+    # Brute force: the rows have a solution with the integers integral iff
+    # fixing the integers at some point of the box leaves rows with a
+    # rational solution.
+    rows, order = system
+    ints = [n for n, is_int in order if is_int]
+
+    def feasible_at(point):
+        fixed = []
+        for coeffs, k, op in rows:
+            k += sum(c * point[n] for n, c in coeffs.items() if n in point)
+            fixed.append(({n: c for n, c in coeffs.items() if n not in point}, k, op))
+        try:
+            solver._project(fixed)
+        except solver._Infeasible:
+            return False
+        return True
+    box = range(-_MIXED_BOX, _MIXED_BOX + 1)
+    solvable = any(feasible_at(dict(zip(ints, p))) for p in itertools.product(box, repeat=len(ints)))
+    model = solver._solve_linear(rows, order, solver._Budget(1 << 20))
+    if not solvable:
+        assert model is None
+        return
+    assert model is not None
+    assert all(model[n].denominator == 1 for n in ints)
+    assert all(solver._holds(sum((c * model[n] for n, c in coeffs.items()), Fraction(k)), op)
+               for coeffs, k, op in rows)
+
+
+def _linear_entries(rows, order, limit=64):
+    """The model or None of `solver._solve_linear`, and how often it was
+    entered: twice when it searched the rows again with the integers first."""
+    with mock.patch.object(solver, "_solve_linear", wraps=solver._solve_linear) as spy:
+        out = solver._solve_linear(rows, order, solver._Budget(limit))
+    return out, spy.call_count
+
+
+def test_rational_pick_without_integer_completion_is_decided():
     # 10q - x = 0 and 1 <= x <= 8: q is fixed first, at the midpoint 9/20 of
-    # its window [1/10, 4/5], and x = 9/2 is no integer; q = 1/10 would do.
+    # its window [1/10, 4/5], and x = 9/2 is no integer; searched again with
+    # x first, x = 1 gives q = 1/10.
     rows = [({"q": 10, "x": -1}, 0, "="), ({"x": -1}, 1, "<="), ({"x": 1}, -8, "<=")]
-    budget = solver._Budget(64)
-    assert solver._solve_linear(rows, [("q", False), ("x", True)], budget) is None
-    assert budget.picked == _PICK + "q"
-    # The FM oracle gives up the same way, as a None.
-    atoms = [({n: Fraction(k) for n, k in coeffs.items()}, Fraction(const), op)
-             for coeffs, const, op in rows]
-    assert oracle_fm._solve_linear(atoms, [("q", False), ("x", True)],
-                                   solver._Budget(64)) is None
+    assert _linear_entries(rows, [("q", False), ("x", True)]) == \
+        ({"q": Fraction(1, 10), "x": Fraction(1)}, 2)
     # A pick its window forces is no guess: 2q = 1 leaves x = q no integer.
     rows = [({"q": 2}, -1, "="), ({"q": 1, "x": -1}, 0, "=")]
-    budget = solver._Budget(64)
-    assert solver._solve_linear(rows, [("q", False), ("x", True)], budget) is None
-    assert budget.picked is None
+    assert _linear_entries(rows, [("q", False), ("x", True)]) == (None, 1)
     q, x = v("q", RAT), v("x")
     lits = (SymBin("=", q, SymBin("/", x, c(10))), SymBin(">=", x, c(1)),
             SymBin("<=", x, c(8)))
-    res = _fresh_check((Leaf("q", RAT), X), lits)
-    assert isinstance(res, Unknown) and res.reason.startswith(_PICK + "q")
+    assert _fresh_check((Leaf("q", RAT), X), lits) == \
+        Sat({"q": VRat(Fraction(1, 10)), "x": VInt(1)})
 
 
 def test_rational_pick_no_integer_window_reads_is_exact():
     # q in [0, 1] is picked at 0 and every b is refuted below it (3b - 3c = 1
     # has no integer solution, though three sweeps leave the bounds apart),
-    # but q is in no row with b or c, so no other value of q could help.
+    # but q is in no row with b or c, so no other value of q could help and
+    # the rows are not searched again.
     rows = [({"q": -1}, 0, "<="), ({"q": 1}, -1, "<="), ({"b": 3, "c": -3}, -1, "="),
             ({"b": -1}, 0, "<="), ({"b": 1}, -10, "<="),
             ({"c": -1}, 0, "<="), ({"c": 1}, -10, "<=")]
     order = [("q", False), ("b", True), ("c", True)]
     assert solver._int_bounds(rows, order) is not None
-    budget = solver._Budget(1 << 10)
-    assert solver._solve_linear(rows, order, budget) is None
-    assert budget.picked is None
+    assert _linear_entries(rows, order, 1 << 10) == (None, 1)
 
 
-def test_budget_outranks_a_rational_pick_as_the_reason():
-    # One branch gives up on a rational pick, then the budget runs out before
-    # the branch that is Sat: more budget mends that, so the Unknown says so.
+def test_a_branch_below_a_rational_pick_is_decided_within_budget():
+    # The first branch fixes q before an integer that depends on it, finds
+    # no integer completion and is searched again with the integers first,
+    # which decides it within a budget of 16: the answer is that branch's
+    # model, the first in DNF order, whatever budget is left over.
     x, y = v("x"), v("y")
     lits = (SymBin("=", SymRound(SymBin("+", SymBin("*", x, c(1)), y)), c(3)),
             SymBin("<", x, c(2)),
             SymNot(SymBin("=", SymRound(SymBin("+", SymBin("/", v("q", RAT), c(2)), y)),
                           c(-4))),
             SymBin("&&", SymNot(v("b", BOOL)), SymNot(SymBin("<", SymBin("-", x, y), c(-5)))))
-    picks, core = [], solver._solve_linear
-
-    def spy(*args):
-        out = core(*args)
-        if args[2].picked is not None:
-            picks.append(args)
-        return out
-    with mock.patch.object(solver, "_solve_linear", spy):
-        assert _fresh_check(_MIXED_LEAVES, lits, limit=16) == \
-            Unknown("case-split budget exhausted")
-    assert picks
-    assert isinstance(_fresh_check(_MIXED_LEAVES, lits, limit=256), Sat)
+    small = _fresh_check(_MIXED_LEAVES, lits, limit=16)
+    assert isinstance(small, Sat) and small.model["q"] == VRat(Fraction(-15))
+    assert _fresh_check(_MIXED_LEAVES, lits, limit=256) == small
