@@ -329,8 +329,9 @@ def explore(program: Program, scope_name: str,
             suite.give_up("a solver model violated a scope assertion")
 
         # The iteration's verdict: "sat" once a target is, else "unknown" if
-        # one was Unknown or failed, else "unsat".
-        verdict = "unsat"
+        # one was Unknown or failed, else "unsat" if one was Unsat, else
+        # "none": no target was tried.
+        verdict = "none"
         while True:
             k = frontier.next_target(config.trivial)
             if k is None:
@@ -348,6 +349,8 @@ def explore(program: Program, scope_name: str,
             if isinstance(res, Unknown):
                 suite.give_up(res.reason)
                 verdict = "unknown"
+            elif verdict == "none":
+                verdict = "unsat"
             frontier.entries[k].done = True
         if config.progress is not None:
             config.progress(stats.iterations, verdict, len(path), stats.tests)
@@ -363,8 +366,9 @@ def _bootstrap(compiled: CompiledScope, inputs: dict, session: SolverSession,
     """Find a starting input satisfying the scope assertions.  Returns
     (inputs, (outcome, path)) of the concolic run that accepted them, or
     (inputs, None): an unsatisfiable assertion system leaves the suite empty
-    and complete, and an Unknown, a solver failure or eight runs that each
-    violate an assertion mark it incomplete."""
+    and complete, and an Unknown, a solver failure, a model equal to the
+    inputs just run (runs are deterministic, so they would fail again) or
+    eight runs that each violate an assertion mark it incomplete."""
     scope = compiled.scope
     for _ in range(8):
         outcome, path = run_scope_concolic(compiled, inputs)
@@ -382,7 +386,12 @@ def _bootstrap(compiled: CompiledScope, inputs: dict, session: SolverSession,
         except SolverFailure as e:
             res = Unknown(str(e))
         if isinstance(res, Sat):
-            inputs = inputs_of_leaf_env(scope, dict(res.model))
+            model_inputs = inputs_of_leaf_env(scope, dict(res.model))
+            if model_inputs == inputs:
+                suite.give_up("a bootstrap model repeats inputs that violate"
+                              " a scope assertion")
+                return inputs, None
+            inputs = model_inputs
             continue
         if not isinstance(res, Unsat):
             suite.give_up(res.reason)

@@ -2,8 +2,11 @@
 
 Testcase files are JSON with exact value encodings (money as cents,
 rationals as numerator/denominator) so a replay compares outcomes exactly.
-A suite directory holds one file per testcase plus a ``suite.json`` manifest
-whose statistics always equal a recomputation from the testcase files.
+A suite directory holds one file per testcase, named ``tcNNNN.json``
+(``TESTCASE_NAME``), plus a ``suite.json`` manifest whose statistics always
+equal a recomputation from the testcase files.  Every file's bytes are
+exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, all ASCII,
+built in one pass (`_json_text`) and written with one call.
 
 Mutations inject the three fault shapes that matter for default logic:
 removing exceptions (unhandled cases), duplicating an exception (guaranteed
@@ -24,6 +27,7 @@ import re
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .lang import (
@@ -105,24 +109,77 @@ def testcase_to_json(tc: Testcase) -> dict:
 # Suite emission and replay
 
 
+# The name of a testcase file: what emit_suite writes and replay_dir reads.
+TESTCASE_NAME = re.compile(r"tc\d{4,}\.json")
+
+
+def _json_text(v, newline: str = "\n") -> str:
+    """`json.dumps(v, indent=2, sort_keys=True)` for the values a suite holds:
+    dicts with str keys, lists, str, int, bool and None; anything else,
+    floats included, raises TypeError.  `newline` is a line break followed
+    by the indentation of the line on which v starts."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = newline + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        for k in v:
+            if not isinstance(k, str):
+                raise TypeError(f"not a str key: {k!r}")
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v[k], inner)}"
+                 for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(v, list):
+        if not v:
+            return "[]"
+        items = [_json_text(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"not a suite JSON value: {v!r}")
+
+
+# O_BINARY (Windows only): no newline translation.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_json(path: str, value) -> None:
+    """Write `value` to `path` as `_json_text` and a newline, in one write
+    unless the system writes fewer bytes than asked."""
+    data = (_json_text(value) + "\n").encode("ascii")
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def emit_suite(suite: TestSuite, directory: str) -> list:
     """Write one JSON file per testcase plus suite.json, and remove every
-    other tcNNNN.json, left by an earlier emission into `directory`;
-    byte-stable for identical suites.  Returns the paths written."""
+    other testcase file (`TESTCASE_NAME`), left by an earlier emission into
+    `directory`; byte-stable for identical suites.  Each file's bytes are
+    `json.dumps(doc, indent=2, sort_keys=True)` and a newline.  Returns the
+    paths written."""
     existed = os.path.isdir(directory)
     os.makedirs(directory, exist_ok=True)
     written = []
     for i, tc in enumerate(suite.testcases, start=1):
         path = os.path.join(directory, f"tc{i:04d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(testcase_to_json(tc), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, testcase_to_json(tc))
         written.append(path)
     # A directory made here holds no earlier emission; skipping the listing
     # keeps an emission into a fresh directory as cheap as before.
     names = {os.path.basename(p) for p in written}
     for name in os.listdir(directory) if existed else ():
-        if re.fullmatch(r"tc\d{4,}\.json", name) and name not in names:
+        if TESTCASE_NAME.fullmatch(name) and name not in names:
             os.remove(os.path.join(directory, name))
     manifest = {
         "scope": suite.scope,
@@ -142,9 +199,7 @@ def emit_suite(suite: TestSuite, directory: str) -> list:
         "files": [os.path.basename(p) for p in written],
     }
     mpath = os.path.join(directory, "suite.json")
-    with open(mpath, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(mpath, manifest)
     return written + [mpath]
 
 
@@ -176,12 +231,13 @@ def replay(program: Program, testcase_file: str) -> ReplayResult:
 
 
 def replay_dir(program: Program, directory: str) -> list:
-    """(name, result) for each testcase file of `directory`, in name order.
-    A file that cannot be replayed (not JSON, an unknown scope, inputs that
-    do not fit the scope) fails with the reason in `error`."""
+    """(name, result) for each testcase file (`TESTCASE_NAME`) of
+    `directory`, in name order.  A file that cannot be replayed (not JSON,
+    an unknown scope, inputs that do not fit the scope) fails with the
+    reason in `error`."""
     out = []
     for name in sorted(os.listdir(directory)):
-        if name.startswith("tc") and name.endswith(".json"):
+        if TESTCASE_NAME.fullmatch(name):
             try:
                 result = replay(program, os.path.join(directory, name))
             except (OSError, ValueError, LookupError, TypeError) as e:

@@ -147,7 +147,25 @@ def test_progress_callback_receives_iterations(fig5):
                         progress=lambda i, st, d, t: lines.append((i, st, d, t)))
     explore(fig5, "Main", cfg)
     assert len(lines) == 5
-    assert lines[0][1] == "sat" and lines[-1][1] == "unsat"
+    assert lines[0][1] == "sat" and lines[-1][1] == "none"
+
+
+@pytest.mark.parametrize("src,verdicts", [
+    # The enum equality has no symbolic form: no target is left to try.
+    ("enum Zone { Mainland, Overseas(int) } scope S { input z: Zone;"
+     " def out: int = if z = Zone::Overseas(3) then 1 else 0; output out; }",
+     ["none"]),
+    # The last iteration's one target, x > 3 false under x > 5, is Unsat.
+    ("scope S { input x: int; def a: int = if x > 5 then 1 else 0;"
+     " def b: int = if x > 3 then 1 else 0; def out: int = a + b; output out; }",
+     ["sat", "sat", "unsat"]),
+])
+def test_progress_verdict_says_whether_a_target_was_tried(src, verdicts):
+    from defcalc.parser import parse_or_raise
+    lines = []
+    explore(parse_or_raise(src), "S",
+            ExploreConfig(progress=lambda i, st, d, t: lines.append(st)))
+    assert lines == verdicts
 
 
 # -- frontier bookkeeping -------------------------------------------------------
@@ -556,10 +574,15 @@ _CONCRETIZED = "a branch with no symbolic form: its other side is never tried"
     # The if on the opaque value is never flipped, so y > 5 is not reached.
     ("def y: int = opaque ident : int (x);"
      " def out: int = if y > 5 then 1 else 0; output out;", "if y > 5", 1, 0),
-    # x = 0 fails an assertion the solver cannot see; the bootstrap runs
-    # out, but the reason kept is the assertion's branch.
+    # x = 0 fails an assertion the solver cannot see; the bootstrap's model
+    # repeats x = 0, so it stops after one call, and the reason kept is the
+    # assertion's branch.
     ("assert (opaque ident : int (x)) > 3; def out: int = x; output out;",
-     "opaque ident : int (x)) > 3", 0, 8),
+     "opaque ident : int (x)) > 3", 0, 1),
+    # x = 0 fails x > 5; the model x = 6 then fails the opaque assertion and
+    # is the next model too.
+    ("assert x > 5; assert (opaque ident : int (x)) > 10; def out: int = x;"
+     " output out;", "opaque ident : int (x)) > 10", 0, 2),
     # x = 6 reaches out = 1 but fails the assertion it never saw.
     ("assert (opaque ident : int (x)) < 3;"
      " def out: int = if x > 5 then 1 else 0; output out;",

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defcalc.lang import (
     BOOL, INT, MONEY, RAT,
@@ -12,9 +13,9 @@ from defcalc.lang import (
 from defcalc.explorer import ExploreConfig, explore
 from defcalc.interp import OutcomeKind, run_scope
 from defcalc.testkit import (
-    CampaignReport, MutationOp, Mutant, NoEligibleDefaultTerm, emit_suite,
-    find_issue, input_grid, mutate, mutation_campaign, replay, replay_dir,
-    screen_mutant, value_from_json, value_to_json,
+    CampaignReport, MutationOp, Mutant, NoEligibleDefaultTerm, _write_json,
+    emit_suite, find_issue, input_grid, mutate, mutation_campaign, replay,
+    replay_dir, screen_mutant, value_from_json, value_to_json,
 )
 
 
@@ -40,6 +41,33 @@ def test_rational_encoded_as_fraction():
 
 
 # -- suite emission and replay ---------------------------------------------------
+
+
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00", "\x1f\x7f", "\n\t", "é", "\u2028", "\U0001f600", "\ud800"])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(-10**40, 10**40) | _TEXT)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_written_text_is_json_dumps(tmp_path_factory, value):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    _write_json(str(path), value)
+    assert path.read_bytes() == \
+        (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, [{"b": float("nan")}],
+                                   {1: 2}, (1, 2)])
+def test_writer_rejects_other_types_and_writes_nothing(tmp_path, value):
+    with pytest.raises(TypeError):
+        _write_json(str(tmp_path / "doc.json"), value)
+    assert not (tmp_path / "doc.json").exists()
 
 
 def fig5_suite(fig5):
@@ -92,7 +120,9 @@ def test_replay_round_trip(fig5, tmp_path):
 def test_reemission_removes_stale_testcases(fig5, trivial_just, tmp_path):
     # fig5's five testcases, then trivial_just's four into the same directory:
     # the fifth file would replay against a scope trivial_just does not have.
-    (tmp_path / "notes.json").write_text("{}")
+    # Files not named like a testcase stay, and replay skips them.
+    for name in ("notes.json", "tcnotes.json", "tc12.json"):
+        (tmp_path / name).write_text("{}")
     emit_suite(fig5_suite(fig5), str(tmp_path))
     other = tmp_path / "other"
     written = emit_suite(explore(trivial_just, "Fees", ExploreConfig()), str(other))
@@ -101,7 +131,8 @@ def test_reemission_removes_stale_testcases(fig5, trivial_just, tmp_path):
     results = replay_dir(trivial_just, str(tmp_path))
     assert [name for name, _ in results] == [f"tc000{i}.json" for i in range(1, 5)]
     assert all(r.passed for _, r in results)
-    assert (tmp_path / "notes.json").exists()
+    assert all((tmp_path / name).exists()
+               for name in ("notes.json", "tcnotes.json", "tc12.json"))
     for p in written:  # the emitted bytes are as in a fresh directory
         assert (tmp_path / os.path.basename(p)).read_bytes() == open(p, "rb").read()
 
