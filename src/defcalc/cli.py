@@ -27,7 +27,8 @@ from .interp import OutcomeKind
 from .explorer import OPT_NAMES, ExploreConfig, explore
 from .smtlib import ExternalSolver, SmtlibEmitter
 from .testkit import (
-    MUTATION_OPS, MutationOp, emit_suite, mutate, mutation_campaign, replay_dir,
+    MUTATION_OPS, MutationOp, NoEligibleDefaultTerm, emit_suite, mutate,
+    mutation_campaign, replay_dir,
 )
 
 EXIT_OK = 0
@@ -200,6 +201,11 @@ def cmd_mutate(args) -> int:
     unknown = set(ops) - set(MUTATION_OPS)
     if unknown:
         raise SystemExit(f"error: unknown mutation ops {sorted(unknown)}")
+    for kind in dict.fromkeys(ops):  # before any file is written
+        try:
+            mutate(program, MutationOp(kind), 0)
+        except NoEligibleDefaultTerm as e:
+            raise SystemExit(f"error: {e}")
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     import random

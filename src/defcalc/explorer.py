@@ -7,9 +7,12 @@ descent with the model; UNSAT backtracks to the next shallower record.  Only
 the last explored path is kept, with a per-position negated-already flag.
 
 Scope assertions contribute hard prefix records that are conjoined to every
-query through the prefix and are never negated; when the starting input
-itself violates an assertion, the explorer first solves the assertion system
-to bootstrap a valid input.
+query through the prefix and are never negated.  The loop's first runs, while
+none has passed the assertions, are the bootstrap: a run that fails one asks
+the solver for inputs that take its path with every assertion held.  Eight
+such runs, an Unknown or a model that repeats the inputs leave the suite
+incomplete.  The deadline bounds these runs as it bounds every other; only
+runs that pass the assertions count as iterations.
 
 The early-conflict option breaks the prefix invariant by design; when the
 observed path diverges from the expected prefix, bookkeeping restarts from
@@ -41,10 +44,9 @@ from typing import Callable, Optional
 from .lang import Program, Span, validate
 from .interp import Outcome, OutcomeKind
 from .concolic import (
-    BranchRecord, CompiledScope, ConcolicOpts, Origin, compile_scope,
-    run_scope_concolic,
+    BranchRecord, ConcolicOpts, Origin, compile_scope, run_scope_concolic,
 )
-from .solver import Sat, SolverFailure, SolverSession, Unknown, Unsat
+from .solver import Sat, SolverFailure, SolverSession, Unknown
 from .symbolic import (
     default_value, inputs_of_leaf_env, leaf_env_of_inputs, render,
     scope_leaves, sym_not,
@@ -241,13 +243,6 @@ def filter_trivial(key: Optional[str], repeated: bool) -> bool:
     return not (key is None or repeated)
 
 
-def initial_inputs(scope, hints: dict) -> dict:
-    inputs = {}
-    for name, ty in scope.inputs:
-        inputs[name] = hints.get(name, default_value(ty))
-    return inputs
-
-
 def _prepare(program: Program, scope_name: str, config: ExploreConfig) -> Program:
     if config.frontend:
         program = transforms.simplify_frontend(program)[0]
@@ -270,57 +265,67 @@ def explore(program: Program, scope_name: str,
         raise ValueError(f"program does not validate: {errors[0].message}")
     work = _prepare(program, scope_name, config)
     scope = work.scope(scope_name)
-    leaves = scope_leaves(scope)
 
     compiled = compile_scope(work, scope_name, ConcolicOpts(
         lazy=config.lazy, early_error=config.early_error))
-    stats = SuiteStats()
-    suite = TestSuite(scope_name, [], stats, complete=True,
+    # `stats` is made once, when the loop ends, from what the run recorded.
+    suite = TestSuite(scope_name, [], None, complete=True,
                       opts=config.opt_names(), depth_trace=[])
 
-    inputs = initial_inputs(scope, config.initial)
-    session = SolverSession(leaves, backend=config.backend, on_query=config.on_query,
-                            retain=leaf_env_of_inputs(scope, inputs))
-
-    # Bootstrap past assertion-violating starting inputs; the run that
-    # accepts its inputs is the first iteration's.
-    inputs, first = _bootstrap(compiled, inputs, session, suite)
-    if first is None:
-        _sync_stats(stats, session)
-        return suite
-
+    inputs = {n: config.initial.get(n, default_value(ty)) for n, ty in scope.inputs}
+    env = leaf_env_of_inputs(scope, inputs)  # the leaf values of `inputs`
+    session = SolverSession(scope_leaves(scope), backend=config.backend,
+                            on_query=config.on_query, retain=env)
     frontier = Frontier(session, config.incremental)
     decide = session.check_soft if config.soft else session.check
     seen_fps = set()
-    tier = session.tier_of(leaf_env_of_inputs(scope, inputs)) if config.soft else None
+    bootstrap_runs = 0
     deadline = None if config.timeout is None else time.monotonic() + config.timeout
 
     while True:
-        if stats.iterations >= config.max_iters:
+        if len(suite.depth_trace) >= config.max_iters:
             suite.give_up(f"iteration limit of {config.max_iters} reached")
             break
         if deadline is not None and time.monotonic() > deadline:
             suite.give_up(f"timeout of {config.timeout} s reached")
             break
-        outcome, path = first or run_scope_concolic(compiled, inputs)
-        first = None
-        stats.iterations += 1
-        suite.depth_trace.append(len(path))
+        outcome, path = run_scope_concolic(compiled, inputs)
         _note_concretized(path, suite)
 
+        if outcome.kind is OutcomeKind.PRECONDITION and not suite.depth_trace:
+            # The bootstrap: no run has passed the scope assertions yet, so
+            # ask for inputs that take this run's path with every assertion
+            # held.  Unsat leaves the suite empty and complete.
+            bootstrap_runs += 1
+            res = _ask(session.check, [
+                sym_not(r.constraint) if r.origin is Origin.ASSERTION and not r.taken
+                else r.constraint for r in path])
+            if not isinstance(res, Sat):
+                if isinstance(res, Unknown):
+                    suite.give_up(res.reason)
+                break
+            model_inputs = inputs_of_leaf_env(scope, res.model)
+            if model_inputs == inputs:  # runs are deterministic: it fails again
+                suite.give_up("a bootstrap model repeats inputs that violate"
+                              " a scope assertion")
+                break
+            if bootstrap_runs == 8:
+                suite.give_up("no input satisfying the scope assertions after 8"
+                              " bootstrap runs")
+                break
+            inputs, env = model_inputs, res.model
+            continue
+
+        suite.depth_trace.append(len(path))
         if outcome.kind is not OutcomeKind.PRECONDITION:
             frontier.reconcile(path, config.early_error)
             fp = path_fingerprint(path, frontier.entries)
             if fp not in seen_fps:
                 seen_fps.add(fp)
-                tc = Testcase(scope_name, dict(inputs), outcome, tuple(path),
-                              tier, stats.iterations, fp)
-                suite.testcases.append(tc)
-                stats.tests += 1
-                if outcome.kind is OutcomeKind.CONFLICT:
-                    stats.conflicts += 1
-                elif outcome.kind is OutcomeKind.EMPTY:
-                    stats.empties += 1
+                tier = session.tier_of(env) if config.soft else None
+                suite.testcases.append(Testcase(
+                    scope_name, dict(inputs), outcome, tuple(path), tier,
+                    len(suite.depth_trace), fp))
         else:
             # Every model satisfies the hard records it was solved under, so
             # an assertion fails after the bootstrap only where the records
@@ -336,13 +341,9 @@ def explore(program: Program, scope_name: str,
             k = frontier.next_target(config.trivial)
             if k is None:
                 break
-            try:
-                res = frontier.query(k, decide)
-            except SolverFailure as e:
-                res = Unknown(str(e))
+            res = _ask(frontier.query, k, decide)
             if isinstance(res, Sat):
-                inputs = inputs_of_leaf_env(scope, dict(res.model))
-                tier = res.tier
+                inputs, env = inputs_of_leaf_env(scope, res.model), res.model
                 frontier.flip(k)
                 verdict = "sat"
                 break
@@ -353,51 +354,29 @@ def explore(program: Program, scope_name: str,
                 verdict = "unsat"
             frontier.entries[k].done = True
         if config.progress is not None:
-            config.progress(stats.iterations, verdict, len(path), stats.tests)
+            config.progress(len(suite.depth_trace), verdict, len(path),
+                            len(suite.testcases))
         if verdict != "sat":
             break
 
-    _sync_stats(stats, session)
+    kinds = [tc.outcome.kind for tc in suite.testcases]
+    s = session.stats
+    suite.stats = SuiteStats(
+        iterations=len(suite.depth_trace), tests=len(kinds),
+        conflicts=kinds.count(OutcomeKind.CONFLICT),
+        empties=kinds.count(OutcomeKind.EMPTY), solver_calls=s.checks, sat=s.sat,
+        unsat=s.unsat, unknown=s.unknown, solver_failures=s.failures,
+        pushes=s.pushes, pops=s.pops)
     return suite
 
 
-def _bootstrap(compiled: CompiledScope, inputs: dict, session: SolverSession,
-               suite: TestSuite):
-    """Find a starting input satisfying the scope assertions.  Returns
-    (inputs, (outcome, path)) of the concolic run that accepted them, or
-    (inputs, None): an unsatisfiable assertion system leaves the suite empty
-    and complete, and an Unknown, a solver failure, a model equal to the
-    inputs just run (runs are deterministic, so they would fail again) or
-    eight runs that each violate an assertion mark it incomplete."""
-    scope = compiled.scope
-    for _ in range(8):
-        outcome, path = run_scope_concolic(compiled, inputs)
-        if outcome.kind is not OutcomeKind.PRECONDITION:
-            return inputs, (outcome, path)
-        _note_concretized(path, suite)
-        required = []
-        for rec in path:
-            lit = rec.constraint
-            if rec.origin is Origin.ASSERTION and not rec.taken:
-                lit = sym_not(lit)  # require the assertion to hold
-            required.append(lit)
-        try:
-            res = session.check(required)
-        except SolverFailure as e:
-            res = Unknown(str(e))
-        if isinstance(res, Sat):
-            model_inputs = inputs_of_leaf_env(scope, dict(res.model))
-            if model_inputs == inputs:
-                suite.give_up("a bootstrap model repeats inputs that violate"
-                              " a scope assertion")
-                return inputs, None
-            inputs = model_inputs
-            continue
-        if not isinstance(res, Unsat):
-            suite.give_up(res.reason)
-        return inputs, None  # Unsat: no valid inputs, an empty, complete suite
-    suite.give_up("no input satisfying the scope assertions after 8 bootstrap runs")
-    return inputs, None
+def _ask(decide: Callable, *args):
+    """`decide(*args)`, a solver check, with a `SolverFailure` read as an
+    Unknown that gives its message."""
+    try:
+        return decide(*args)
+    except SolverFailure as e:
+        return Unknown(str(e))
 
 
 def _note_concretized(path: list, suite: TestSuite) -> None:
@@ -408,13 +387,3 @@ def _note_concretized(path: list, suite: TestSuite) -> None:
             suite.give_up("a branch with no symbolic form: its other side"
                           " is never tried", rec.span)
             return
-
-
-def _sync_stats(stats: SuiteStats, session: SolverSession) -> None:
-    stats.solver_calls = session.stats.checks
-    stats.sat = session.stats.sat
-    stats.unsat = session.stats.unsat
-    stats.unknown = session.stats.unknown
-    stats.solver_failures = session.stats.failures
-    stats.pushes = session.stats.pushes
-    stats.pops = session.stats.pops

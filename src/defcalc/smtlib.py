@@ -384,12 +384,16 @@ class ExternalSolver:
 
 
 class SmtlibEmitter:
-    """Writes one numbered .smt2 file per query (the --emit-smtlib option)."""
+    """Writes one numbered .smt2 file per query (the --emit-smtlib option)
+    after removing the ones an earlier run left in `directory`."""
 
     def __init__(self, directory):
         self.dir = directory
         self.count = 0
         os.makedirs(directory, exist_ok=True)
+        for name in os.listdir(directory):
+            if re.fullmatch(r"q\d{6,}\.smt2", name):
+                os.remove(os.path.join(directory, name))
 
     def __call__(self, query: Query) -> None:
         path = os.path.join(self.dir, f"q{self.count:06d}.smt2")

@@ -77,8 +77,8 @@ class SolverFailure(Exception):
 
 @dataclass(frozen=True)
 class Sat:
+    """A model; its soft tier, if any, is `SolverSession.tier_of(model)`."""
     model: dict  # leaf name -> Value, total over declarations
-    tier: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -1087,23 +1087,23 @@ class SolverSession:
     def check_soft(self, extra=()) -> object:
         """Hard check first; on Sat, walk the soft ladder for the session's
         money variables jointly (multiples of $100, $10, $1) and return the
-        first satisfiable tier's model.  With no money variable, the hard
-        check's answer as it is."""
+        first satisfiable tier's model, else the hard one; `tier_of` names
+        its tier.  With no money variable, the hard check's answer as it is."""
         hard = self.check(extra)
         if not isinstance(hard, Sat) or not self._money:
             return hard
-        for tier_name, unit in SOFT_TIERS:
+        for _, unit in SOFT_TIERS:
             decls, tier_lits = divisibility_constraints(self.decls, self._money, unit)
             res = self._decide(decls, (*extra, *tier_lits))
             if isinstance(res, Sat):
                 model = {k: v for k, v in res.model.items()
                          if not k.startswith(".mult")}
-                return Sat(model, tier=tier_name)
+                return Sat(model)
         return hard
 
     def tier_of(self, leaf_env: dict) -> Optional[str]:
-        """The first soft tier whose unit divides every money variable's
-        value in `leaf_env`, None if there is none or no money variable."""
+        """A model's tier: the first soft tier whose unit divides every money
+        variable's value in `leaf_env`, None if none or no money variable."""
         if self._money:
             for tier_name, unit in SOFT_TIERS:
                 if all(leaf_env[m].cents % unit == 0 for m in self._money):

@@ -262,30 +262,9 @@ class Leaf:
     ty: SemType  # BOOL | INT | RAT | MONEY | EnumT
 
 
-def flatten_type(name: str, ty: SemType) -> list:
-    """All leaves contributed by one declared input, depth first, in
-    declaration order."""
-    match ty:
-        case StructT(_, fields):
-            out = []
-            for f, fty in fields:
-                out.extend(flatten_type(f"{name}.{f}", fty))
-            return out
-        case EnumT(_, variants):
-            out = [Leaf(name, ty)]
-            for v, pty in variants:
-                if pty is not None:
-                    out.extend(flatten_type(f"{name}::{v}", pty))
-            return out
-        case _:
-            return [Leaf(name, ty)]
-
-
 def scope_leaves(scope) -> list:
-    out = []
-    for n, ty in scope.inputs:
-        out.extend(flatten_type(n, ty))
-    return out
+    return [leaf for n, ty in scope.inputs
+            for leaf, _ in _input_leaves(n, ty, default_value(ty))]
 
 
 def default_value(ty: SemType) -> Value:
@@ -308,31 +287,30 @@ def default_value(ty: SemType) -> Value:
     raise TypeError(f"no default for type {ty}")
 
 
+def _input_leaves(name: str, ty: SemType, v: Value):
+    """(leaf, value) for each leaf of the input `name` of type `ty` holding
+    `v`: depth first, in declaration order.  Payload leaves of the variants
+    `v` does not select hold their type's default."""
+    match ty:
+        case StructT(_, fields):
+            for f, fty in fields:
+                yield from _input_leaves(f"{name}.{f}", fty, v.field(f))
+        case EnumT(_, variants):
+            yield Leaf(name, ty), VEnum(ty.name, v.variant)
+            for variant, pty in variants:
+                if pty is not None:
+                    held = variant == v.variant and v.payload is not None
+                    yield from _input_leaves(f"{name}::{variant}", pty,
+                                             v.payload if held else default_value(pty))
+        case _:
+            yield Leaf(name, ty), v
+
+
 def leaf_env_of_inputs(scope, inputs: dict) -> dict:
-    """Flatten a concrete input environment to leaf values.  Payload leaves
-    of non-selected enum variants get type defaults so the leaf environment
-    is total."""
-    env: dict = {}
-
-    def go(name: str, ty: SemType, v: Value):
-        match ty:
-            case StructT(_, fields):
-                for f, fty in fields:
-                    go(f"{name}.{f}", fty, v.field(f))
-            case EnumT(_, variants):
-                env[name] = VEnum(ty.name, v.variant)
-                for variant, pty in variants:
-                    if pty is not None:
-                        if variant == v.variant and v.payload is not None:
-                            go(f"{name}::{variant}", pty, v.payload)
-                        else:
-                            go(f"{name}::{variant}", pty, default_value(pty))
-            case _:
-                env[name] = v
-
-    for n, ty in scope.inputs:
-        go(n, ty, inputs[n])
-    return env
+    """Flatten a concrete input environment to leaf values, total over
+    `scope_leaves`."""
+    return {leaf.name: x for n, ty in scope.inputs
+            for leaf, x in _input_leaves(n, ty, inputs[n])}
 
 
 def inputs_of_leaf_env(scope, leaf_env: dict) -> dict:

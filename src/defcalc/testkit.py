@@ -3,8 +3,9 @@
 Testcase files are JSON with exact value encodings (money as cents,
 rationals as numerator/denominator) so a replay compares outcomes exactly.
 A suite directory holds one file per testcase, named ``tcNNNN.json``
-(``TESTCASE_NAME``), plus a ``suite.json`` manifest whose statistics always
-equal a recomputation from the testcase files.  Every file's bytes are
+(``TESTCASE_NAME``), plus a ``suite.json`` manifest whose statistics equal a
+recount from the testcase files by construction: `explore` counts tests,
+conflicts and empties from the testcases it returns.  Every file's bytes are
 exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, all ASCII,
 built in one pass (`_json_text`) and written with one call.
 
@@ -275,7 +276,6 @@ class Mutant:
     op: MutationOp
     scope: str
     target_index: int  # index of the default term in traversal order
-    target_span: object  # Span of the mutated default, when the AST has one
     seed: int
 
 
@@ -316,10 +316,8 @@ def mutate(program: Program, op: MutationOp, seed: int) -> Mutant:
     if not sites:
         raise NoEligibleDefaultTerm(f"no default term eligible for {op.kind}")
     scope_name, target = rng.choice(sites)
-    target_span = [None]
 
     def apply(d: Default) -> Default:
-        target_span[0] = d.span
         excs = list(d.exceptions)
         if op.kind == "remove":
             k = min(max(1, op.count), len(excs))
@@ -336,7 +334,7 @@ def mutate(program: Program, op: MutationOp, seed: int) -> Mutant:
         raise ValueError(f"unknown mutation op {op.kind!r}")
 
     mutated = _map_defaults(program, lambda _, i, d: apply(d) if i == target else d)
-    return Mutant(program, mutated, op, scope_name, target, target_span[0], seed)
+    return Mutant(program, mutated, op, scope_name, target, seed)
 
 
 def input_grid(scope: Scope, int_bounds: tuple = (-8, 8),

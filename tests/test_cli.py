@@ -143,6 +143,21 @@ def test_emit_smtlib_writes_query_files(programs_dir, tmp_path):
     assert "(check-sat)" in text
 
 
+def test_emit_smtlib_removes_an_earlier_runs_queries(programs_dir, tmp_path):
+    out = tmp_path / "q"
+    out.mkdir()
+    for name in ("q000004.smt2", "q1234567.smt2", "q12.smt2", "notes.smt2", "q000009.txt"):
+        (out / name).write_text("")
+    p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
+                 "--initial", "b=true", "x=3", "--emit-smtlib", str(out),
+                 "--quiet"])
+    assert p.returncode == 0, p.stderr
+    assert sorted(os.listdir(out)) == [
+        "notes.smt2", "q000000.smt2", "q000001.smt2", "q000002.smt2",
+        "q000003.smt2", "q000009.txt", "q12.smt2"]
+    assert (out / "q000000.smt2").read_text().startswith("(set-logic")
+
+
 @pytest.mark.parametrize("args", [
     ["run", "fig5.dfc", "--scope", "Main", "--quiet", "--emit-tests"],
     ["run", "fig5.dfc", "--scope", "Main", "--quiet", "--emit-smtlib"],
@@ -241,6 +256,20 @@ def test_mutate_with_no_ops_is_usage_error(programs_dir, tmp_path):
                      "--count", "2", "--out", str(tmp_path / "mutants")])
         assert p.returncode == 1
         assert p.stderr == "error: --ops names no mutation op\n"
+
+
+def test_mutate_op_with_no_eligible_term_is_usage_error(tmp_path):
+    # The one default term has no exception, so `remove` has nothing to
+    # remove: no file is written, not even the `negate` mutant.
+    src = tmp_path / "one.dfc"
+    src.write_text("scope S { input x: int; def y: int = default <> (x > 0 :- 1); "
+                   "output y; }")
+    out = tmp_path / "mutants"
+    p = run_cli(["mutate", str(src), "--count", "2", "--ops", "negate,remove",
+                 "--out", str(out)])
+    assert p.returncode == 1
+    assert p.stderr == "error: no default term eligible for remove\n"
+    assert p.stdout == "" and not out.exists()
 
 
 def test_campaign_subcommand(programs_dir):

@@ -17,7 +17,7 @@ from defcalc.interp import OutcomeKind
 from defcalc import solver
 from defcalc.solver import SolverSession
 from defcalc.symbolic import (
-    Leaf, SymBin, SymConst, SymNot, SymVar, TRUE, render, scope_leaves,
+    Leaf, SymBin, SymConst, SymNot, SymVar, TRUE, render,
 )
 
 from genutil import (
@@ -416,21 +416,14 @@ def test_bootstrap_solver_failure_gives_incomplete_suite():
 
 
 def test_bootstrap_leaves_the_assertion_stack_empty():
-    from defcalc.concolic import compile_scope
-    from defcalc.explorer import TestSuite, SuiteStats, _bootstrap, initial_inputs
     from defcalc.parser import parse_or_raise
     prog = parse_or_raise("scope S { input x: int; assert x > 5; "
                           "def y: int = if x > 10 then 1 else 0; output y; }")
-    scope = prog.scope("S")
-    session = SolverSession(scope_leaves(scope))
-    suite = TestSuite("S", [], SuiteStats(), True, [], [])
-    inputs, first = _bootstrap(compile_scope(prog, "S"), initial_inputs(scope, {}),
-                               session, suite)
-    assert first is not None and inputs["x"].i > 5
-    assert session.stack == [] and session.stats.checks == 1
-    assert session.stats.pushes == session.stats.pops == 0
-    # the one flip after bootstrap pushes the hard prefix and the negation
-    s = explore(prog, "S", ExploreConfig()).stats
+    suite = explore(prog, "S", ExploreConfig())
+    assert suite.testcases[0].inputs["x"].i > 5
+    # the bootstrap's check pushes nothing: the one flip after it pushes the
+    # hard prefix and the negation
+    s = suite.stats
     assert (s.pushes, s.pops, s.solver_calls) == (2, 1, 2)
 
 
@@ -451,6 +444,33 @@ def test_bootstrap_run_is_the_first_iteration(fig5, monkeypatch):
     suite = explore(prog, "S", ExploreConfig())
     assert suite.stats.iterations == 2 and len(runs) == 3
     assert [tc.iteration for tc in suite.testcases] == [1, 2]
+
+
+@pytest.mark.parametrize("n, reason, xs", [
+    (7, None, [7]),
+    (8, "no input satisfying the scope assertions after 8 bootstrap runs", []),
+])
+def test_bootstrap_runs_at_most_eight_times(n, reason, xs):
+    # With assertions x > 0 ... x > n-1, the runs at x = 0, 1, ... each fail
+    # one, and each bootstrap check moves x up by one: x = 7 passes seven
+    # assertions on the eighth run, and an eighth assertion is past the cap.
+    from defcalc.parser import parse_or_raise
+    asserts = " ".join(f"assert x > {i};" for i in range(n))
+    prog = parse_or_raise(f"scope S {{ input x: int; {asserts} def y: int = x; output y; }}")
+    suite = explore(prog, "S", ExploreConfig())
+    assert suite.incomplete_reason == reason and suite.complete == (reason is None)
+    assert suite.stats.solver_calls == n
+    assert [tc.inputs["x"].i for tc in suite.testcases] == xs
+
+
+def test_timeout_bounds_the_bootstrap():
+    from defcalc.parser import parse_or_raise
+    prog = parse_or_raise(
+        "scope S { input x: int; assert x > 5; def y: int = x; output y; }")
+    suite = explore(prog, "S", ExploreConfig(timeout=0.0))
+    assert not suite.complete and suite.testcases == []
+    assert suite.incomplete_reason == "timeout of 0.0 s reached"
+    assert suite.stats.solver_calls == 0
 
 
 def test_each_explore_compiles_its_scope_once(fig5, monkeypatch):

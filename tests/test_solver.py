@@ -206,7 +206,7 @@ def test_soft_tier_t100_when_satisfiable():
     s = session(M)
     s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
     res = s.check_soft()
-    assert isinstance(res, Sat) and res.tier == "T100"
+    assert isinstance(res, Sat) and s.tier_of(res.model) == "T100"
     assert res.model["x"].cents % 10000 == 0
     assert res.model["x"].cents > 1000000
 
@@ -215,7 +215,7 @@ def test_soft_tier_none_when_pinned_to_cents():
     s = session(M)
     s.push(SymBin("=", money_sym(), SymConst(VMoney(1000001))))
     res = s.check_soft()
-    assert isinstance(res, Sat) and res.tier is None
+    assert isinstance(res, Sat) and s.tier_of(res.model) is None
     assert res.model["x"] == VMoney(1000001)
 
 
@@ -231,7 +231,7 @@ def test_soft_tier_narrow_window_falls_to_t1():
     s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
     s.push(SymBin("<", money_sym(), SymConst(VMoney(1000500))))
     res = s.check_soft()
-    assert res.tier == "T1"
+    assert s.tier_of(res.model) == "T1"
     assert res.model["x"] == VMoney(1000100)
 
 
@@ -241,7 +241,7 @@ def test_soft_tier_maximality_independent_check():
     s.push(SymBin(">", money_sym(), SymConst(VMoney(1000000))))
     s.push(SymBin("<", money_sym(), SymConst(VMoney(1010000))))
     res = s.check_soft()
-    assert res.tier == "T10"  # no multiple of $100 inside the open window
+    assert s.tier_of(res.model) == "T10"  # no multiple of $100 inside the open window
     decls, lits = divisibility_constraints(s.decls, ["x"], 10000)
     assert isinstance(SolverSession(decls).check((*s.stack, *lits)), Unsat)
 
@@ -281,13 +281,19 @@ def _money_queries(draw):
 @settings(max_examples=200, deadline=None)
 @given(_money_queries())
 def test_soft_tier_is_the_tier_of_its_model(s):
-    # The ladder's two halves agree: a later tier's model that fit an
-    # earlier tier would contradict that tier's Unsat, and the hard model
-    # fits no tier when every tier is Unsat.
+    # The ladder is maximal: on a fresh session, every tier before the
+    # model's tier (every tier, when the model has none) is Unsat, or
+    # Unknown where the case-split budget runs out, and never Sat.
     res = s.check_soft()
     if isinstance(res, Sat):
-        assert s.tier_of(res.model) == res.tier
         assert set(res.model) == {leaf.name for leaf in s.decls}
+        tier = s.tier_of(res.model)
+        money = [leaf.name for leaf in s.decls]
+        for name, unit in solver.SOFT_TIERS:
+            if name == tier:
+                break
+            decls, lits = solver.divisibility_constraints(s.decls, money, unit)
+            assert not isinstance(SolverSession(decls).check((*s.stack, *lits)), Sat)
 
 
 def test_soft_check_without_money_is_the_hard_check():
@@ -793,12 +799,11 @@ def _check_soft(check, lits):
     hard = check(_MIXED_LEAVES, lits)
     if not isinstance(hard, Sat):
         return hard
-    for tier, unit in solver.SOFT_TIERS:
+    for _, unit in solver.SOFT_TIERS:
         decls, tier_lits = solver.divisibility_constraints(_MIXED_LEAVES, ["m"], unit)
         res = check(decls, lits + tier_lits)
         if isinstance(res, Sat):
-            return Sat({k: x for k, x in res.model.items() if not k.startswith(".mult")},
-                       tier)
+            return Sat({k: x for k, x in res.model.items() if not k.startswith(".mult")})
     return hard
 
 

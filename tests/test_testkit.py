@@ -269,16 +269,11 @@ def test_found_mutants_genuinely_differ(benefits_medium):
             assert m.witness is not None
 
 
-def test_mutant_records_target_span(benefits_medium):
-    m = mutate(benefits_medium, MutationOp("negate"), 4)
-    assert m.target_span is not None  # parsed programs carry source spans
-
-
 def test_missed_mutant_notes_why_its_run_was_incomplete():
     # Money divided by a symbolic rate does not linearize: the mutant is
     # missed, and its note is the run's reason, not a guess at one.
     from defcalc.parser import parse_or_raise
     prog = parse_or_raise("scope S { input r: rate; def out: money = $10.00 / r;"
                           " def res: int = if out > $3.00 then 1 else 0; output res; }")
-    report = find_issue(Mutant(prog, prog, MutationOp("negate"), "S", 0, None, 0))
+    report = find_issue(Mutant(prog, prog, MutationOp("negate"), "S", 0, 0))
     assert not report.found and report.note == "not linear: (0 <= (1000 / r))"
