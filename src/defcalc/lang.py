@@ -122,13 +122,7 @@ class StructT:
         return self.name
 
 
-@dataclass(frozen=True)
-class FuncT:
-    params: tuple  # tuple[SemType, ...]
-    ret: "SemType"
-
-
-SemType = Union[BoolT, IntT, RatT, MoneyT, EnumT, StructT, FuncT]
+SemType = Union[BoolT, IntT, RatT, MoneyT, EnumT, StructT]
 
 BOOL = BoolT()
 INT = IntT()
@@ -724,7 +718,7 @@ def binop_result(op: str, lt: SemType, rt: SemType) -> Optional[SemType]:
     if op in ("&&", "||"):
         return BOOL if lt == BOOL and rt == BOOL else None
     if op == "=":
-        return BOOL if lt == rt and not isinstance(lt, FuncT) else None
+        return BOOL if lt == rt else None
     if op in ("<", "<=", ">", ">="):
         if lt == rt and lt in (INT, RAT, MONEY):
             return BOOL

@@ -4,8 +4,9 @@ The builtin procedure decides conjunctions of quantifier-free constraints
 over exact rationals, integers, money (integer cents), booleans, and finite
 enum tags, with Round occurrences.  The pipeline is:
 
-1. simplify each literal (ground folding, double negation, linear-difference
-   folding) and list its case-split alternatives (disjunctions, disequalities,
+1. simplify each literal (ground folding and linear-difference folding,
+   both reading `symbolic.SYM_OPS` for each operator's truth; double
+   negation) and list its case-split alternatives (disjunctions, disequalities,
    bool and enum equalities) with their atoms' linear forms, once a session,
    and add it to the conjunction's frames (`_Frames`): a literal with one
    alternative joins the unit atoms and the root system of their linear
@@ -59,7 +60,7 @@ from .lang import (
     EnumT, Value, VBool, VEnum, VInt, VMoney, VRat,
 )
 from .symbolic import (
-    FALSE, Leaf, SymBin, SymConst, SymExpr, SymIsVariant, SymNot,
+    FALSE, Leaf, SYM_OPS, SymBin, SymConst, SymExpr, SymIsVariant, SymNot,
     SymRound, SymVar, TRUE, default_value, render, sym_eval, sym_eval_bool,
     sym_free_vars, sym_not, sym_sort,
 )
@@ -145,20 +146,8 @@ def linearize(e: SymExpr) -> tuple:
                 case VMoney(c):
                     return {}, Fraction(c)
             raise NonLinear(f"non-numeric constant {v!r}")
-        case SymBin("+", lhs, rhs):
-            c1, k1 = linearize(lhs)
-            c2, k2 = linearize(rhs)
-            out = dict(c1)
-            for n, c in c2.items():
-                if n not in out:
-                    out[n] = c
-                elif s := out[n] + c:
-                    out[n] = s
-                else:
-                    del out[n]
-            return out, k1 + k2
-        case SymBin("-", lhs, rhs):
-            return _lin_diff(lhs, rhs)
+        case SymBin("+" | "-" as op, lhs, rhs):
+            return _lin_sum(linearize(lhs), linearize(rhs), op)
         case SymBin("*", lhs, rhs):
             c1, k1 = linearize(lhs)
             c2, k2 = linearize(rhs)
@@ -176,19 +165,18 @@ def linearize(e: SymExpr) -> tuple:
     raise NonLinear(f"not linear: {render(e)}")
 
 
-def _lin_diff(a: SymExpr, b: SymExpr) -> tuple:
-    """Linear normal form (coeffs, const) of a - b."""
-    c1, k1 = linearize(a)
-    c2, k2 = linearize(b)
-    coeffs = dict(c1)
-    for n, c in c2.items():
+def _lin_sum(a: tuple, b: tuple, op: str) -> tuple:
+    """The linear form a + b, or a - b when `op` is "-"; zeros are dropped."""
+    fn = SYM_OPS[op]
+    coeffs = dict(a[0])
+    for n, c in b[0].items():
         if n not in coeffs:
-            coeffs[n] = -c
-        elif d := coeffs[n] - c:
+            coeffs[n] = c if op == "+" else -c
+        elif d := fn(coeffs[n], c):
             coeffs[n] = d
         else:
             del coeffs[n]
-    return coeffs, k1 - k2
+    return coeffs, fn(a[1], b[1])
 
 
 def simplify(e: SymExpr) -> SymExpr:
@@ -210,41 +198,26 @@ def simplify(e: SymExpr) -> SymExpr:
         return e
     match e:
         case SymNot(a):
-            sa = simplify(a)
-            if sa == TRUE:
-                return FALSE
-            if sa == FALSE:
-                return TRUE
-            return sym_not(sa)
-        case SymBin("&&", a, b):
+            return sym_not(simplify(a))
+        case SymBin("&&" | "||" as op, a, b):
             sa, sb = simplify(a), simplify(b)
-            if sa == FALSE or sb == FALSE:
-                return FALSE
-            if sa == TRUE:
+            unit, absorb = (TRUE, FALSE) if op == "&&" else (FALSE, TRUE)
+            if sa == absorb or sb == absorb:
+                return absorb
+            if sa == unit:
                 return sb
-            if sb == TRUE:
+            if sb == unit:
                 return sa
-            return SymBin("&&", sa, sb)
-        case SymBin("||", a, b):
-            sa, sb = simplify(a), simplify(b)
-            if sa == TRUE or sb == TRUE:
-                return TRUE
-            if sa == FALSE:
-                return sb
-            if sb == FALSE:
-                return sa
-            return SymBin("||", sa, sb)
+            return SymBin(op, sa, sb)
         case SymBin(op, a, b) if op in ("=", "<", "<=", ">", ">=") and \
                 sym_sort(a) in ("Int", "Real"):
             sa, sb = simplify(a), simplify(b)
             try:
-                diff, k = _lin_diff(sa, sb)  # lhs - rhs
+                diff, k = _lin_sum(linearize(sa), linearize(sb), "-")  # lhs - rhs
             except NonLinear:
                 return SymBin(op, sa, sb)
             if not diff:
-                truth = {"=": k == 0, "<": k < 0, "<=": k <= 0,
-                         ">": k > 0, ">=": k >= 0}[op]
-                return TRUE if truth else FALSE
+                return TRUE if SYM_OPS[op](k, 0) else FALSE
             return SymBin(op, sa, sb)
         case SymBin(op, a, b):
             return SymBin(op, simplify(a), simplify(b))
@@ -294,25 +267,15 @@ def _branches(e: SymExpr, pol: bool) -> Iterator[list]:
         case SymIsVariant(SymVar(name, _), variant):
             yield [("variant", name, variant, pol)]
             return
-        case SymBin("&&", a, b):
-            if pol:
-                yield from _product(a, True, b, True)
+        case SymBin("&&" | "||" as op, a, b):
+            # A true && or a false || needs both sides; the other two need either.
+            if (op == "&&") == pol:
+                yield from _product(a, pol, b, pol)
             else:
-                yield from itertools.chain(_branches(a, False), _branches(b, False))
-            return
-        case SymBin("||", a, b):
-            if pol:
-                yield from itertools.chain(_branches(a, True), _branches(b, True))
-            else:
-                yield from _product(a, False, b, False)
+                yield from itertools.chain(_branches(a, pol), _branches(b, pol))
             return
         case SymBin("=", a, b) if sym_sort(a) == "Bool" or sym_sort(b) == "Bool":
-            if pol:
-                yield from itertools.chain(_product(a, True, b, True),
-                                           _product(a, False, b, False))
-            else:
-                yield from itertools.chain(_product(a, True, b, False),
-                                           _product(a, False, b, True))
+            yield from itertools.chain(_product(a, True, b, pol), _product(a, False, b, not pol))
             return
         case SymBin("=", a, b) if sym_sort(a) == "Enum" or sym_sort(b) == "Enum":
             expanded = _expand_enum_eq(a, b)
@@ -325,14 +288,11 @@ def _branches(e: SymExpr, pol: bool) -> Iterator[list]:
                 op, a, b = "<=", b, a
             if pol:
                 yield [("num", op, a, b)]
-            else:
-                if op == "=":
-                    yield [("num", "<", a, b)]
-                    yield [("num", "<", b, a)]
-                elif op == "<":
-                    yield [("num", "<=", b, a)]
-                else:
-                    yield [("num", "<", b, a)]
+            elif op == "=":
+                yield [("num", "<", a, b)]
+                yield [("num", "<", b, a)]
+            else:  # !(a < b) is b <= a, !(a <= b) is b < a
+                yield [("num", "<=" if op == "<" else "<", b, a)]
             return
     raise NonLinear(f"not a boolean term: {render(e)}")
 
@@ -453,14 +413,14 @@ def _lin_form(atom: tuple, memo: dict) -> Optional[tuple]:
     computed once per memo."""
     if atom not in memo:
         try:
-            memo[atom] = _row(*_lin_diff(atom[2], atom[3]), atom[1])
+            memo[atom] = _row(*_lin_sum(linearize(atom[2]), linearize(atom[3]), "-"), atom[1])
         except NonLinear:
             memo[atom] = None
     return memo[atom]
 
 
 def _holds(const: int, op: str) -> bool:
-    return {"=": const == 0, "<=": const <= 0, "<": const < 0}[op]
+    return SYM_OPS[op](const, 0)
 
 
 def _combine(a: int, r: tuple, b: int, s: tuple, op: str) -> Optional[tuple]:

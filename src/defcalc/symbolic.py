@@ -7,10 +7,15 @@ payload-carrying variant.  Symbolic terms mention only leaves, which keeps
 the solver first-order: booleans, integers (ints and money in cents), exact
 rationals, and finite enum tags, combined by linear arithmetic, comparisons,
 connectives, and the rounding operators.
+
+`SYM_OPS` is the one statement of each binary operator's meaning on ground
+values (bools and Fractions): `sym_eval` dispatches through it, and the
+solver's ground folding and row tests read it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -176,6 +181,16 @@ def render(e: SymExpr) -> str:
     raise TypeError(f"not a symbolic term: {e!r}")
 
 
+# op -> its function on ground values: bools for the connectives, Fractions
+# (money read as cents) for the rest; `/` raises ZeroDivisionError on zero.
+SYM_OPS = {
+    "&&": lambda a, b: a and b, "||": lambda a, b: a or b,
+    "=": operator.eq, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+}
+
+
 def sym_eval(e: SymExpr, env: dict):
     """Evaluate a symbolic term under a leaf environment.
 
@@ -193,32 +208,11 @@ def sym_eval(e: SymExpr, env: dict):
         case SymBin(op, lhs, rhs):
             a = sym_eval(lhs, env)
             b = sym_eval(rhs, env)
-            match op:
-                case "&&":
-                    return a and b
-                case "||":
-                    return a or b
-                case "=":
-                    if isinstance(a, VEnum) or isinstance(b, VEnum):
-                        return a.variant == b.variant
-                    return a == b
-                case "<":
-                    return a < b
-                case "<=":
-                    return a <= b
-                case ">":
-                    return a > b
-                case ">=":
-                    return a >= b
-                case "+":
-                    return a + b
-                case "-":
-                    return a - b
-                case "*":
-                    return a * b
-                case "/":
-                    return a / b
-            raise TypeError(f"unknown operator {op}")
+            if op == "=" and (isinstance(a, VEnum) or isinstance(b, VEnum)):
+                return a.variant == b.variant
+            if (fn := SYM_OPS.get(op)) is None:
+                raise TypeError(f"unknown operator {op}")
+            return fn(a, b)
         case SymNot(a):
             return not sym_eval(a, env)
         case SymRound(a):

@@ -74,6 +74,29 @@ def test_stats_line_matches_manifest(income_tax, programs_dir, tmp_path):
     assert len(files) == 4
 
 
+def _files(directory):
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+def test_no_incremental_prints_and_emits_the_same(programs_dir, tmp_path):
+    runs = []
+    for extra in ([], ["--no-incremental"]):
+        out = tmp_path / f"suite{len(runs)}"
+        p = run_cli(["run", str(programs_dir / "income_tax.dfc"), "--scope", "IncomeTax",
+                     "--opts", "all", "--stats", "--quiet", "--emit-tests", str(out), *extra])
+        assert p.returncode == 0, p.stderr
+        runs.append((p.stdout, _files(out)))
+    assert runs[0][1] and runs[0] == runs[1]
+
+
+def test_soft_flag_is_opts_soft(programs_dir):
+    args = ["run", str(programs_dir / "soft_money.dfc"), "--scope", "Subsidy",
+            "--stats", "--quiet"]
+    flag, opt, hard = (run_cli(args + extra) for extra in (["--soft"], ["--opts", "soft"], []))
+    assert flag.returncode == opt.returncode == hard.returncode == 0, flag.stderr
+    assert flag.stdout == opt.stdout != hard.stdout
+
+
 def test_stats_line_counts_solver_failures(programs_dir):
     p = run_cli(["run", str(programs_dir / "fig5.dfc"), "--scope", "Main",
                  "--solver", "smtlib:false", "--stats", "--quiet"])

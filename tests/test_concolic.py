@@ -4,19 +4,19 @@ from fractions import Fraction
 import pytest
 
 from defcalc.lang import (
-    BOOL, INT,
-    BinOp, Binding, Default, If, Lit, Opaque, Program, Scope, Var, VBool, VInt,
-    VMoney, VRat,
+    BOOL, CONFLICT, INT,
+    BinOp, Binding, Default, If, Lit, Opaque, Program, Scope, Var, VBool, VEnum,
+    VInt, VMoney, VRat, VStruct,
 )
 from defcalc.concolic import (
     BranchRecord, ConcolicOpts, Origin, compile_scope, run_scope_concolic,
 )
-from defcalc.interp import Mode, OutcomeKind, eval_expr, run_scope
+from defcalc.interp import BINOPS, Mode, OutcomeKind, apply_binop, eval_expr, run_scope
 from defcalc.parser import parse_or_raise
 from defcalc.solver import SolverSession
 from defcalc.symbolic import (
-    SymRound, leaf_env_of_inputs, render, sym_children, sym_eval_bool,
-    sym_free_vars,
+    SymBin, SymConst, SymRound, leaf_env_of_inputs, render, sym_children, sym_eval,
+    sym_eval_bool, sym_free_vars,
 )
 
 from conftest import load_program
@@ -382,3 +382,47 @@ def test_income_tax_zero_inputs_path(income_tax):
         ("(income <= $10,000.00)", True),
         ("!(nb_children >= 3)", False),
     ]
+
+
+# -- the symbolic operators against the reference evaluator ---------------------
+
+
+def _small(rng, span):
+    """An integer in [-span, span], one time in four within 2 of zero."""
+    return rng.randint(-2, 2) if rng.random() < 0.25 else rng.randint(-span, span)
+
+
+def _ground_operand(cls, rng):
+    """A value of `cls`; an enum value is a tag with no payload, as a tag
+    leaf holds."""
+    if cls is VBool:
+        return VBool(rng.random() < 0.5)
+    if cls is VInt:
+        return VInt(_small(rng, 50))
+    if cls is VMoney:
+        return VMoney(_small(rng, 100_000))
+    if cls is VRat:
+        return VRat(Fraction(_small(rng, 30), rng.randint(1, 12)))
+    assert cls is VEnum
+    return VEnum("Zone", rng.choice(("North", "South", "East")))
+
+
+@pytest.mark.parametrize("op, lcls, rcls", [
+    (op, lcls, rcls) for op, fns in BINOPS.items() for lcls, rcls in fns
+    if lcls is not VStruct])
+def test_symbolic_operators_agree_with_the_reference_evaluator(op, lcls, rcls):
+    """`sym_eval` of an operator on two constants is `apply_binop` read as a
+    ground value; the mixed money and rate products and quotients are read
+    under the Round the concolic engine puts around them, and a division by
+    zero raises exactly where the evaluator gives the conflict value."""
+    rng = random.Random(f"{op} {lcls.__name__} {rcls.__name__}")
+    for _ in range(200):
+        a, b = _ground_operand(lcls, rng), _ground_operand(rcls, rng)
+        term = SymBin(op, SymConst(a), SymConst(b))
+        want = apply_binop(op, a, b)
+        try:
+            got = sym_eval(term if lcls is rcls else SymRound(term), {})
+        except ZeroDivisionError:
+            assert want is CONFLICT, (a, b)
+            continue
+        assert want is not CONFLICT and got == sym_eval(SymConst(want), {}), (a, b, got, want)
