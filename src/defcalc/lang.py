@@ -364,6 +364,7 @@ class Program:
     structs: tuple = ()
     functions: tuple = ()
     scopes: tuple = ()
+    _diags = None  # `validate`'s errors, kept on first use
 
     def enum(self, name: str) -> EnumT:
         for e in self.enums:
@@ -747,8 +748,16 @@ def binop_result(op: str, lt: SemType, rt: SemType) -> Optional[SemType]:
 
 
 def validate(program: Program) -> list:
-    """Check a program; returns the list of static errors (empty when
-    well-formed).  Pure: identical programs give identical error lists."""
+    """Check a program; returns a fresh list of its static errors (empty
+    when well-formed).  Pure, and a `Program` is frozen all the way down,
+    so the errors are found once and kept on the program, as symbolic
+    nodes keep their hash."""
+    if program._diags is None:
+        object.__setattr__(program, "_diags", tuple(_check(program)))
+    return list(program._diags)
+
+
+def _check(program: Program) -> list:
     ck = _Checker(program)
 
     for table, kind in ((ck.enums, "enum"), (ck.structs, "struct"),

@@ -9,24 +9,29 @@ enum tags, with Round occurrences.  The pipeline is:
    negation) and list its case-split alternatives (disjunctions, disequalities,
    bool and enum equalities) with their atoms' linear forms, once a session,
    and add it to the conjunction's frames (`_Frames`): a literal with one
-   alternative joins the unit atoms and the root system of their linear
-   forms, one with more becomes a choice;
+   alternative adds the unit facts it fixes (a boolean's value, an enum's
+   allowed variants, a numeric variable's bounds from a one-variable row),
+   which makes the conjunction false as it is pushed if they clash, and its
+   other rows to the root system; one with more becomes a choice;
 2. search the choices depth first, with the unit atoms joined in between,
    so complete branches come in DNF order.  The root system is tested once
-   before the first choice; each choice then tests its alternative against
-   the root and the choices above it, and cuts it when they have no
-   rational solution (`_project`; Round atoms left out), which loses no
-   solution.  A conflict with a unit literal is thus found once, at the
-   first choice it refutes, not once per combination of the choices above
-   the literal;
+   before the first choice; each choice then adds its alternative's facts
+   and rows to those of the root and the choices above it, and cuts it when
+   the facts clash or the rows with two or more variables have no rational
+   solution within the bounds (`_feasible`; Round atoms left out), which
+   loses no solution.  A conflict with a unit literal is thus found once,
+   at the first choice it refutes, and every branch's facts agree;
 3. per branch, replace Round terms with integer auxiliaries, split once
    per Round occurrence on its sign, and for each sign case add the defining
    inequalities and solve the linear core over primitive integer rows
-   (`_row`), so Fourier-Motzkin combines rows in ints and keeps only the
-   tightest of parallel inequalities (`_prune`).  One pass of eliminations
-   per call decides rational feasibility and keeps, for every window the
-   search reads, the projected rows it is read from (`_window_rows`);
-   interval propagation with integer rounding over the integer-only rows
+   (`_row`), with equalities over the integers presolved as in the Omega
+   test (`_int_unsolvable`).  Fourier-Motzkin sees only the rows with two
+   or more variables and the bounds of their variables, combines rows in
+   ints and keeps only the tightest of parallel inequalities (`_prune`).
+   One pass of eliminations decides rational feasibility and keeps, for
+   every window the search reads, the projected rows it is read from
+   (`_window_rows`); other windows are read from their variable's own rows.
+   Interval propagation with integer rounding over the integer-only rows
    bounds every integer variable (`_int_bounds`), and each integer window
    is clipped to its bounds.  Variables are then fixed in order, integers
    by branch-and-bound over their window, and a candidate reads each window
@@ -513,37 +518,49 @@ def _project(rows: list, order=None) -> list:
 def _window(rows: list, name: str, vals: dict, is_int: bool):
     """The window of `name` in rows that mention no other variable than it
     and those fixed in `vals`: (lo, lo_strict, hi, hi_strict), None meaning
-    unbounded; with `is_int`, the integers in it as (ilo, ihi), None if
-    there are none, computed in ints while the values are ints."""
-    lo, lo_strict, hi, hi_strict = None, False, None, False
+    unbounded; with `is_int`, the integers in it as (ilo, ihi), computed in
+    ints while the values are ints.  None if it is empty."""
+    lo = hi = None
+    window = (None, False, None, False)
     for coeffs, t, op in rows:
         for n, a in coeffs.items():  # a loop, not sum(): no generator per row
             if n != name:
                 t += a * vals[n]
         c = coeffs[name]
-        if is_int:
-            # c*x + t OP 0 for an integer x is c*x + t' <= 0 (or = 0) for
-            # an integer t': t rounded up, or rounded down plus one if strict.
-            if type(t) is not int:
-                if op == "=" and t.denominator != 1:
-                    return None
-                t = math.floor(t) + 1 if op == "<" else math.ceil(t)
-            elif op == "<":
-                t += 1
-            if c > 0 or op == "=":
-                hi = -t // c if hi is None else min(hi, -t // c)
-            if c < 0 or op == "=":
-                lo = -(t // c) if lo is None else max(lo, -(t // c))
+        if not is_int:
+            if (window := _tighten(window, c, t, op)) is None:
+                return None
             continue
-        bound, strict = Fraction(-t, c), op == "<"
-        if c > 0 or op == "=":  # name <= bound
-            if hi is None or bound < hi or (bound == hi and strict):
-                hi, hi_strict = bound, strict
-        if c < 0 or op == "=":  # name >= bound
-            if lo is None or bound > lo or (bound == lo and strict):
-                lo, lo_strict = bound, strict
+        # c*x + t OP 0 for an integer x is c*x + t' <= 0 (or = 0) for an
+        # integer t': t rounded up, or rounded down plus one if strict.
+        if type(t) is not int:
+            if op == "=" and t.denominator != 1:
+                return None
+            t = math.floor(t) + 1 if op == "<" else math.ceil(t)
+        elif op == "<":
+            t += 1
+        if c > 0 or op == "=":
+            hi = -t // c if hi is None else min(hi, -t // c)
+        if c < 0 or op == "=":
+            lo = -(t // c) if lo is None else max(lo, -(t // c))
     if is_int:
         return None if lo is not None and hi is not None and lo > hi else (lo, hi)
+    return window
+
+
+def _tighten(window: tuple, c: int, t, op: str) -> Optional[tuple]:
+    """`window` (lo, lo_strict, hi, hi_strict) of x narrowed by c*x + t OP 0,
+    None when that leaves it empty."""
+    lo, lo_strict, hi, hi_strict = window
+    bound, strict = Fraction(-t, c), op == "<"
+    if c > 0 or op == "=":  # x <= bound
+        if hi is None or bound < hi or (bound == hi and strict):
+            hi, hi_strict = bound, strict
+    if c < 0 or op == "=":  # x >= bound
+        if lo is None or bound > lo or (bound == lo and strict):
+            lo, lo_strict = bound, strict
+    if lo is not None and hi is not None and (lo > hi or lo == hi and (lo_strict or hi_strict)):
+        return None
     return lo, lo_strict, hi, hi_strict
 
 
@@ -579,25 +596,58 @@ def _pick_rational(rows: list, name: str, vals: dict) -> Fraction:
 
 def _window_rows(rows: list, todo: list) -> Optional[list]:
     """The rows each window of `_solve_linear` is read from, None when the
-    rows have no rational solution.  With proj[j] the projection onto the
-    first j variables of `todo` (`[(name, is_int), ...]`, all mentioned),
-    item d lists the windows read with the first d variables fixed: the
-    d-th variable's own, then every later integer's, each as
-    (name, is_int, rows of the projection onto the fixed variables and it
-    that hold it), and item k, with all k fixed, none.  k variables take
-    at most k(k+1)/2 eliminations."""
+    rows have no rational solution.  Item d lists the windows read with the
+    first d variables of `todo` (`[(name, is_int), ...]`, all mentioned)
+    fixed: the d-th variable's own, then every later integer's, each as
+    (name, is_int, rows), and item k none.  A variable in a row with two or
+    more variables reads the projections of those rows and their variables'
+    own onto the fixed ones and it (k such take at most k(k+1)/2
+    eliminations); any other reads its own rows."""
+    tied = {n for coeffs, _, _ in rows if len(coeffs) != 1 for n in coeffs}
+    system = [r for r in rows if len(r[0]) != 1 or not tied.isdisjoint(r[0])]
     try:
-        proj = _project(rows, [name for name, _ in reversed(todo)])[::-1]
+        proj = _project(system, [n for n, _ in reversed(todo) if n in tied])[::-1] \
+            if system else ()
     except _Infeasible:
         return None
     reads = [[] for _ in range(len(todo) + 1)]
+    projections = iter(proj[1:])
     for j, (name, is_int) in enumerate(todo):
-        system = proj[j + 1]
-        for d in range(j, -1 if is_int else j - 1, -1):
-            if d < j:
+        depths = range(j, -1 if is_int else j - 1, -1)
+        if name not in tied:
+            own = [r for r in rows if name in r[0]]
+            # The search finds an empty integer window before any candidate.
+            if not is_int and _window(own, name, {}, False) is None:
+                return None
+            for d in depths:
+                reads[d].append((name, is_int, own))
+            continue
+        system = next(projections)
+        for d in depths:
+            if d < j and todo[d][0] in tied:
                 system = _eliminate(system, todo[d][0])
             reads[d].append((name, is_int, [r for r in system if name in r[0]]))
     return reads
+
+
+def _int_unsolvable(rows: list, todo: list) -> bool:
+    """Whether the equality rows over integers of `todo` alone have no
+    integer solution, by the Omega test's equality step (Pugh, CACM 1992):
+    substitute away each variable with a coefficient of 1 or -1, then look
+    for a row whose coefficients' gcd does not divide its constant.  False
+    at once when no such row has two variables (`_window` decides one)."""
+    ints = {n for n, is_int in todo if is_int}
+    eqs = [r for r in rows if r[2] == "=" and r[0] and ints.issuperset(r[0])]
+    if all(len(r[0]) == 1 for r in eqs):
+        return False
+    try:
+        while unit := next(((i, n) for i, r in enumerate(eqs)
+                            for n, c in r[0].items() if c in (1, -1)), None):
+            i, n = unit
+            eqs = _substitute(eqs[:i] + eqs[i + 1:], n, eqs[i])
+    except _Infeasible:
+        return True
+    return any(k % math.gcd(*coeffs.values()) for coeffs, k, _ in eqs)
 
 
 def _int_bounds(rows: list, todo: list) -> Optional[dict]:
@@ -669,7 +719,8 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
     fixed only once the integers are and always extends."""
     mentioned = {n for coeffs, _, _ in rows for n in coeffs}
     todo = [(n, is_int) for n, is_int in order if n in mentioned]
-    if (clip := _int_bounds(rows, todo)) is None or (reads := _window_rows(rows, todo)) is None:
+    if (clip := _int_bounds(rows, todo)) is None or _int_unsolvable(rows, todo) or \
+            (reads := _window_rows(rows, todo)) is None:
         return None
     if clip:
         # Every integer solution lies within the bounds, so clipping each
@@ -743,22 +794,65 @@ def _alternatives(lit: SymExpr, memo: dict) -> list:
     return entry[1]
 
 
+def _assume(facts: tuple, alt: list, forms: list) -> Optional[tuple]:
+    """Unit facts (bools, tags, bounds), each boolean's value, each enum's
+    allowed variants and each numeric variable's window, with those that an
+    alternative's atoms `alt` and one-variable rows in `forms` fix added;
+    None when they clash.  The dicts are replaced, never changed."""
+    bools, tags, bounds = facts
+    for atom in alt:
+        if atom[0] == "bool":
+            if bools.get(atom[1], atom[2]) != atom[2]:
+                return None
+            bools = {**bools, atom[1]: atom[2]}
+        elif atom[0] == "variant":
+            _, name, variant, pol = atom
+            if not (allowed := tags[name] & {variant} if pol else tags[name] - {variant}):
+                return None
+            tags = {**tags, name: allowed}
+    for row in forms:
+        if len(row[0]) == 1:
+            ((name, c),) = row[0].items()
+            if (window := _tighten(bounds.get(name, (None, False, None, False)), c,
+                                   row[1], row[2])) is None:
+                return None
+            bounds = {**bounds, name: window}
+    return bools, tags, bounds
+
+
+def _feasible(rows: list, bounds: dict) -> bool:
+    """Whether `rows` and the windows in `bounds` of the variables they
+    mention have a rational solution (Fourier-Motzkin)."""
+    for n in sorted({n for coeffs, _, _ in rows for n in coeffs} & bounds.keys()):
+        lo, lo_strict, hi, hi_strict = bounds[n]
+        rows = rows + [_row({n: s}, -s * b, "<" if strict else "<=") for s, b, strict
+                       in ((-1, lo, lo_strict), (1, hi, hi_strict)) if b is not None]
+    try:
+        _project(rows)
+    except _Infeasible:
+        return False
+    return True
+
+
 class _Frames:
     """A conjunction prepared one literal (frame) at a time.  A literal with
-    one alternative adds its atoms to `units` and its linear forms to the
-    root system; one with more is a choice, kept with the number of unit
-    atoms before it.  `status` is what the frames decide before any search:
-    the first undeclared-variable error, the first literal that is not a
-    boolean term (NonLinear), and whether one simplified to false, in that
-    precedence.  `truncate` cuts every list back to its length at a depth."""
+    one alternative adds its atoms to `units`, its facts to `facts` and its
+    rows of other than one variable to `root`; one with more is a choice,
+    kept with the number of unit atoms before it.  `status` is what the
+    frames decide before any search: the first undeclared-variable error,
+    the first literal that is not a boolean term (NonLinear), and whether
+    one simplified to false or clashed with the facts, in that precedence.
+    `truncate` cuts every list back to its length at a depth, facts too."""
 
-    def __init__(self, memo: dict):
+    def __init__(self, memo: dict, decls: tuple):
         self.memo = memo
         self.root: list = []
         self.units: list = []
         self.choices: list = []  # (len(units) before it, alternatives)
-        self.marks: list = []  # per frame: the lengths and status before it
+        self.marks: list = []  # per frame: the lengths, status and facts before it
         self.status = (None, None, False)
+        self.facts = ({}, {l.name: frozenset(l.ty.variant_names()) for l in decls
+                           if isinstance(l.ty, EnumT)}, {})
 
     def push(self, lit: SymExpr, declared) -> None:
         usage, reason, false = status = self.status
@@ -770,20 +864,27 @@ class _Frames:
             alts = None
             if reason is None:
                 reason = str(e)
-        self.marks.append((len(self.root), len(self.units), len(self.choices), status))
+        self.marks.append((len(self.root), len(self.units), len(self.choices), status,
+                           self.facts))
         if alts is not None:
             if not alts:
                 false = True
             elif len(alts) == 1:
-                self.root += alts[0][1]
-                self.units += alts[0][0]
+                alt, forms = alts[0]
+                self.root += [f for f in forms if len(f[0]) != 1]
+                self.units += alt
+                # Once the status decides the check, the facts are not read.
+                if usage is None and reason is None and not false:
+                    facts = _assume(self.facts, alt, forms)
+                    false = facts is None
+                    self.facts = facts or self.facts
             else:
                 self.choices.append((len(self.units), alts))
         self.status = usage, reason, false
 
     def truncate(self, depth: int) -> None:
         if depth < len(self.marks):
-            r, u, c, self.status = self.marks[depth]
+            r, u, c, self.status, self.facts = self.marks[depth]
             del self.root[r:], self.units[u:], self.choices[c:], self.marks[depth:]
 
     def check(self, decls: tuple, retain: dict, budget_limit: int) -> object:
@@ -797,20 +898,18 @@ class _Frames:
             return UNSAT
         budget = _Budget(budget_limit)
         # From here `reason` says why the search cannot answer Unsat, if it
-        # cannot.  Every literal with one alternative holds on every branch,
-        # so its linear forms make one root system, tested once before any
-        # choice.
+        # cannot.  Every literal with one alternative holds on every branch:
+        # its facts agree, and its rows make one root system, tested once
+        # before any choice.
         try:
-            if self.root:
-                try:
-                    _project(self.root)
-                except _Infeasible:
-                    budget.spend()
-                    return UNSAT
-            for branch in _search(self.choices, self.units, 0, 0, [], self.root, budget):
+            if self.root and not _feasible(self.root, self.facts[2]):
+                budget.spend()
+                return UNSAT
+            for branch, facts in _search(self.choices, self.units, 0, 0, [], self.root,
+                                         self.facts, budget):
                 budget.spend()
                 try:
-                    result = _solve_branch(branch, decls, retain, budget, self.memo)
+                    result = _solve_branch(branch, facts, decls, retain, budget, self.memo)
                 except NonLinear as e:
                     reason = reason or str(e)
                     continue
@@ -822,53 +921,33 @@ class _Frames:
 
 
 def _search(choices: list, units: list, j: int, start: int, branch: list,
-            lin: list, budget: _Budget) -> Iterator[list]:
+            root: list, facts: tuple, budget: _Budget) -> Iterator[tuple]:
     """The complete branches that extend `branch` (the atoms of every
-    literal before choice `j`, up to `units[start]`) in DNF order; the unit
-    atoms between two choices are joined in as they come.  `lin` holds the
-    root system and the linear forms of the choices made above.  At a
-    choice, an alternative whose forms have no rational solution together
-    with `lin` is cut for one unit of budget, which each branch it stands
+    literal before choice `j`, up to `units[start]`) in DNF order, with
+    their facts; the unit atoms between two choices are joined in as they
+    come.  `root` and `facts` include the choices made above.  An
+    alternative whose facts clash, or whose rows have no rational solution
+    with them, is cut for one unit of budget, which each branch it stands
     for would cost at least."""
     if j == len(choices):
-        yield branch + units[start:]
+        yield branch + units[start:], facts
         return
     pos, alts = choices[j]
     branch = branch + units[start:pos]
     for alt, forms in alts:
-        if forms:
-            try:
-                _project(lin + forms)
-            except _Infeasible:
-                budget.spend()
-                continue
-        yield from _search(choices, units, j + 1, pos, branch + alt, lin + forms, budget)
+        joint = [f for f in forms if len(f[0]) != 1]
+        system = root + joint if joint else root
+        if (found := _assume(facts, alt, forms)) is None or \
+                forms and system and not _feasible(system, found[2]):
+            budget.spend()
+            continue
+        yield from _search(choices, units, j + 1, pos, branch + alt, system, found, budget)
 
 
-def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
-                  memo: dict) -> Optional[dict]:
-    bools: dict = {}
-    allowed = {l.name: set(l.ty.variant_names()) for l in decls if isinstance(l.ty, EnumT)}
-    num_atoms = []
-    for atom in branch:
-        match atom:
-            case ("bool", name, pol):
-                if bools.get(name, pol) != pol:
-                    return None
-                bools[name] = pol
-            case ("variant", name, variant, pol):
-                if pol:
-                    if variant not in allowed[name]:
-                        return None
-                    allowed[name] = {variant}
-                else:
-                    allowed[name].discard(variant)
-                    if not allowed[name]:
-                        return None
-            case ("num", _, _, _):
-                num_atoms.append(atom)
-
-    num_atoms, specs = _strip_rounds(num_atoms)
+def _solve_branch(branch: list, facts: tuple, decls: tuple, retain: dict,
+                  budget: _Budget, memo: dict) -> Optional[dict]:
+    """A model of a branch whose `facts` agree, None if its rows have none."""
+    num_atoms, specs = _strip_rounds([a for a in branch if a[0] == "num"])
     order = [(l.name, l.ty in (INT, MONEY)) for l in decls
              if l.ty != BOOL and not isinstance(l.ty, EnumT)]
     order += [(aux, True) for aux, _ in specs]
@@ -885,7 +964,7 @@ def _solve_branch(branch: list, decls: tuple, retain: dict, budget: _Budget,
             raise NonLinear(f"not linear: {render(SymBin(op, a, b))}")
         solution = _solve_linear(system, order, budget)
         if solution is not None:
-            return _fill_model(decls, bools, allowed, solution, retain)
+            return _fill_model(decls, facts[0], facts[1], solution, retain)
     return None
 
 
@@ -976,7 +1055,7 @@ class SolverSession:
         self.stats = SolverStats()
         self.on_query = on_query  # callback(Query) for SMT-LIB emission
         self._memo: dict = {}
-        self._frames = _Frames(self._memo)  # of a prefix of `stack`
+        self._frames = _Frames(self._memo, self.decls)  # of a prefix of `stack`
         self._money = [l.name for l in self.decls if l.ty == MONEY]
 
     # -- stack ------------------------------------------------------------

@@ -1,7 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Under CI (GitHub Actions sets CI), a failing draw also prints the blob
+# that `@reproduce_failure` replays locally.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))

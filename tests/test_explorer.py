@@ -517,6 +517,27 @@ def test_brackets_check_cost_does_not_grow_with_the_prefix(monkeypatch):
     assert len(calls) < 8 * suite.stats.solver_calls
 
 
+def test_brackets_bounds_need_no_projection(monkeypatch):
+    # The brackets-16 program above: every row bounds one variable, so the
+    # unit facts and each variable's own rows decide every check, and
+    # Fourier-Motzkin is never called.
+    from defcalc import solver
+    from defcalc.parser import parse_or_raise
+    n = 16
+    rules = "".join(
+        f"def b{i}: rate = default <rule (income > ${i},000.00 && kids >= {i % 4}"
+        f" :- {i + 1}%)> (true :- 0%);\n" for i in range(1, n + 1))
+    total = " + ".join(f"income * b{i}" for i in range(1, n + 1))
+    prog = parse_or_raise("scope Brackets { input income: money; input kids: int;\n"
+                          f"{rules}def tax: money = {total}; output tax; }}")
+    calls = []
+    real = solver._project
+    monkeypatch.setattr(solver, "_project", lambda *a: calls.append(1) or real(*a))
+    suite = explore(prog, "Brackets", ExploreConfig())
+    assert suite.complete and suite.stats.unknown == 0 and suite.stats.solver_calls > 500
+    assert calls == []
+
+
 def test_wall_clock_timeout_flags_incomplete(benefits_medium):
     suite = explore(benefits_medium, "Benefits", ExploreConfig(timeout=0.0))
     assert not suite.complete

@@ -31,6 +31,29 @@ def test_validate_is_pure_and_idempotent(income_tax):
     assert validate(income_tax) == validate(income_tax)
 
 
+def test_validate_checks_a_program_once(monkeypatch):
+    # The errors are kept on the program: each call returns a fresh list,
+    # `explore`'s own call on a validated program checks nothing again, and
+    # `explore` still refuses an invalid program before the engine runs.
+    from defcalc import explorer, lang
+    from defcalc.parser import parse_or_raise
+    checks = []
+    real = lang._Checker
+    monkeypatch.setattr(lang, "_Checker", lambda p: checks.append(p) or real(p))
+    good = parse_or_raise("scope S { input x: int; def y: int = x + 1; output y; }")
+    assert validate(good) == [] and len(checks) == 1
+    explorer.explore(good, "S")
+    assert len(checks) == 1
+    bad = Program(scopes=(Scope(
+        "S", (("x", INT),), (), (Binding("y", INT, Var("z")),), ("y",)),))
+    validate(bad).clear()
+    assert validate(bad) == validate(bad) != [] and len(checks) == 2
+    monkeypatch.setattr(explorer, "_prepare", lambda *a: pytest.fail("the engine ran"))
+    with pytest.raises(ValueError, match="unbound"):
+        explorer.explore(bad, "S")
+    assert len(checks) == 2
+
+
 def test_default_with_int_justification_is_type_error():
     bad = Default((), Lit(VInt(1)), Lit(VInt(2)))
     prog = Program(scopes=(Scope("S", (), (), (Binding("y", INT, bad),), ("y",)),))

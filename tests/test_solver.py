@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_fm
 from defcalc import solver
@@ -278,8 +278,20 @@ def _money_queries(draw):
     return s
 
 
+def _tiers_refuted_by_divisibility():
+    """m > $1,000.00, n > -$265,420.00 and m - n = -$97.30: every soft tier
+    is infeasible only because no two multiples of $1 differ by $97.30."""
+    s = SolverSession([Leaf("m", MONEY), Leaf("n", MONEY)])
+    m, n = SymVar("m", MONEY), SymVar("n", MONEY)
+    s.push(SymBin(">", m, SymConst(VMoney(100_000))))
+    s.push(SymBin(">", n, SymConst(VMoney(-26_542_000))))
+    s.push(SymBin("=", SymBin("-", m, n), SymConst(VMoney(-9_730))))
+    return s
+
+
 @settings(max_examples=200, deadline=None)
 @given(_money_queries())
+@example(_tiers_refuted_by_divisibility())
 def test_soft_tier_is_the_tier_of_its_model(s):
     # The ladder is maximal: on a fresh session, every tier before the
     # model's tier (every tier, when the model has none) is Unsat, or
@@ -416,8 +428,12 @@ def test_unit_literals_bound_the_search_from_the_root():
     lits = tuple(SymNot(both_above(i)) for i in range(1, 21)) + (both_above(30),)
     decls = (X, Leaf("y", INT))
     assert _fresh_check(decls, lits, limit=64) == solver.UNSAT
-    # An infeasible root is one cut.
+    # Unit bounds that clash decide the check on the frames, for no budget.
     lits = (SymBin(">", v("x"), c(3)), SymNot(both_above(1)), SymBin("<", v("x"), c(2)))
+    assert _fresh_check(decls, lits, limit=0) == solver.UNSAT
+    # A root infeasible only through a row of two variables is one cut.
+    lits = (SymBin(">", v("x"), v("y")), SymNot(both_above(1)), SymBin(">", v("y"), c(5)),
+            SymBin("<", v("x"), c(4)))
     assert _fresh_check(decls, lits, limit=1) == solver.UNSAT
     assert isinstance(_fresh_check(decls, lits, limit=0), Unknown)
     # The root's linear atoms refute it beside one that does not linearize.
@@ -521,15 +537,18 @@ _ORACLE_SOLVE, _ORACLE_BOUNDS = oracle_fm._solve_linear, oracle_fm._bounds_of
 
 def _oracle_within_int_bounds(atoms, order, budget):
     """The oracle's linear core with each integer window clipped to the
-    bounds `solver._int_bounds` derives, None when those cross, as the linear
-    core's windows are.  Every integer solution lies within the bounds, so it
-    answers as the oracle does wherever the oracle's search ends; where it
-    does not (`test_bounds_refute_what_the_oracle_search_never_ends`), this
-    one ends with the linear core's."""
+    bounds `solver._int_bounds` derives, None when those cross or when
+    `solver._int_unsolvable` refutes the integer equalities, as the linear
+    core is.  Every integer solution lies within the bounds and solves the
+    equalities, so it answers as the oracle does wherever the oracle's
+    search ends; where it does not
+    (`test_bounds_refute_what_the_oracle_search_never_ends`), this one ends
+    with the linear core's."""
     rows = [solver._row(c, k, op) for c, k, op in atoms]
     mentioned = {n for coeffs, _, _ in atoms for n in coeffs}
-    clip = solver._int_bounds(rows, [(n, i) for n, i in order if n in mentioned])
-    if clip is None:
+    todo = [(n, i) for n, i in order if n in mentioned]
+    clip = solver._int_bounds(rows, todo)
+    if clip is None or solver._int_unsolvable(rows, todo):
         return None
     box = {n: {("lo" if coeffs[n] < 0 else "hi"): -Fraction(k, coeffs[n])
                for coeffs, k, _ in rs} for n, rs in clip.items()}
@@ -864,6 +883,89 @@ def test_session_frames_match_fresh_builtin_checks(rng, limit):
     assert s.stats.unknown == sum(isinstance(r, Unknown) for r in fresh_checks)
 
 
+@st.composite
+def _fact_queries(draw):
+    """Conjunctions over `_MIXED_LEAVES` of unit literals (a boolean, an enum
+    tag, a one-variable bound) and of choices among such atoms, so that the
+    unit facts of some literals refute the alternatives of later choices;
+    in half of them some atoms bound x - y or x + y instead, rows with two
+    variables beside the bound-only ones."""
+    joint = draw(st.booleans())
+    consts = {"x": c, "y": c, "q": lambda k: c(Fraction(k, 2)),
+              "m": lambda k: SymConst(VMoney(k))}
+
+    def atom():
+        kind = draw(st.sampled_from(["bool", "tag", "bound", "bound"]))
+        if kind == "bool":
+            out = v("b", BOOL)
+        elif kind == "tag":
+            out = SymIsVariant(SymVar("z", ZONE), draw(st.sampled_from("ABC")))
+        else:
+            name = draw(st.sampled_from("xyqm"))
+            leaf = next(leaf for leaf in _MIXED_LEAVES if leaf.name == name)
+            term = v(name, leaf.ty)
+            if joint and name in "xy" and draw(st.booleans()):
+                term, name = SymBin(draw(st.sampled_from("+-")), v("x"), v("y")), "x"
+            out = SymBin(draw(st.sampled_from(["=", "<", "<=", ">", ">="])), term,
+                         consts[name](draw(st.integers(-3, 3))))
+        return SymNot(out) if draw(st.booleans()) else out
+
+    def literal():
+        if draw(st.booleans()):
+            return atom()
+        lit = SymBin(draw(st.sampled_from(["&&", "||"])), atom(), atom())
+        return SymNot(lit) if draw(st.booleans()) else lit
+
+    return tuple(literal() for _ in range(draw(st.integers(1, 8))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fact_queries())
+def test_unit_facts_answer_as_the_fm_oracle(lits):
+    # Cuts against the unit facts and projections over the rows with two or
+    # more variables give the oracle's verdict and model, and every cut
+    # stands for branches the oracle pays for, so no more budget is spent.
+    limit = 1 << 10
+    spent = {}
+
+    def recording(key):
+        class Recorded(solver._Budget):
+            def __init__(self, budget_limit):
+                super().__init__(budget_limit)
+                spent[key] = self
+        return Recorded
+
+    retain = {"x": VInt(1), "z": VEnum("Zone", "B")}
+    with mock.patch.object(solver, "_Budget", recording("got")):
+        got = _fresh_check(_MIXED_LEAVES, lits, retain, limit)
+    with mock.patch.object(oracle_fm, "_solve_linear", _deciding(_ORACLE_SOLVE)), \
+            mock.patch.object(oracle_fm, "_Budget", recording("want")):
+        want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, limit)
+    if isinstance(want, Unknown):
+        return  # the oracle's integer search ran out where the core's may not
+    assert got == want
+    used = {key: limit - budget.left for key, budget in spent.items()}
+    assert used.get("got", 0) <= used["want"]  # none when the frames decide
+
+
+def test_an_enum_clash_among_unit_atoms_makes_no_branch(monkeypatch):
+    calls = []
+    real = solver._solve_branch
+    monkeypatch.setattr(solver, "_solve_branch", lambda *a: calls.append(a) or real(*a))
+    z = SymVar("z", ZONE)
+    either = SymBin("||", SymBin(">", v("x"), c(0)), SymBin("<", v("y"), c(0)))
+    lits = (SymNot(SymIsVariant(z, "A")), either, SymNot(SymIsVariant(z, "B")),
+            SymNot(SymIsVariant(z, "C")))
+    assert _fresh_check(_MIXED_LEAVES, lits, limit=0) == solver.UNSAT
+    # A unit tag refutes each alternative of a later choice: two cuts.
+    lits = (SymIsVariant(z, "A"),
+            SymBin("||", SymBin("&&", SymIsVariant(z, "B"), SymBin(">", v("x"), c(0))),
+                   SymBin("&&", SymIsVariant(z, "C"), SymBin("<", v("x"), c(0)))))
+    assert _fresh_check(_MIXED_LEAVES, lits, limit=2) == solver.UNSAT
+    assert isinstance(_fresh_check(_MIXED_LEAVES, lits, limit=1), Unknown)
+    assert calls == []
+
+
 def _round_chain(n):
     """a_i = a_{i-1} * 3/7 over money, i = 1..n, under one `if` on a_n."""
     lines = ["scope Chain {", "  input x: money;", "  def a0: money = x;"]
@@ -991,6 +1093,43 @@ def test_bounds_refute_what_the_oracle_search_never_ends():
     assert _run_linear(solver._solve_linear, rows, order, 1) == (None, 1)
     assert _run_linear(oracle_fm._solve_linear, atoms, order, 1 << 8) == "out of budget"
     assert _run_linear(_oracle_within_int_bounds, atoms, order, 1) == (None, 1)
+
+
+@st.composite
+def _int_equalities(draw):
+    """1-3 equality rows over 2-3 integers, coefficients and constants small."""
+    names = "abc"[:draw(st.integers(2, 3))]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = {n: Fraction(k) for n in names if (k := draw(st.integers(-6, 6)))}
+        rows.append(solver._row(coeffs, Fraction(draw(st.integers(-12, 12))), "="))
+    return rows, [(n, True) for n in names]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_equalities())
+def test_integer_presolve_refutes_only_systems_without_integer_points(system):
+    rows, order = system
+    names = [n for n, _ in order]
+    points = itertools.product(range(-8, 9), repeat=len(names))
+    if solver._int_unsolvable(rows, order):
+        assert not any(all(sum(c * point[names.index(n)] for n, c in coeffs.items()) + k == 0
+                           for coeffs, k, _ in rows) for point in points)
+
+
+def test_integer_presolve_decides_by_divisibility():
+    ints = [("m", True), ("n", True), ("i", True), ("j", True)]
+    # m - n = -9730 with m = 100i and n = 100j: 100(i - j) = -9730.
+    rows = [({"m": 1, "n": -1}, 9730, "="), ({"m": 1, "i": -100}, 0, "="),
+            ({"n": 1, "j": -100}, 0, "=")]
+    assert solver._int_unsolvable(rows, ints)
+    assert not solver._int_unsolvable(rows[:2], ints)
+    assert solver._int_unsolvable([({"m": 3, "n": -3}, -1, "=")], ints)
+    assert not solver._int_unsolvable([({"m": 2, "n": 3}, 1, "=")], ints)  # m = 1, n = -1
+    # A rational variable, an inequality or one variable per row: no test.
+    assert not solver._int_unsolvable([({"m": 3, "q": -3}, -1, "=")], ints + [("q", False)])
+    assert not solver._int_unsolvable([({"m": 3, "n": -3}, -1, "<=")], ints)
+    assert not solver._int_unsolvable([({"m": 3}, -1, "=")], ints)
 
 
 _MIXED_BOX = 4
