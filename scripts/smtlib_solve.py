@@ -6,12 +6,18 @@ Reads SMT-LIB v2 commands on stdin, in the dialect the package emits
 arithmetic), and runs each one as soon as it is complete:
 
 - ``declare-datatypes``, ``declare-const`` and ``assert`` add to the
-  current query; ``define-fun`` and every other command are ignored;
-- ``check-sat`` answers ``sat``, ``unsat`` or ``unknown`` and flushes;
+  current assertion level; redeclaring a name is an error, and an assert
+  is translated as it arrives; ``define-fun`` and every other command are
+  ignored;
+- ``push N`` opens N assertion levels and ``pop N`` drops the last N, with
+  what was declared and asserted in them (N defaults to 1); popping more
+  levels than are open is an error and changes nothing;
+- ``check-sat`` answers ``sat``, ``unsat`` or ``unknown`` (``unknown``
+  while an assert it could not translate is in force) and flushes;
 - ``get-model`` answers the last check's model as ``(define-fun ...)``
   entries, or ``(error "model is not available")`` if that check was not
-  ``sat``;
-- ``reset`` forgets the current query.
+  ``sat`` or another command came after it;
+- ``reset`` forgets every level.
 
 A command it cannot read or run (an unknown sort, a stray parenthesis)
 answers ``(error "...")`` and the shim goes on with the next one.  It exits
@@ -20,9 +26,11 @@ end of input that is neither blank, a comment nor a complete command (a
 missing ``)``, an unclosed ``|`` or string) answers
 ``(error "incomplete command at end of input")``.  Commands are read with
 the package's own S-expression reader and tables (`defcalc.smtlib`).
-Each check is decided by a fresh `SolverSession` over the query's
-declarations, with the package's builtin procedure, which makes the shim a
-drop-in external backend for exercising the ``--solver smtlib:CMD``
+Checks are decided by the package's builtin procedure, in one
+`SolverSession` per declaration set: the assertions in force are mirrored
+onto its stack, so a literal is translated and prepared once however many
+checks it stays asserted for.  That makes the shim a drop-in external
+backend for exercising the ``--solver smtlib:CMD``
 protocol without any third-party solver:
 
     defcalc run prog.dfc --scope S --solver "smtlib:python3 scripts/smtlib_solve.py"
@@ -90,42 +98,87 @@ def _to_sym(node, sorts, enums):
     raise ValueError(f"cannot translate {_show(node)}")
 
 
-class _Query:
-    """The declarations and assertions since the last ``reset``."""
+class _Assertions:
+    """The declarations and assertions since the last ``reset``, by
+    assertion level, and the builtin session that decides them."""
 
     def __init__(self):
-        self.sorts: dict = {}
+        self.sorts: dict = {}  # constant name -> type, in declaration order
         self.enums: dict = {}
-        self.literals: list = []
+        self.literals: list = []  # translated, or the ValueError saying why not
+        self.levels: list = []  # per pushed level: the sizes of the three above
+        self.session = None
 
     def declare(self, node) -> None:
         if node[0] == "declare-datatypes":
             ename = node[1][0][0]
             ctors = tuple((c[0], None) for c in node[2][0])
-            self.enums[ename] = EnumT(ename, ctors)
+            self._add(self.enums, ename, EnumT(ename, ctors))
         elif node[0] == "declare-const":
             ty = _TYPES.get(node[2]) or self.enums.get(node[2])
             if ty is None:
                 raise ValueError(f"unknown sort {node[2]}")
-            self.sorts[_name(node[1])] = ty
+            self._add(self.sorts, _name(node[1]), ty)
         elif node[0] == "assert":
-            self.literals.append(node[1])
+            try:
+                lit = _to_sym(node[1], self.sorts, self.enums)
+            except ValueError as e:
+                print(f"; {e}", file=sys.stderr)
+                lit = e
+            self.literals.append(lit)
+
+    @staticmethod
+    def _add(table: dict, name: str, value) -> None:
+        if name in table:
+            raise ValueError(f"{name} is already declared")
+        table[name] = value
+
+    def push(self, n: int) -> None:
+        self.levels += [(len(self.sorts), len(self.enums), len(self.literals))] * n
+
+    def pop(self, n: int) -> None:
+        if n > len(self.levels):
+            raise ValueError(f"cannot pop {n} of {len(self.levels)} levels")
+        if n:
+            sorts, enums, literals = self.levels[-n]
+            del self.levels[-n:], self.literals[literals:]
+            for table, size in ((self.sorts, sorts), (self.enums, enums)):
+                for name in list(table)[size:]:
+                    del table[name]
 
     def check(self):
-        """The verdict word and, on sat, the model reply."""
-        try:
-            lits = tuple(_to_sym(n, self.sorts, self.enums) for n in self.literals)
-        except ValueError as e:
-            print(f"; {e}", file=sys.stderr)
+        """The verdict word and, on sat, the model reply.  The session over
+        the current declarations is kept, and its stack is cut back to the
+        longest prefix it shares with the literals and then extended, so a
+        literal is translated and prepared once while it stays asserted."""
+        if any(isinstance(lit, ValueError) for lit in self.literals):
             return "unknown", None
         decls = tuple(Leaf(n, t) for n, t in self.sorts.items())
-        res = SolverSession(decls).check(lits)
+        if self.session is None or self.session.decls != decls:
+            self.session = SolverSession(decls)
+        stack = self.session.stack
+        keep = next((i for i, (a, b) in enumerate(zip(stack, self.literals))
+                     if a is not b), min(len(stack), len(self.literals)))
+        while len(stack) > keep:
+            self.session.pop()
+        for lit in self.literals[keep:]:
+            self.session.push(lit)
+        res = self.session.check()
         if isinstance(res, Sat):
             rows = "".join(
                 f"  (define-fun {_symname(leaf.name)} () {_sort_of_leaf(leaf.ty)} "
                 f"{_const(res.model[leaf.name])})\n" for leaf in decls)
             return "sat", f"(\n{rows})"
         return ("unknown" if isinstance(res, Unknown) else "unsat"), None
+
+
+def _levels(node) -> int:
+    """The numeral of ``(push N)`` or ``(pop N)``; 1 when it is left out."""
+    if len(node) == 1:
+        return 1
+    if len(node) == 2 and isinstance(node[1], str) and node[1].isdigit():
+        return int(node[1])
+    raise ValueError("expected one numeral")
 
 
 def _commands(stream):
@@ -152,7 +205,7 @@ def _commands(stream):
 
 
 def main() -> int:
-    query, model = _Query(), None
+    state, model = _Assertions(), None
     for node in _commands(sys.stdin):
         try:
             if isinstance(node, ValueError):
@@ -161,14 +214,20 @@ def main() -> int:
                 continue
             if node[0] == "check-sat":
                 model = None  # no stale model if this check fails
-                verdict, model = query.check()
+                verdict, model = state.check()
                 print(verdict, flush=True)
             elif node[0] == "get-model":
                 print(model or '(error "model is not available")', flush=True)
-            elif node[0] == "reset":
-                query, model = _Query(), None
             else:
-                query.declare(node)
+                if node[0] == "reset":
+                    state = _Assertions()
+                elif node[0] == "push":
+                    state.push(_levels(node))
+                elif node[0] == "pop":
+                    state.pop(_levels(node))
+                else:
+                    state.declare(node)
+                model = None  # a model answers only the check just made
         except Exception as e:
             message = str(e) if node is e else f"{_show(node)}: {e}"
             message = message.replace('"', '""')

@@ -22,13 +22,18 @@ follows it.  The external backend frames each reply with it, `parse_model`
 reads the node it returns, and the shim reads its commands with it.
 
 The external backend keeps one user-configured solver process running and
-talks to it interactively.  Each check writes the query's script and
-``(check-sat)`` and reads one verdict token (``sat``/``unsat``/``unknown``);
-only on ``sat`` does it write ``(get-model)`` and read one balanced
-S-expression.  A reused process gets ``(reset)`` before the next script, so
-every query is solved on its own.  Replies are read under the check's
-deadline; a timeout, a closed pipe or an unexpected reply kills the process,
-and the next check starts a new one.
+talks to it interactively, keeping a session's queries incremental.  The
+process holds one assertion level per literal of the last query; a check
+from the same session over the same declarations pops back to the longest
+prefix its literals share with that query and pushes and asserts only the
+rest.  Any other check starts from ``(reset)`` and the preamble, the same
+one `emit_smtlib` writes (it always defines ``dfc_round``), so no solver
+state outlives the session that made it.  Each check then writes
+``(check-sat)`` and ``(get-model)``, all in one write, and reads the verdict
+token (``sat``/``unsat``/``unknown``) and one more S-expression: the model
+on ``sat``, the reply to ``(get-model)`` that is read and dropped otherwise.
+Replies are read under the check's deadline; a timeout, a closed pipe or an
+unexpected reply kills the process, and the next check starts a new one.
 """
 
 from __future__ import annotations
@@ -122,21 +127,29 @@ def _mentions_round(e: SymExpr) -> bool:
     return any(_mentions_round(c) for c in sym_children(e))
 
 
-def emit_smtlib(query: Query, get_model: bool = True) -> str:
-    """Render a query as solver-ready SMT-LIB v2 text: the script, then
-    ``(check-sat)`` and, unless `get_model` is false, ``(get-model)``."""
-    lines = ["(set-logic ALL)", "(set-option :produce-models true)"]
+def _preamble(decls, round_def: bool) -> list:
+    """The lines that open a script over `decls`: the options and logic,
+    each enum's datatype, ``dfc_round`` if `round_def`, and one constant
+    per leaf."""
+    lines = ["(set-option :produce-models true)", "(set-logic ALL)"]
     seen_enums = []
-    for leaf in query.decls:
+    for leaf in decls:
         if isinstance(leaf.ty, EnumT) and leaf.ty.name not in [e.name for e in seen_enums]:
             seen_enums.append(leaf.ty)
     for et in seen_enums:
         ctors = " ".join(f"({v})" for v in et.variant_names())
         lines.append(f"(declare-datatypes (({et.name} 0)) (({ctors})))")
-    if any(_mentions_round(l) for l in query.literals):
+    if round_def:
         lines.append(_ROUND_DEF)
-    for leaf in query.decls:
+    for leaf in decls:
         lines.append(f"(declare-const {_symname(leaf.name)} {_sort_of_leaf(leaf.ty)})")
+    return lines
+
+
+def emit_smtlib(query: Query, get_model: bool = True) -> str:
+    """Render a query as solver-ready SMT-LIB v2 text: the script, then
+    ``(check-sat)`` and, unless `get_model` is false, ``(get-model)``."""
+    lines = _preamble(query.decls, any(_mentions_round(l) for l in query.literals))
     for lit in query.literals:
         lines.append(f"(assert {_emit(lit)})")
     lines.append("(check-sat)")
@@ -263,21 +276,28 @@ def _stop_process(proc: subprocess.Popen, stderr) -> None:
 class ExternalSolver:
     """Backend speaking SMT-LIB to one long-lived solver process.
 
-    The command must run interactively: answer each ``(check-sat)`` as it
-    arrives and accept ``(reset)`` (``z3 -in``, or the bundled
-    ``scripts/smtlib_solve.py``).  The process starts on the first check and
-    serves every later one, also across the sessions and `explore` calls
-    that share this backend.  `close` (or leaving a ``with`` block) kills
-    it, and the next check starts a new one; a backend dropped or left open
-    at exit kills its process too.
+    The command must run interactively: answer each ``(check-sat)`` and
+    ``(get-model)`` as it arrives and accept ``(reset)``, ``(push 1)`` and
+    ``(pop N)`` (``z3 -in``, or the bundled ``scripts/smtlib_solve.py``).
+    The process starts on the first check and serves every later one, also
+    across the sessions and `explore` calls that share this backend.
+    `close` (or leaving a ``with`` block) kills it, and the next check
+    starts a new one; a backend dropped or left open at exit kills its
+    process too.
 
-    A check writes the query's script and ``(check-sat)``, preceded by
-    ``(reset)`` on a reused process, and reads one verdict; on ``sat`` it
-    writes ``(get-model)`` and reads one S-expression.  Reading waits at
-    most `timeout` seconds per check.  A timeout, the solver closing its
-    output, a pipe error or a reply that is not a verdict kills the process
-    and raises `SolverFailure`.  The solver's stderr goes to a temporary
-    file, whose tail is quoted in the failure message.
+    The process holds the last query's declarations and one assertion level
+    per literal.  A check from the same `session` over the same
+    declarations sends ``(pop N)`` back to the longest prefix of literals it
+    shares with that query, then ``(push 1)`` and ``(assert ...)`` for each
+    new literal; any other check (a new process, other declarations, the
+    first check of a session, or no `session`) sends ``(reset)`` and the
+    preamble first.  Both end with ``(check-sat)`` and ``(get-model)``, all
+    in one write, and read the verdict and then one more S-expression: the
+    model on ``sat``, read and dropped otherwise.  Reading waits at most
+    `timeout` seconds per check.  A timeout, the solver closing its output,
+    a pipe error or a reply that is not a verdict kills the process and
+    raises `SolverFailure`.  The solver's stderr goes to a temporary file,
+    whose tail is quoted in the failure message.
     """
 
     def __init__(self, command: str, timeout: float = 30.0):
@@ -290,7 +310,9 @@ class ExternalSolver:
         self._stop = None  # kills the process; also runs if self is dropped
         self._decoder = None
         self._out = ""  # decoded solver output not yet consumed
-        self._used = False  # a query was sent since the process started
+        self._owner = None  # weak reference to the session the process serves
+        self._decls = None  # that session's declarations in force
+        self._literals = ()  # and its literals in force, one level each
 
     def __enter__(self):
         return self
@@ -304,9 +326,11 @@ class ExternalSolver:
             self._stop()
             self._proc = self._stderr = self._stop = None
 
-    def check(self, query: Query):
+    def check(self, query: Query, session=None):
+        """Decide `query` for `session` (the caller whose earlier queries
+        the process may keep; None shares nothing)."""
         try:
-            return self._check(query, time.monotonic() + self.timeout)
+            return self._check(query, session, time.monotonic() + self.timeout)
         except (OSError, ValueError, SolverFailure) as e:
             message = f"external solver failed: {e}{self._stderr_tail()}"
             self.close()
@@ -315,19 +339,34 @@ class ExternalSolver:
             self.close()
             raise
 
-    def _check(self, query: Query, deadline: float):
+    def _check(self, query: Query, session, deadline: float):
         if self._proc is None:
             self._start()
-        script = emit_smtlib(query, get_model=False)
-        verdict = self._ask(("(reset)\n" if self._used else "") + script, deadline)
-        self._used = True
+        lines, keep = [], 0
+        if (session is None or self._owner is None or self._owner() is not session
+                or self._decls != query.decls):
+            lines = ["(reset)", *_preamble(query.decls, True)]
+        else:
+            for old, new in zip(self._literals, query.literals):
+                if old is not new and old != new:
+                    break
+                keep += 1
+            if len(self._literals) > keep:
+                lines.append(f"(pop {len(self._literals) - keep})")
+        for lit in query.literals[keep:]:
+            lines += ["(push 1)", f"(assert {_emit(lit)})"]
+        lines += ["(check-sat)", "(get-model)"]
+        self._owner = None if session is None else weakref.ref(session)
+        self._decls, self._literals = query.decls, query.literals
+        verdict = self._reply(deadline, "\n".join(lines) + "\n")
+        if verdict not in ("sat", "unsat", "unknown"):
+            raise SolverFailure(f"unexpected solver reply {_show(verdict)[:200]!r}")
+        model = self._reply(deadline)
         if verdict == "unsat":
             return UNSAT
         if verdict == "unknown":
             return Unknown("external solver returned unknown")
-        if verdict != "sat":
-            raise SolverFailure(f"unexpected solver reply {_show(verdict)[:200]!r}")
-        return Sat(parse_model(self._ask("(get-model)\n", deadline), query))
+        return Sat(parse_model(model, query))
 
     def _start(self) -> None:
         stderr = tempfile.TemporaryFile()
@@ -343,9 +382,9 @@ class ExternalSolver:
         os.set_blocking(proc.stdin.fileno(), False)
         self._decoder = codecs.getincrementaldecoder("utf-8")()
         self._out = ""
-        self._used = False
+        self._owner = None  # so the first check resets the new process
 
-    def _ask(self, text: str, deadline: float):
+    def _reply(self, deadline: float, text: str = ""):
         """Write `text`, then read until the output holds one complete
         S-expression (a verdict is an atom) and return it as `read_sexpr`
         reads it.  Writing and reading are interleaved, so neither pipe can
@@ -354,7 +393,8 @@ class ExternalSolver:
         pending = text.encode()
         with selectors.DefaultSelector() as sel:
             sel.register(proc.stdout, selectors.EVENT_READ)
-            sel.register(proc.stdin, selectors.EVENT_WRITE)
+            if pending:
+                sel.register(proc.stdin, selectors.EVENT_WRITE)
             while True:
                 if not pending and (got := read_sexpr(self._out)) is not None:
                     reply, end = got

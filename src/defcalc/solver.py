@@ -1092,7 +1092,7 @@ class SolverSession:
         if self.backend is not None:
             self.stats.checks += 1
             try:
-                res = self.backend.check(query)
+                res = self.backend.check(query, session=self)
                 if isinstance(res, Sat):
                     _assert_model(res.model, query.literals, SolverFailure)
             except SolverFailure:

@@ -178,7 +178,8 @@ def test_emit_smtlib_removes_an_earlier_runs_queries(programs_dir, tmp_path):
     assert sorted(os.listdir(out)) == [
         "notes.smt2", "q000000.smt2", "q000001.smt2", "q000002.smt2",
         "q000003.smt2", "q000009.txt", "q12.smt2"]
-    assert (out / "q000000.smt2").read_text().startswith("(set-logic")
+    assert (out / "q000000.smt2").read_text().startswith(
+        "(set-option :produce-models true)\n(set-logic ALL)\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -389,7 +389,7 @@ def test_exploration_matches_brute_force_on_random_scopes():
 
 
 class _BrokenBackend:
-    def check(self, query):
+    def check(self, query, session=None):
         from defcalc.solver import SolverFailure
         raise SolverFailure("backend crashed")
 

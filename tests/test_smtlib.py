@@ -1,12 +1,13 @@
 import gc
 import os
+import select
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_program
 from defcalc.explorer import OPT_NAMES, ExploreConfig, explore
@@ -14,10 +15,12 @@ from defcalc.lang import (
     BOOL, INT, MONEY, RAT, EnumT, VBool, VEnum, VInt, VMoney, VRat,
 )
 from defcalc.smtlib import (
-    ExternalSolver, _const, _show, _sort_of_leaf, _symname, emit_smtlib,
+    _ROUND_DEF, ExternalSolver, _const, _show, _sort_of_leaf, _symname, emit_smtlib,
     parse_model, read_sexpr,
 )
-from defcalc.solver import Query, Sat, SolverFailure, SolverSession, Unsat
+from defcalc.solver import (
+    Query, Sat, SolverFailure, SolverSession, Unknown, Unsat,
+)
 from defcalc.symbolic import (
     Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
 )
@@ -328,6 +331,8 @@ ANSWER_UNSAT = """
 for line in sys.stdin:
     if line.startswith("(check-sat)"):
         print("unsat", flush=True)
+    elif line.startswith("(get-model)"):
+        print('(error "model is not available")', flush=True)
 """
 
 
@@ -357,6 +362,8 @@ def test_solver_exiting_fails_one_check_then_restarts(tmp_path):
 for line in sys.stdin:
     if line.startswith("(check-sat)"):
         print("unsat", flush=True)
+    elif line.startswith("(get-model)"):
+        print('(error "model is not available")', flush=True)
         sys.exit(0)
 """
     with fake_solver(tmp_path, body) as ext:
@@ -387,6 +394,8 @@ open({str(tmp_path / 'answered')!r}, "w").close()
 for line in sys.stdin:
     if line.startswith("(check-sat)"):
         print("maybe" if first else "unsat", flush=True)
+    elif line.startswith("(get-model)"):
+        print('(error "model is not available")', flush=True)
 """
     with fake_solver(tmp_path, body) as ext:
         with pytest.raises(SolverFailure, match="maybe"):
@@ -400,6 +409,112 @@ def test_failure_message_quotes_solver_stderr(tmp_path):
     with fake_solver(tmp_path, body) as ext:
         with pytest.raises(SolverFailure, match="bad licence file"):
             ext.check(q_simple())
+
+
+# -- the incremental protocol ----------------------------------------------------
+
+
+X = SymVar("x", INT)
+
+
+def x_is(op: str, n: int):
+    return SymBin(op, X, SymConst(VInt(n)))
+
+
+def logging_solver(tmp_path, answers: str = "sat") -> ExternalSolver:
+    """A fake that logs every line it reads to `log.txt` and answers the
+    checks with the verdicts of `answers` in turn, and `(get-model)` with a
+    model after ``sat`` and an error otherwise."""
+    return fake_solver(tmp_path, f"""
+log = open({str(tmp_path / 'log.txt')!r}, "a")
+verdicts, verdict = {answers.split()!r}, None
+for line in sys.stdin:
+    log.write(line)
+    log.flush()
+    if line.startswith("(check-sat)"):
+        verdict = verdicts[0]
+        verdicts = verdicts[1:] + verdicts[:1]
+        print(verdict, flush=True)
+    elif line.startswith("(get-model)"):
+        print("((define-fun x () Int 1) (define-fun m () Int 100000)"
+              " (define-fun |.mult10000.m| () Int 10))" if verdict == "sat"
+              else '(error "model is not available")', flush=True)
+""")
+
+
+def sent(tmp_path) -> list:
+    """The lines the logging fake read, one list per check."""
+    checks, lines = [], []
+    for line in (tmp_path / "log.txt").read_text().splitlines():
+        lines.append(line)
+        if line == "(get-model)":
+            checks.append(lines)
+            lines = []
+    return checks
+
+
+def test_a_query_sharing_a_prefix_sends_only_its_difference(tmp_path):
+    with logging_solver(tmp_path) as ext:
+        sess = SolverSession((Leaf("x", INT),), backend=ext)
+        sess.push(x_is(">", 0))
+        sess.push(x_is("<", 5))
+        assert isinstance(sess.check([x_is("<", 4)]), Sat)
+        sess.pop()
+        assert isinstance(sess.check([x_is("<", 3)]), Sat)
+        assert isinstance(sess.check([x_is("<", 3)]), Sat)
+    first, second, third = sent(tmp_path)
+    assert first == [
+        "(reset)", "(set-option :produce-models true)", "(set-logic ALL)",
+        _ROUND_DEF, "(declare-const x Int)",
+        "(push 1)", "(assert (> x 0))", "(push 1)", "(assert (< x 5))",
+        "(push 1)", "(assert (< x 4))", "(check-sat)", "(get-model)"]
+    assert second == ["(pop 2)", "(push 1)", "(assert (< x 3))",
+                      "(check-sat)", "(get-model)"]
+    assert third == ["(check-sat)", "(get-model)"]
+    assert len(pids(tmp_path)) == 1
+
+
+def test_other_declarations_and_a_new_session_start_from_reset(tmp_path):
+    positive = SymBin(">", SymVar("m", MONEY), SymConst(VMoney(0)))
+    with logging_solver(tmp_path) as ext:
+        sess = SolverSession((Leaf("m", MONEY),), backend=ext)
+        sess.push(positive)
+        for _ in range(2):  # the hard query, then the $100 tier's
+            assert sess.check_soft().model == {"m": VMoney(100000)}
+        sess.check()
+        sess.check()
+        other = SolverSession((Leaf("m", MONEY),), backend=ext)
+        other.push(positive)
+        other.check()
+        ext.check(Query((Leaf("x", INT),), (x_is(">", 0),)))  # no session
+    checks = sent(tmp_path)
+    assert [lines[0] for lines in checks] == ["(reset)"] * 5 + ["(check-sat)"] + ["(reset)"] * 2
+    assert "(declare-const |.mult10000.m| Int)" in checks[1]
+    assert "(declare-const |.mult10000.m| Int)" not in checks[4]
+
+
+def test_the_model_request_after_unsat_is_answered_and_read(tmp_path):
+    with logging_solver(tmp_path, "unsat sat unknown sat") as ext:
+        sess = SolverSession((Leaf("x", INT),), backend=ext)
+        sess.push(x_is(">", 0))
+        assert isinstance(sess.check(), Unsat)
+        assert sess.check([x_is("<", 2)]).model == {"x": VInt(1)}
+        assert isinstance(sess.check([x_is("<", 3)]), Unknown)
+        assert sess.check([x_is("<", 4)]).model == {"x": VInt(1)}
+    assert len(pids(tmp_path)) == 1
+
+
+def test_a_reply_that_is_not_a_verdict_fails_at_once(tmp_path):
+    body = """
+for line in sys.stdin:
+    if line.startswith("(check-sat)"):
+        print('(error "no logic set")', flush=True)
+"""
+    with fake_solver(tmp_path, body, timeout=30.0) as ext:
+        t0 = time.monotonic()
+        with pytest.raises(SolverFailure, match="unexpected solver reply"):
+            ext.check(q_simple())
+        assert time.monotonic() - t0 < 10.0  # not the 30 s timeout
 
 
 def test_reset_separates_queries_on_one_process(shim):
@@ -463,6 +578,118 @@ def test_shim_refuses_a_model_after_unsat(scripts_dir):
     p = subprocess.run([sys.executable, str(scripts_dir / "smtlib_solve.py")],
                        input=text, capture_output=True, text=True, timeout=60)
     assert p.stdout.split() == ["unsat", "(error", '"model', "is", "not", 'available")']
+
+
+class ShimPipe:
+    """One shim process, fed commands and read one reply at a time."""
+
+    def __init__(self, scripts_dir):
+        self.proc = subprocess.Popen(
+            [sys.executable, str(scripts_dir / "smtlib_solve.py")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        self.out = ""
+
+    def send(self, *commands: str) -> None:
+        self.proc.stdin.write("".join(c + "\n" for c in commands).encode())
+        self.proc.stdin.flush()
+
+    def reply(self):
+        while (got := read_sexpr(self.out)) is None:
+            ready, _, _ = select.select([self.proc.stdout], [], [], 60)
+            assert ready, "no reply within 60 s"
+            chunk = os.read(self.proc.stdout.fileno(), 65536)
+            assert chunk, "the shim closed its output"
+            self.out += chunk.decode()
+        node, end = got
+        self.out = self.out[end:]
+        return node
+
+    def close(self) -> None:
+        self.proc.kill()
+        self.proc.wait()
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+
+
+@pytest.fixture(scope="module")
+def shim_pipes(scripts_dir):
+    pipes = ShimPipe(scripts_dir), ShimPipe(scripts_dir)
+    yield pipes
+    for pipe in pipes:
+        pipe.close()
+
+
+NO_MODEL = ["error", '"model is not available"']
+SHIM_DECLS = ("(declare-datatypes ((Zone 0)) (((A) (B) (C))))", "(declare-const x Int)",
+              "(declare-const y Int)", "(declare-const b Bool)", "(declare-const z Zone)")
+_shim_terms = st.sampled_from(["x", "y", "(+ x y)", "(- x y)", "(* 2 x)", "(- 3)", "0", "4"])
+_shim_atoms = st.one_of(
+    st.builds("({} {} {})".format, st.sampled_from(["<", "<=", "=", ">=", ">"]),
+              _shim_terms, _shim_terms),
+    st.sampled_from(["b", "(not b)", "((_ is A) z)", "((_ is B) z)", "(not ((_ is C) z))",
+                     "(frob x)"]))  # the shim cannot translate `frob`
+_shim_literals = st.one_of(
+    _shim_atoms,
+    st.builds("({} {} {})".format, st.sampled_from(["and", "or"]), _shim_atoms, _shim_atoms))
+_shim_assert = st.tuples(st.just("assert"), _shim_literals)
+SHIM_STEPS = st.lists(st.one_of(  # asserts and checks twice as often as the rest
+    _shim_assert, _shim_assert, st.just(("check-sat",)), st.just(("check-sat",)),
+    st.tuples(st.just("push"), st.integers(0, 2)),
+    st.tuples(st.just("pop"), st.integers(0, 3)), st.just(("get-model",))), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SHIM_STEPS)
+@example([("push", 1), ("assert", "b"), ("check-sat",), ("pop", 1),
+          ("assert", "(not b)")])  # a level popped after a check, then reasserted
+def test_shim_answers_each_check_as_a_fresh_script_would(shim_pipes, steps):
+    """Push, pop and assert on one process; each check's verdict and model
+    equal those of a fresh script of the assertions then in force."""
+    shim, fresh = shim_pipes
+    shim.send("(reset)", *SHIM_DECLS)
+    levels, model = [[]], NO_MODEL
+    for step in [*steps, ("check-sat",)]:
+        match step:
+            case ("push", n):
+                shim.send(f"(push {n})")
+                levels += [[] for _ in range(n)]
+                model = NO_MODEL
+            case ("pop", n) if n >= len(levels):
+                shim.send(f"(pop {n})")
+                assert shim.reply()[0] == "error"  # and nothing changes
+            case ("pop", n):
+                shim.send(f"(pop {n})")
+                del levels[len(levels) - n:]
+                model = NO_MODEL
+            case ("assert", literal):
+                shim.send(f"(assert {literal})")
+                levels[-1].append(literal)
+                model = NO_MODEL
+            case ("get-model",):
+                shim.send("(get-model)")
+                assert shim.reply() == model
+            case ("check-sat",):
+                shim.send("(check-sat)", "(get-model)")
+                got = shim.reply(), shim.reply()
+                fresh.send("(reset)", *SHIM_DECLS,
+                           *(f"(assert {lit})" for level in levels for lit in level),
+                           "(check-sat)", "(get-model)")
+                assert got == (fresh.reply(), fresh.reply())
+                model = got[1]
+
+
+def test_shim_refuses_an_over_deep_pop_and_recovers_from_an_untranslatable_assert(
+        shim_pipes):
+    shim, _ = shim_pipes
+    x_is_3 = [["define-fun", "x", [], "Int", "3"]]
+    shim.send("(reset)", "(declare-const x Int)", "(push 1)", "(assert (> x 2))", "(pop 2)")
+    assert shim.reply()[0] == "error"
+    shim.send("(check-sat)", "(get-model)")
+    assert (shim.reply(), shim.reply()) == ("sat", x_is_3)
+    shim.send("(push 1)", "(assert (frob x))", "(check-sat)", "(get-model)")
+    assert (shim.reply(), shim.reply()) == ("unknown", NO_MODEL)
+    shim.send("(pop 1)", "(check-sat)", "(get-model)")
+    assert (shim.reply(), shim.reply()) == ("sat", x_is_3)
 
 
 def test_emit_smtlib_is_the_script_plus_check_and_model():

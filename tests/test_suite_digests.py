@@ -32,18 +32,20 @@ def test_suite_digests_of_round_chain_repeat_and_compare(scripts_dir, tmp_path):
 
 
 def test_seed1_digests_equal_the_committed_ones(scripts_dir, tmp_path):
-    # Identity gate: every run of brackets, round-chain, regulation-mix (seed
-    # 1) and the bundled programs emits the same suite, stats, `complete`
-    # and `depth_trace` as when tests/data/suite_digests_seed1.json was
-    # written.  A change that means to alter them regenerates that file:
+    # Identity gate: every run of brackets, round-chain, regulation-mix,
+    # smtlib-pipe (seed 1) and the bundled programs emits the same suite,
+    # stats, `complete` and `depth_trace` as when
+    # tests/data/suite_digests_seed1.json was written.  A change that means
+    # to alter them regenerates that file:
     #   python3 scripts/suite_digests.py --seeds 1 --compact \
-    #     --workloads brackets,round-chain,regulation-mix,bundled \
+    #     --workloads brackets,round-chain,regulation-mix,smtlib-pipe,bundled \
     #     --out tests/data/suite_digests_seed1.json
     committed = scripts_dir.parent / "tests" / "data" / "suite_digests_seed1.json"
     out = tmp_path / "now.json"
     done = _digests(scripts_dir, "--seeds", "1", "--compact", "--workloads",
-                    "brackets,round-chain,regulation-mix,bundled", "--out", str(out))
+                    "brackets,round-chain,regulation-mix,smtlib-pipe,bundled",
+                    "--out", str(out))
     assert done.returncode == 0, done.stderr
     done = _digests(scripts_dir, "--compare", str(committed), str(out))
     assert done.returncode == 0, done.stdout  # names each run that differs
-    assert done.stdout == "0 of 1352 runs differ\n"
+    assert done.stdout == "0 of 1364 runs differ\n"
