@@ -49,7 +49,7 @@ from defcalc.smtlib import (
 )
 from defcalc.solver import Sat, SolverSession, Unknown
 from defcalc.symbolic import (
-    Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
+    Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar, shared_prefix,
 )
 
 # The emitter's tables, inverted.  Money is written as Int (cents), and the
@@ -156,10 +156,8 @@ class _Assertions:
         decls = tuple(Leaf(n, t) for n, t in self.sorts.items())
         if self.session is None or self.session.decls != decls:
             self.session = SolverSession(decls)
-        stack = self.session.stack
-        keep = next((i for i, (a, b) in enumerate(zip(stack, self.literals))
-                     if a is not b), min(len(stack), len(self.literals)))
-        while len(stack) > keep:
+        keep = shared_prefix(self.session.stack, self.literals)
+        while len(self.session.stack) > keep:
             self.session.pop()
         for lit in self.literals[keep:]:
             self.session.push(lit)

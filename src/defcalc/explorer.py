@@ -39,6 +39,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .lang import Program, Span, validate
@@ -49,7 +50,7 @@ from .concolic import (
 from .solver import Sat, SolverFailure, SolverSession, Unknown
 from .symbolic import (
     default_value, inputs_of_leaf_env, leaf_env_of_inputs, render,
-    scope_leaves, sym_not,
+    scope_leaves, shared_prefix, sym_not,
 )
 from . import transforms
 
@@ -146,6 +147,7 @@ def path_fingerprint(path, entries=None) -> str:
 
 
 _UNKEYED = object()
+_CONSTRAINT, _ENTRY_CONSTRAINT = attrgetter("constraint"), attrgetter("record.constraint")
 
 
 @dataclass
@@ -172,20 +174,13 @@ class Frontier:
         """Match the new path against the expected prefix and absorb the new
         suffix.  Divergence raises unless the early-conflict rule is on, in
         which case bookkeeping restarts from the longest common prefix."""
-        n = min(len(self.entries), len(path))
-        diverged = None
-        for i in range(n):
-            if self.entries[i].record.constraint != path[i].constraint:
-                diverged = i
-                break
-        if diverged is None and len(path) < len(self.entries):
-            diverged = len(path)
-        if diverged is not None:
+        keep = shared_prefix(map(_ENTRY_CONSTRAINT, self.entries), map(_CONSTRAINT, path))
+        if keep < len(self.entries):
             if not early_error:
                 raise PrefixInvariantViolation(
-                    f"path diverged from expected prefix at depth {diverged}")
-            del self.entries[diverged:]
-            self._pop_to(diverged)
+                    f"path diverged from expected prefix at depth {keep}")
+            del self.entries[keep:]
+            self._pop_to(keep)
         for rec in path[len(self.entries):]:
             self.entries.append(_Entry(rec))
 

@@ -24,14 +24,15 @@ reads the node it returns, and the shim reads its commands with it.
 The external backend keeps one user-configured solver process running and
 talks to it interactively, keeping a session's queries incremental.  The
 process holds one assertion level per literal of the last query; a check
-from the same session over the same declarations pops back to the longest
-prefix its literals share with that query and pushes and asserts only the
-rest.  Any other check starts from ``(reset)`` and the preamble, the same
-one `emit_smtlib` writes (it always defines ``dfc_round``), so no solver
-state outlives the session that made it.  Each check then writes
-``(check-sat)`` and ``(get-model)``, all in one write, and reads the verdict
-token (``sat``/``unsat``/``unknown``) and one more S-expression: the model
-on ``sat``, the reply to ``(get-model)`` that is read and dropped otherwise.
+from the same session over the same declarations (all of a session's soft
+checks declare its soft ladder) pops back to the `shared_prefix` of their
+literals and pushes and asserts the rest.  Any other check starts from
+``(reset)`` and the preamble, the one `emit_smtlib` writes (it always
+defines ``dfc_round``), so no solver state outlives the session that made
+it.  Each check then writes ``(check-sat)`` and ``(get-model)``, all in
+one write, and reads the verdict token (``sat``/``unsat``/``unknown``) and
+one more S-expression: the model on ``sat``, the reply to ``(get-model)``
+that is read and dropped otherwise.
 Replies are read under the check's deadline; a timeout, a closed pipe or an
 unexpected reply kills the process, and the next check starts a new one.
 """
@@ -57,7 +58,7 @@ from .lang import (
 from .solver import Query, Sat, SolverFailure, Unknown, UNSAT
 from .symbolic import (
     SymBin, SymConst, SymExpr, SymIsVariant, SymNot, SymRound,
-    SymVar, default_value, sym_sort,
+    SymVar, default_value, shared_prefix, sym_sort,
 )
 
 _ROUND_DEF = (
@@ -146,15 +147,13 @@ def _preamble(decls, round_def: bool) -> list:
     return lines
 
 
-def emit_smtlib(query: Query, get_model: bool = True) -> str:
+def emit_smtlib(query: Query) -> str:
     """Render a query as solver-ready SMT-LIB v2 text: the script, then
-    ``(check-sat)`` and, unless `get_model` is false, ``(get-model)``."""
+    ``(check-sat)`` and ``(get-model)``."""
     lines = _preamble(query.decls, any(_mentions_round(l) for l in query.literals))
     for lit in query.literals:
         lines.append(f"(assert {_emit(lit)})")
-    lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
+    lines += ["(check-sat)", "(get-model)"]
     return "\n".join(lines) + "\n"
 
 
@@ -287,17 +286,18 @@ class ExternalSolver:
 
     The process holds the last query's declarations and one assertion level
     per literal.  A check from the same `session` over the same
-    declarations sends ``(pop N)`` back to the longest prefix of literals it
-    shares with that query, then ``(push 1)`` and ``(assert ...)`` for each
-    new literal; any other check (a new process, other declarations, the
-    first check of a session, or no `session`) sends ``(reset)`` and the
-    preamble first.  Both end with ``(check-sat)`` and ``(get-model)``, all
-    in one write, and read the verdict and then one more S-expression: the
-    model on ``sat``, read and dropped otherwise.  Reading waits at most
-    `timeout` seconds per check.  A timeout, the solver closing its output,
-    a pipe error or a reply that is not a verdict kills the process and
-    raises `SolverFailure`.  The solver's stderr goes to a temporary file,
-    whose tail is quoted in the failure message.
+    declarations sends ``(pop N)`` back to the `shared_prefix` of its
+    literals and that query's, then ``(push 1)`` and ``(assert ...)`` for
+    each new literal; any other check (a new process, other declarations,
+    such as a session's first soft check after a plain one, the first check
+    of a session, or no `session`) sends ``(reset)`` and the preamble first.
+    Both end with ``(check-sat)`` and ``(get-model)``, all in one write, and
+    read the verdict and then one more S-expression: the model on ``sat``,
+    read and dropped otherwise.  Reading waits at most `timeout` seconds per
+    check.  A timeout, the solver closing its output, a pipe error or a
+    reply that is not a verdict kills the process and raises
+    `SolverFailure`.  The solver's stderr goes to a temporary file, whose
+    tail is quoted in the failure message.
     """
 
     def __init__(self, command: str, timeout: float = 30.0):
@@ -346,13 +346,8 @@ class ExternalSolver:
         if (session is None or self._owner is None or self._owner() is not session
                 or self._decls != query.decls):
             lines = ["(reset)", *_preamble(query.decls, True)]
-        else:
-            for old, new in zip(self._literals, query.literals):
-                if old is not new and old != new:
-                    break
-                keep += 1
-            if len(self._literals) > keep:
-                lines.append(f"(pop {len(self._literals) - keep})")
+        elif (keep := shared_prefix(self._literals, query.literals)) < len(self._literals):
+            lines.append(f"(pop {len(self._literals) - keep})")
         for lit in query.literals[keep:]:
             lines += ["(push 1)", f"(assert {_emit(lit)})"]
         lines += ["(check-sat)", "(get-model)"]

@@ -1041,8 +1041,8 @@ class SolverSession:
     the session's life, so neither a frame nor `literal_key` prepares a
     literal, or its negation, a second time.  What a check still pays for is
     its root test and case splits.  The soft ladder over the money
-    declarations is the session's too: `check_soft` walks it and `tier_of`
-    places a model on it.
+    declarations is the session's too, built once: `check_soft` walks it
+    and `tier_of` places a model on it.
     """
 
     def __init__(self, decls, backend=None, budget: int = DEFAULT_BUDGET,
@@ -1057,6 +1057,11 @@ class SolverSession:
         self._memo: dict = {}
         self._frames = _Frames(self._memo, self.decls)  # of a prefix of `stack`
         self._money = [l.name for l in self.decls if l.ty == MONEY]
+        # The soft ladder: the leaves with every tier's multipliers; each tier's literals.
+        self._ladder, self._tiers = self.decls, []
+        for _, unit in SOFT_TIERS if self._money else ():
+            self._ladder, lits = divisibility_constraints(self._ladder, self._money, unit)
+            self._tiers.append(lits)
 
     # -- stack ------------------------------------------------------------
 
@@ -1126,19 +1131,20 @@ class SolverSession:
     def check_soft(self, extra=()) -> object:
         """Hard check first; on Sat, walk the soft ladder for the session's
         money variables jointly (multiples of $100, $10, $1) and return the
-        first satisfiable tier's model, else the hard one; `tier_of` names
-        its tier.  With no money variable, the hard check's answer as it is."""
-        hard = self.check(extra)
-        if not isinstance(hard, Sat) or not self._money:
+        first satisfiable tier's model, else the hard one, either over the
+        leaves alone; `tier_of` names its tier.  The hard check and every
+        tier are asked over the one declaration set built in `__init__`, so
+        an external backend keeps them incremental.  With no money variable,
+        the hard check's answer as it is."""
+        hard = self._decide(self._ladder, extra)
+        if not isinstance(hard, Sat) or not self._tiers:
             return hard
-        for _, unit in SOFT_TIERS:
-            decls, tier_lits = divisibility_constraints(self.decls, self._money, unit)
-            res = self._decide(decls, (*extra, *tier_lits))
+        for tier_lits in self._tiers:
+            res = self._decide(self._ladder, (*extra, *tier_lits))
             if isinstance(res, Sat):
-                model = {k: v for k, v in res.model.items()
-                         if not k.startswith(".mult")}
-                return Sat(model)
-        return hard
+                hard = res
+                break
+        return Sat({l.name: hard.model[l.name] for l in self.decls})
 
     def tier_of(self, leaf_env: dict) -> Optional[str]:
         """A model's tier: the first soft tier whose unit divides every money

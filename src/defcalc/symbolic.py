@@ -107,6 +107,17 @@ def sym_not(e: SymExpr) -> SymExpr:
     return SymNot(e)
 
 
+def shared_prefix(old, new) -> int:
+    """How many leading literals two sequences share, a literal kept when it
+    is the same object as the other's or an equal one."""
+    n = 0
+    for a, b in zip(old, new):
+        if a is not b and a != b:
+            break
+        n += 1
+    return n
+
+
 def sym_children(e: SymExpr) -> tuple:
     match e:
         case SymVar() | SymConst():

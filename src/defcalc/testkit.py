@@ -167,7 +167,8 @@ def emit_suite(suite: TestSuite, directory: str) -> list:
     """Write one JSON file per testcase plus suite.json, and remove every
     other testcase file (`TESTCASE_NAME`), left by an earlier emission into
     `directory`; byte-stable for identical suites.  Each file's bytes are
-    `json.dumps(doc, indent=2, sort_keys=True)` and a newline.  Returns the
+    `json.dumps(doc, indent=2, sort_keys=True)` and a newline.  The manifest's
+    stats are the `SuiteStats` fields but `pushes` and `pops`.  Returns the
     paths written."""
     existed = os.path.isdir(directory)
     os.makedirs(directory, exist_ok=True)
@@ -186,17 +187,7 @@ def emit_suite(suite: TestSuite, directory: str) -> list:
         "scope": suite.scope,
         "complete": suite.complete,
         "opts": list(suite.opts),
-        "stats": {
-            "iterations": suite.stats.iterations,
-            "tests": suite.stats.tests,
-            "conflicts": suite.stats.conflicts,
-            "empties": suite.stats.empties,
-            "solver_calls": suite.stats.solver_calls,
-            "sat": suite.stats.sat,
-            "unsat": suite.stats.unsat,
-            "unknown": suite.stats.unknown,
-            "solver_failures": suite.stats.solver_failures,
-        },
+        "stats": {k: v for k, v in vars(suite.stats).items() if k not in ("pushes", "pops")},
         "files": [os.path.basename(p) for p in written],
     }
     mpath = os.path.join(directory, "suite.json")

@@ -10,6 +10,9 @@
 * ``simplify_frontend`` partially evaluates booleans and removes trivial
   defaults: an exception-free default with a ``true`` justification is its
   consequence, with a ``false`` justification it is the abstaining marker.
+  ``&&`` and ``||`` share one rule: a unit operand (``true``, ``false``)
+  drops out, and an absorbing one (``false``, ``true``) replaces the term
+  when the other operand is total.
 
 Each pass returns (program, TransformReport); zero counts mean the output
 is structurally equal to the input.
@@ -229,30 +232,15 @@ def simplify_frontend_expr(expr: Expr) -> tuple:
             case Not(Lit(VBool(b))):
                 report.booleans_folded += 1
                 return f if b else t
-            case BinOp("&&", Lit(VBool(True)), rhs):
-                report.booleans_folded += 1
-                return rhs
-            case BinOp("&&", lhs, Lit(VBool(True))):
-                report.booleans_folded += 1
-                return lhs
-            case BinOp("&&", Lit(VBool(False)), rhs) if _is_total(rhs):
-                report.booleans_folded += 1
-                return f
-            case BinOp("&&", lhs, Lit(VBool(False))) if _is_total(lhs):
-                report.booleans_folded += 1
-                return f
-            case BinOp("||", Lit(VBool(False)), rhs):
-                report.booleans_folded += 1
-                return rhs
-            case BinOp("||", lhs, Lit(VBool(False))):
-                report.booleans_folded += 1
-                return lhs
-            case BinOp("||", Lit(VBool(True)), rhs) if _is_total(rhs):
-                report.booleans_folded += 1
-                return t
-            case BinOp("||", lhs, Lit(VBool(True))) if _is_total(lhs):
-                report.booleans_folded += 1
-                return t
+            case BinOp("&&" | "||" as op, lhs, rhs):
+                unit, absorb = (t, f) if op == "&&" else (f, t)
+                if lhs == unit or rhs == unit:
+                    report.booleans_folded += 1
+                    return rhs if lhs == unit else lhs
+                if lhs == absorb and _is_total(rhs) or rhs == absorb and _is_total(lhs):
+                    report.booleans_folded += 1
+                    return absorb
+                return e
             case _:
                 return e
 

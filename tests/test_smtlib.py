@@ -475,22 +475,50 @@ def test_a_query_sharing_a_prefix_sends_only_its_difference(tmp_path):
 
 
 def test_other_declarations_and_a_new_session_start_from_reset(tmp_path):
+    # A session's soft checks share one declaration set, the leaves and the
+    # ladder's multipliers: after the first, they only pop, push and assert.
+    # Its plain checks declare the leaves alone, so switching resets.
     positive = SymBin(">", SymVar("m", MONEY), SymConst(VMoney(0)))
-    with logging_solver(tmp_path) as ext:
-        sess = SolverSession((Leaf("m", MONEY),), backend=ext)
+    answers = "sat sat  sat unsat unsat unsat  sat  sat sat  sat  sat"
+    with logging_solver(tmp_path, answers) as ext:
+        sess = SolverSession((Leaf("x", INT), Leaf("m", MONEY)), backend=ext)
         sess.push(positive)
-        for _ in range(2):  # the hard query, then the $100 tier's
-            assert sess.check_soft().model == {"m": VMoney(100000)}
+        models = [sess.check_soft().model,  # the hard query, then the $100 tier's
+                  sess.check_soft([x_is(">", 0)]).model]  # no tier: the hard model
         sess.check()
-        sess.check()
+        models.append(sess.check_soft().model)
         other = SolverSession((Leaf("m", MONEY),), backend=ext)
         other.push(positive)
         other.check()
         ext.check(Query((Leaf("x", INT),), (x_is(">", 0),)))  # no session
+    assert models == [{"x": VInt(1), "m": VMoney(100000)}] * 3
     checks = sent(tmp_path)
-    assert [lines[0] for lines in checks] == ["(reset)"] * 5 + ["(check-sat)"] + ["(reset)"] * 2
-    assert "(declare-const |.mult10000.m| Int)" in checks[1]
-    assert "(declare-const |.mult10000.m| Int)" not in checks[4]
+    assert len(checks) == 11
+    resets = [i for i, lines in enumerate(checks) if lines[0] == "(reset)"]
+    assert resets == [0, 6, 7, 9, 10]
+    for lines in checks[1:6] + checks[8:9]:
+        assert lines[-2:] == ["(check-sat)", "(get-model)"]
+        assert all(line.startswith(("(pop ", "(push 1)", "(assert ")) for line in lines[:-2])
+    assert checks[2][:3] == ["(pop 1)", "(push 1)", "(assert (> x 0))"]
+    ladder = [f"(declare-const |.mult{unit}.m| Int)" for unit in (10000, 1000, 100)]
+    assert all(decl in checks[0] and decl in checks[7] for decl in ladder)
+    assert not any(decl in checks[6] for decl in ladder)
+
+
+def test_a_soft_exploration_resets_the_solver_once(scripts_dir):
+    texts = []
+
+    class Logged(ExternalSolver):
+        def _reply(self, deadline, text=""):
+            if text:
+                texts.append(text)
+            return super()._reply(deadline, text)
+
+    with Logged(f"{sys.executable} {scripts_dir / 'smtlib_solve.py'}") as ext:
+        suite = explore(load_program("soft_money.dfc"), "Subsidy",
+                        ExploreConfig.from_opt_names(("soft",), backend=ext))
+    assert suite.complete and len(texts) == suite.stats.solver_calls == 11
+    assert [t.startswith("(reset)") for t in texts] == [True] + [False] * 10
 
 
 def test_the_model_request_after_unsat_is_answered_and_read(tmp_path):
@@ -563,7 +591,8 @@ def test_shim_answers_an_incomplete_last_command_with_an_error(scripts_dir):
         return p.stdout.splitlines()
 
     incomplete = '(error "incomplete command at end of input")'
-    script = emit_smtlib(q_simple(), get_model=False)
+    script = emit_smtlib(q_simple()).removesuffix("(get-model)\n")
+    assert script.endswith("(check-sat)\n")
     assert answers(script + "(get-model") == ["sat", incomplete]
     # An unclosed | swallows the commands after it, which go unanswered.
     assert answers(script + "(declare-const |y Int)\n(check-sat)\n") == ["sat", incomplete]
@@ -693,10 +722,9 @@ def test_shim_refuses_an_over_deep_pop_and_recovers_from_an_untranslatable_asser
 
 
 def test_emit_smtlib_is_the_script_plus_check_and_model():
-    q = q_simple()
-    script = emit_smtlib(q, get_model=False)
-    assert script.endswith("(check-sat)\n")
-    assert emit_smtlib(q) == script + "(get-model)\n"
+    script = emit_smtlib(q_simple())
+    assert script.endswith("(assert (> x 0))\n(check-sat)\n(get-model)\n")
+    assert script.count("(check-sat)") == script.count("(get-model)") == 1
 
 
 # -- external models are checked ------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,13 +6,13 @@ import pytest
 from defcalc.lang import (
     BOOL, INT,
     BinOp, Binding, Default, If, Let, Lit, Match, MatchArm, Not, Program,
-    Scope, Var, VBool, VEmpty, VInt, validate,
+    Scope, Span, Var, VBool, VEmpty, VInt, children, map_bottom_up, validate,
 )
 from defcalc.interp import OutcomeKind, run_scope
 from defcalc.concolic import compile_scope, run_scope_concolic
 from defcalc.transforms import (
     fold_match_cases, fold_program, reorder_exceptions, reorder_program,
-    TransformReport, simplify_frontend, simplify_frontend_expr,
+    TransformReport, _is_total, simplify_frontend, simplify_frontend_expr,
 )
 
 from conftest import load_program
@@ -220,6 +221,103 @@ def test_one_frontend_pass_matches_passing_until_equal():
         assert simplify_frontend_expr(out)[0] is out
         rewritten += report != TransformReport()
     assert rewritten >= 200
+
+
+def _eight_case_frontend_expr(expr):
+    """`simplify_frontend_expr` as it was with eight spelled-out `&&`/`||`
+    cases, kept as the reference for the one rule that replaced them."""
+    report = TransformReport()
+    t, f = Lit(VBool(True)), Lit(VBool(False))
+
+    def simp(e):
+        match e:
+            case Default((), Lit(VBool(True)), cons):
+                report.defaults_simplified += 1
+                return cons
+            case Default((), Lit(VBool(False)), _):
+                report.defaults_simplified += 1
+                return Lit(VEmpty(), span=e.span)
+            case If(Lit(VBool(b)), then, els):
+                report.booleans_folded += 1
+                return then if b else els
+            case Not(Lit(VBool(b))):
+                report.booleans_folded += 1
+                return f if b else t
+            case BinOp("&&", Lit(VBool(True)), rhs):
+                report.booleans_folded += 1
+                return rhs
+            case BinOp("&&", lhs, Lit(VBool(True))):
+                report.booleans_folded += 1
+                return lhs
+            case BinOp("&&", Lit(VBool(False)), rhs) if _is_total(rhs):
+                report.booleans_folded += 1
+                return f
+            case BinOp("&&", lhs, Lit(VBool(False))) if _is_total(lhs):
+                report.booleans_folded += 1
+                return f
+            case BinOp("||", Lit(VBool(False)), rhs):
+                report.booleans_folded += 1
+                return rhs
+            case BinOp("||", lhs, Lit(VBool(False))):
+                report.booleans_folded += 1
+                return lhs
+            case BinOp("||", Lit(VBool(True)), rhs) if _is_total(rhs):
+                report.booleans_folded += 1
+                return t
+            case BinOp("||", lhs, Lit(VBool(True))) if _is_total(lhs):
+                report.booleans_folded += 1
+                return t
+            case _:
+                return e
+
+    return map_bottom_up(expr, simp), report
+
+
+def _random_connectives(rng, depth, spans):
+    """A boolean expression of `&&`, `||` and `not` over `true`/`false`
+    literals, variables, a total comparison and two operands that are not
+    total (a `/`, a default); every literal has a span of its own."""
+    def lit(b):
+        return Lit(VBool(b), span=Span(next(spans), 0))
+
+    kind = rng.choice(["lit", "lit", "var", "cmp", "div", "default"]
+                      + ["&&", "||", "&&", "||", "not"] * (depth > 0))
+    match kind:
+        case "lit":
+            return lit(rng.random() < 0.5)
+        case "var":
+            return Var(rng.choice(["p", "q"]))
+        case "cmp":
+            return BinOp(">", Var("x"), Lit(VInt(0)))
+        case "div":
+            return BinOp("=", BinOp("/", Lit(VInt(1)), Var("x")), Lit(VInt(1)))
+        case "default":  # with a literal justification it folds away
+            just = lit(rng.random() < 0.5) if rng.random() < 0.5 else Var("p")
+            return Default((), just, lit(rng.random() < 0.5))
+        case "not":
+            return Not(_random_connectives(rng, depth - 1, spans))
+    return BinOp(kind, _random_connectives(rng, depth - 1, spans),
+                 _random_connectives(rng, depth - 1, spans))
+
+
+def _spans(e):
+    """The spans of `e`'s nodes in preorder, which `==` does not compare."""
+    return [e.span, *(s for c in children(e) for s in _spans(c))]
+
+
+def test_one_connective_rule_matches_the_eight_cases():
+    # Equal results with equal spans: the unit case returns the other
+    # operand, literal spans included, and the absorbing case a fresh literal.
+    rng, spans = random.Random(2522), itertools.count(1)
+    folded = 0
+    for _ in range(3000):
+        expr = _random_connectives(rng, rng.randrange(1, 5), spans)
+        out, report = simplify_frontend_expr(expr)
+        want, want_report = _eight_case_frontend_expr(expr)
+        assert (out, report) == (want, want_report), expr
+        assert _spans(out) == _spans(want), expr
+        folded += report.booleans_folded
+    assert folded >= 1000
 
 
 # -- whole-pass properties -----------------------------------------------------
