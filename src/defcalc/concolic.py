@@ -42,7 +42,8 @@ from .lang import (
 )
 from .interp import BINOPS, OPAQUE_HANDLERS, Outcome, OutcomeKind, check_inputs
 from .symbolic import (
-    SymBin, SymConst, SymExpr, SymIsVariant, SymRound, SymVar, TRUE, sym_not,
+    FALSE, SymBin, SymConst, SymExpr, SymIsVariant, SymRound, SymVar, TRUE, Terms,
+    scope_leaves, sym_not,
 )
 
 
@@ -118,13 +119,13 @@ def lift_value(v: Value) -> CVal:
             return CV(v, SymConst(v))
 
 
-def symbolic_input(name: str, ty, value: Value) -> CVal:
-    """Concolic view of a scope input: leaves become symbolic variables."""
+def symbolic_input(name: str, ty, value: Value, leaves: dict) -> CVal:
+    """Concolic view of a scope input: leaves become the SymVars of `leaves`."""
     match ty:
         case StructT(_, fields):
             assert isinstance(value, VStruct)
             return CStruct(value, {
-                f: symbolic_input(f"{name}.{f}", fty, value.field(f))
+                f: symbolic_input(f"{name}.{f}", fty, value.field(f), leaves)
                 for f, fty in fields
             })
         case EnumT(_, _):
@@ -132,42 +133,44 @@ def symbolic_input(name: str, ty, value: Value) -> CVal:
             pty = ty.payload_of(value.variant)
             payload = None
             if pty is not None and value.payload is not None:
-                payload = symbolic_input(f"{name}::{value.variant}", pty, value.payload)
-            return CEnum(value, SymVar(name, ty), payload)
+                payload = symbolic_input(f"{name}::{value.variant}", pty, value.payload,
+                                         leaves)
+            return CEnum(value, leaves[name], payload)
         case _:
-            return CV(value, SymVar(name, ty))
+            return CV(value, leaves[name])
 
 
-def eq_formula(a: CVal, b: CVal) -> Optional[SymExpr]:
-    """Symbolic form of structural equality, or None when one side was
-    concretized or needs unsupported payload reasoning."""
+def eq_formula(a: CVal, b: CVal, terms) -> Optional[SymExpr]:
+    """Symbolic form of structural equality, built through `terms`, or None
+    when one side was concretized or needs unsupported payload reasoning."""
     match (a, b):
         case (CV(_, sa), CV(_, sb)):
             if sa is None or sb is None:
                 return None
-            return SymBin("=", sa, sb)
+            return terms(SymBin, "=", sa, sb)
         case (CStruct(_, fa), CStruct(_, fb)):
             conj = None
             for name in fa:
-                part = eq_formula(fa[name], fb[name])
+                part = eq_formula(fa[name], fb[name], terms)
                 if part is None:
                     return None
-                conj = part if conj is None else SymBin("&&", conj, part)
+                conj = part if conj is None else terms(SymBin, "&&", conj, part)
             return conj if conj is not None else TRUE
         case (CEnum(va, ta, pa), CEnum(vb, tb, pb)):
             has_payload = any(p is not None for _, p in _enum_ty_variants(a, b))
             if ta is None and tb is None:
                 if va.variant != vb.variant:
-                    return SymConst(VBool(False))
+                    return FALSE
                 if pa is None and pb is None:
                     return TRUE
-                return eq_formula(pa, pb) if pa is not None and pb is not None else None
+                return eq_formula(pa, pb, terms) if pa is not None and pb is not None \
+                    else None
             if not has_payload:
                 if ta is not None and tb is None:
-                    return SymIsVariant(ta, vb.variant)
+                    return terms(SymIsVariant, ta, vb.variant)
                 if tb is not None and ta is None:
-                    return SymIsVariant(tb, va.variant)
-                return SymBin("=", ta, tb)
+                    return terms(SymIsVariant, tb, va.variant)
+                return terms(SymBin, "=", ta, tb)
             return None  # symbolic tag with payloads: concretize
     return None
 
@@ -223,12 +226,14 @@ class _Ctx:
     program: Program
     opts: ConcolicOpts
     functions: dict  # name -> compiled body, compiled at its first call site
+    terms: Terms  # every compound term the closures build
 
 
 @dataclass(frozen=True)
 class CompiledScope:
     """A scope compiled for one explore: run it with `run_scope_concolic`."""
     scope: Scope
+    leaves: dict  # leaf name -> its SymVar, one per compile
     assertions: tuple  # ((run, span), ...)
     bindings: tuple  # ((name, run), ...)
 
@@ -236,10 +241,10 @@ class CompiledScope:
 def compile_scope(program: Program, scope_name: str,
                   opts: ConcolicOpts = ConcolicOpts()) -> CompiledScope:
     """Turn every assertion, binding and called function body of a
-    validated scope into closures, once."""
+    validated scope into closures, once, sharing one `Terms` table."""
     scope = program.scope(scope_name)
-    ctx = _Ctx(program, opts, {})
-    return CompiledScope(scope,
+    ctx = _Ctx(program, opts, {}, Terms())
+    return CompiledScope(scope, {l.name: SymVar(l.name, l.ty) for l in scope_leaves(scope)},
                          tuple((_compile(a, ctx), a.span) for a in scope.assertions),
                          tuple((b.name, _compile(b.expr, ctx)) for b in scope.bindings))
 
@@ -372,7 +377,7 @@ def _compile_branch(cond: Expr, then, els, span: Optional[Span], ctx: _Ctx):
 
 
 def _compile_binop(expr: BinOp, ctx: _Ctx):
-    op, span, table = expr.op, expr.span, BINOPS[expr.op]
+    op, span, table, terms = expr.op, expr.span, BINOPS[expr.op], ctx.terms
     run_l, run_r = _compile(expr.lhs, ctx), _compile(expr.rhs, ctx)
 
     def operands(env, st):
@@ -390,7 +395,8 @@ def _compile_binop(expr: BinOp, ctx: _Ctx):
             if rcv is None:
                 return lcv
             lv, rv = lcv.value, rcv.value
-            return CV(table[lv.__class__, rv.__class__](lv, rv), eq_formula(lcv, rcv))
+            return CV(table[lv.__class__, rv.__class__](lv, rv),
+                      eq_formula(lcv, rcv, terms))
         return eq
 
     def arith(env, st):
@@ -405,7 +411,7 @@ def _compile_binop(expr: BinOp, ctx: _Ctx):
                 st.emit_concretized(span)
             else:
                 zero = _ZERO[rv.__class__]
-                st.emit_cond(SymBin("=", rsym, zero), rv == zero.value,
+                st.emit_cond(terms(SymBin, "=", rsym, zero), rv == zero.value,
                              Origin.DIV_ZERO_CHECK, span)
         value = table[lv.__class__, rv.__class__](lv, rv)
         if value is CONFLICT:
@@ -413,16 +419,16 @@ def _compile_binop(expr: BinOp, ctx: _Ctx):
         lsym = lcv.sym
         if lsym is None or rsym is None:
             return CV(value, None)
-        sym = SymBin(op, lsym, rsym)
+        sym = terms(SymBin, op, lsym, rsym)
         # The only mixed operand types are money and rate under * and /,
         # whose result is rounded to the cent.
-        return CV(value, sym if lv.__class__ is rv.__class__ else SymRound(sym))
+        return CV(value, sym if lv.__class__ is rv.__class__ else terms(SymRound, sym))
     return arith
 
 
 def _compile_match(expr: Match, ctx: _Ctx):
     run = _compile(expr.scrutinee, ctx)
-    span, arms = expr.span, expr.arms
+    span, arms, terms = expr.span, expr.arms, ctx.terms
     bodies = tuple((arm.binder, _compile(arm.body, ctx)) for arm in arms)
     first_arm = {}
     for i, arm in enumerate(arms):
@@ -454,8 +460,8 @@ def _compile_match(expr: Match, ctx: _Ctx):
                     continue  # wildcard: always last, nothing to test
                 test = None
                 for v in arms[i].variants:
-                    t = SymIsVariant(tag_sym, v)
-                    test = t if test is None else SymBin("||", test, t)
+                    t = terms(SymIsVariant, tag_sym, v)
+                    test = t if test is None else terms(SymBin, "||", test, t)
                 if i < k:
                     st.emit_cond(test, False, Origin.MATCH_ARM, span)
                 elif i < len(arms) - 1:
@@ -521,7 +527,7 @@ def run_scope_concolic(compiled: CompiledScope, inputs: dict) -> tuple:
     scope = compiled.scope
     check_inputs(scope, inputs)
     state = ConcolicState()
-    cenv = {n: symbolic_input(n, ty, inputs[n]) for n, ty in scope.inputs}
+    cenv = {n: symbolic_input(n, ty, inputs[n], compiled.leaves) for n, ty in scope.inputs}
 
     state.hard_mode = True
     for run, span in compiled.assertions:

@@ -27,10 +27,13 @@ it lacks, and every cut of the frontier pops it below the cut, so the
 session prepares a frame per entry, not per query.  With `incremental` off,
 a query passes the prefix as extra literals, prepared at every check.
 
-Each entry renders its constraint once (`_Entry.text`).  A path is
-fingerprinted after `reconcile` from those texts and the `taken` flags of
-the path's own records, since `reconcile` keeps an entry whose constraint
-equals the new record's whatever its flag.
+The concolic runs of one explore build their terms through one intern
+table (`symbolic.Terms`), so the records of successive runs hold the same
+constraint objects: `reconcile` matches the prefix by identity, a flipped
+entry's literal is the one the next run records, and a path is fingerprinted
+from texts its terms keep.  The fingerprint reads the `taken` flags of the
+path's own records, since `reconcile` keeps an entry whose constraint equals
+the new record's whatever its flag.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -136,13 +138,9 @@ class TestSuite:
             self.incomplete_span = span
 
 
-def path_fingerprint(path, entries=None) -> str:
-    """sha256 of the path's rendered constraints, each with its `taken` flag.
-    `entries`, the frontier's after it reconciled `path`, supplies each
-    constraint's rendering (`_Entry.text`, made once per entry)."""
-    texts = (render(r.constraint) for r in path) if entries is None \
-        else (e.text for e in entries)
-    text = ";".join(f"{t}#{int(r.taken)}" for t, r in zip(texts, path))
+def path_fingerprint(path) -> str:
+    """sha256 of the path's rendered constraints, each with its `taken` flag."""
+    text = ";".join(f"{render(r.constraint)}#{int(r.taken)}" for r in path)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -155,10 +153,6 @@ class _Entry:
     record: BranchRecord
     done: bool = False
     key: object = _UNKEYED  # the session's `literal_key`, filled on first use
-
-    @cached_property
-    def text(self) -> str:
-        return render(self.record.constraint)
 
 
 class Frontier:
@@ -314,7 +308,7 @@ def explore(program: Program, scope_name: str,
         suite.depth_trace.append(len(path))
         if outcome.kind is not OutcomeKind.PRECONDITION:
             frontier.reconcile(path, config.early_error)
-            fp = path_fingerprint(path, frontier.entries)
+            fp = path_fingerprint(path)
             if fp not in seen_fps:
                 seen_fps.add(fp)
                 tier = session.tier_of(env) if config.soft else None

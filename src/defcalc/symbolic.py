@@ -11,6 +11,14 @@ connectives, and the rounding operators.
 `SYM_OPS` is the one statement of each binary operator's meaning on ground
 values (bools and Fractions): `sym_eval` dispatches through it, and the
 solver's ground folding and row tests read it.
+
+Terms are hash-consed per exploration: `compile_scope` owns one `Terms`
+table, its closures build every compound term through it, and it dies with
+the compiled scope, so a term two runs build is one object for one
+`explore`.  A term keeps its hash, free variables, text and negation (see
+`_Compound`).  Hash and equality stay structural, so no set or dict order
+depends on addresses, and terms built outside a table (the simplifier's,
+the shim's, the tests') still meet interned ones.
 """
 
 from __future__ import annotations
@@ -32,21 +40,33 @@ from .parser import print_value
 class SymVar:
     name: str
     ty: SemType  # BOOL | INT | RAT | MONEY | EnumT (tag leaf)
+    _hash = _neg = None  # kept, as on a compound term
+
+    def __hash__(self):
+        return self._hash or _kept(self, "_hash", hash((self.name, self.ty)))
 
 
 @dataclass(frozen=True)
 class SymConst:
     value: Value
+    _hash = None
+
+    def __hash__(self):
+        return self._hash or _kept(self, "_hash", hash((self.value,)))
 
 
 class _Compound:
-    """A compound node computes its hash and its free-variable set on first
-    use and keeps them, so that later dict lookups and free-variable queries
-    read them instead of walking the term.  A kept hash is valid only in the
-    process that computed it (string hashes are salted per process); no
-    SymExpr is pickled across processes."""
+    """A compound node computes its hash, free-variable set, rendering and
+    negation on first use and keeps them, so that later lookups, queries,
+    fingerprints and flips read them instead of walking the term.  The hash
+    is structural, not the identity: equal terms from any table or none hash
+    alike, and no set or dict order depends on addresses.  A kept hash is
+    valid only in the process that computed it (string hashes are salted per
+    process); no SymExpr is pickled across processes."""
     _hash = None
     _free = None
+    _text = None
+    _neg = None
 
 
 def _kept(node, attr: str, value):
@@ -96,20 +116,33 @@ TRUE = SymConst(VBool(True))
 FALSE = SymConst(VBool(False))
 
 
+class Terms(dict):
+    """A hash-consing table: `terms(SymBin, op, lhs, rhs)` is the one such
+    term built through it.  Keys are structural, so equal children from
+    different sites meet; one compiled scope's closures hold the table."""
+
+    def __call__(self, cls, *args):
+        key = (cls, *args)
+        return self.get(key) or self.setdefault(key, cls(*args))
+
+
 def sym_not(e: SymExpr) -> SymExpr:
-    """Negate, normalizing double negation away."""
+    """Negate, normalizing double negation away; a variable's or compound
+    term's negation is made once and kept on it."""
     if isinstance(e, SymNot):
         return e.arg
     if e == TRUE:
         return FALSE
     if e == FALSE:
         return TRUE
-    return SymNot(e)
+    return e._neg or _kept(e, "_neg", SymNot(e))
 
 
 def shared_prefix(old, new) -> int:
     """How many leading literals two sequences share, a literal kept when it
-    is the same object as the other's or an equal one."""
+    is the same object as the other's or an equal one.  Within one explore
+    the concolic runs' literals are interned, so the identity test decides
+    almost every pair."""
     n = 0
     for a, b in zip(old, new):
         if a is not b and a != b:
@@ -175,12 +208,17 @@ def sym_sort(e: SymExpr) -> str:
 
 def render(e: SymExpr) -> str:
     """Deterministic rendering used for display, fingerprints, and the
-    negation-of-earlier check."""
+    negation-of-earlier check; a compound term keeps its text."""
     match e:
         case SymVar(name, _):
             return name
         case SymConst(v):
             return print_value(v)
+    return e._text or _kept(e, "_text", _render(e))
+
+
+def _render(e: SymExpr) -> str:
+    match e:
         case SymBin(op, lhs, rhs):
             return f"({render(lhs)} {op} {render(rhs)})"
         case SymNot(a):

@@ -35,8 +35,15 @@ from defcalc.lang import (
     VConflict, VEmpty, VEnum, VInt, VMoney, VRat, VStruct, is_error,
 )
 from defcalc.symbolic import (
-    TRUE, SymBin, SymConst, SymExpr, SymIsVariant, SymRound, sym_not,
+    TRUE, SymBin, SymConst, SymExpr, SymIsVariant, SymRound, SymVar, scope_leaves,
+    sym_not,
 )
+
+
+def _plain(cls, *args):
+    """Build a term with its constructor, with no intern table: the walker
+    makes every run's terms afresh."""
+    return cls(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +282,7 @@ def _ceval_binop(expr: BinOp, cenv: dict, state: ConcolicState, ctx: tuple):
         return _conflict_cv(expr.span)
 
     if expr.op == "=":
-        return CV(value, eq_formula(lcv, rcv))
+        return CV(value, eq_formula(lcv, rcv, _plain))
 
     lsym = lcv.sym if isinstance(lcv, CV) else None
     rsym = rcv.sym if isinstance(rcv, CV) else None
@@ -434,7 +441,8 @@ def _run(program: Program, scope_name: str, inputs: dict, opts: ConcolicOpts,
     scope = program.scope(scope_name)
     check_inputs(scope, inputs)
     ctx = (program, opts)
-    cenv = {n: symbolic_input(n, ty, inputs[n]) for n, ty in scope.inputs}
+    leaves = {l.name: SymVar(l.name, l.ty) for l in scope_leaves(scope)}
+    cenv = {n: symbolic_input(n, ty, inputs[n], leaves) for n, ty in scope.inputs}
 
     state.hard_mode = True
     for a in scope.assertions:

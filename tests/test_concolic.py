@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defcalc.lang import (
-    BOOL, CONFLICT, INT,
+    BOOL, CONFLICT, INT, EnumT,
     BinOp, Binding, Default, If, Lit, Opaque, Program, Scope, Var, VBool, VEnum,
     VInt, VMoney, VRat, VStruct,
 )
@@ -15,8 +16,8 @@ from defcalc.interp import BINOPS, Mode, OutcomeKind, apply_binop, eval_expr, ru
 from defcalc.parser import parse_or_raise
 from defcalc.solver import SolverSession
 from defcalc.symbolic import (
-    SymBin, SymConst, SymRound, leaf_env_of_inputs, render, sym_children, sym_eval,
-    sym_eval_bool, sym_free_vars,
+    SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar, Terms, leaf_env_of_inputs,
+    render, sym_children, sym_eval, sym_eval_bool, sym_free_vars, sym_not,
 )
 
 from conftest import load_program
@@ -426,3 +427,120 @@ def test_symbolic_operators_agree_with_the_reference_evaluator(op, lcls, rcls):
             assert want is CONFLICT, (a, b)
             continue
         assert want is not CONFLICT and got == sym_eval(SymConst(want), {}), (a, b, got, want)
+
+
+# -- hash-consed terms ----------------------------------------------------------
+
+
+def _interning_programs():
+    """The bundled scopes and twenty random ones, as (program, scope, inputs)."""
+    from defcalc.symbolic import default_value
+    rng = random.Random(1618)
+    runs = [(load_program(name), scope)
+            for name, scope in (("fig5.dfc", "Main"), ("income_tax.dfc", "IncomeTax"),
+                                ("geo_match.dfc", "Housing"), ("soft_money.dfc", "Subsidy"),
+                                ("benefits_medium.dfc", "Benefits"))]
+    runs += [(gen_scope_program(rng), "Rand") for _ in range(20)]
+    for prog, scope in runs:
+        ins = prog.scope(scope).inputs
+        yield prog, scope, {n: default_value(ty) for n, ty in ins}
+
+
+def test_runs_of_one_compiled_scope_share_their_constraint_objects():
+    """Two runs of one compiled scope on one input record the same objects,
+    and so do runs on every grid input that take the same branches."""
+    for prog, scope, inputs in _interning_programs():
+        compiled = compile_scope(prog, scope)
+        _, first = run_scope_concolic(compiled, inputs)
+        _, second = run_scope_concolic(compiled, inputs)
+        assert first and len(first) == len(second)
+        assert all(a.constraint is b.constraint for a, b in zip(first, second))
+    prog = gen_scope_program(random.Random(7))
+    compiled = compile_scope(prog, "Rand")
+    by_text = {}
+    for inputs in enumerate_inputs(prog.scopes[0]):
+        for r in run_scope_concolic(compiled, inputs)[1]:
+            assert by_text.setdefault(render(r.constraint), r.constraint) is r.constraint
+
+
+def test_a_flipped_literal_is_the_next_runs_record(monkeypatch):
+    """After a Sat flip at depth k, the next run records at depth k the very
+    object the frontier flipped to (and queried the negation with)."""
+    from defcalc.explorer import ExploreConfig, Frontier, explore
+    flips, checked = [], []
+    real_flip, real_reconcile = Frontier.flip, Frontier.reconcile
+
+    def flip(self, k):
+        real_flip(self, k)
+        flips.append((k, self.entries[k].record.constraint))
+
+    def reconcile(self, path, early_error):
+        if flips:
+            k, flipped = flips.pop()
+            checked.append(path[k].constraint is flipped)
+        return real_reconcile(self, path, early_error)
+
+    monkeypatch.setattr(Frontier, "flip", flip)
+    monkeypatch.setattr(Frontier, "reconcile", reconcile)
+    for prog, scope, _ in _interning_programs():
+        explore(prog, scope, ExploreConfig(trivial=True))
+    assert len(checked) > 100 and all(checked)
+
+
+_ENUM = EnumT("Zone", (("North", None), ("South", None), ("East", None)))
+_TERM_LEAVES = (
+    ("var", "x", INT), ("var", "y", INT), ("var", "b", BOOL),
+    ("const", VInt(0)), ("const", VInt(3)), ("const", VBool(True)))
+_TERM_RECIPES = st.recursive(
+    st.sampled_from(_TERM_LEAVES) | st.sampled_from(
+        [("is", v) for v, _ in _ENUM.variants]),
+    lambda kids: st.tuples(st.just("bin"), st.sampled_from(("+", "*", "=", "<", "&&", "||")),
+                           kids, kids)
+    | st.tuples(st.just("round"), kids)
+    | st.tuples(st.just("not"), kids.filter(lambda r: r[0] != "const")),
+    max_leaves=12)
+
+
+def _build(recipe, terms, var):
+    """The term `recipe` describes: compound nodes made by `terms`, variables
+    by `var` and constants afresh, as a compiled scope makes its leaves once
+    and each literal site its own constant."""
+    match recipe:
+        case ("var", name, ty):
+            return var(name, ty)
+        case ("const", v):
+            return SymConst(v)
+        case ("is", variant):
+            return terms(SymIsVariant, var("z", _ENUM), variant)
+        case ("bin", op, a, b):
+            return terms(SymBin, op, _build(a, terms, var), _build(b, terms, var))
+        case ("round", a):
+            return terms(SymRound, _build(a, terms, var))
+        case ("not", a):
+            return sym_not(_build(a, terms, var))
+
+
+def _constructed(cls, *args):
+    return cls(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERM_RECIPES)
+def test_one_table_builds_one_object_with_the_structural_hash(recipe):
+    """A term built twice through one table is one object, and its negation
+    is one object too; its hash is that of the same term built with plain
+    constructors, so interning changes no set or dict order."""
+    table, leaves = Terms(), {}
+
+    def var(name, ty):
+        return leaves.setdefault(name, SymVar(name, ty))
+    first, again = _build(recipe, table, var), _build(recipe, table, var)
+    plain = _build(recipe, _constructed, SymVar)
+    if isinstance(first, (SymVar, SymConst)):
+        assert first == again == plain
+        return
+    assert first is again and first == plain and hash(first) == hash(plain)
+    assert render(first) is render(again) and render(first) == render(plain)
+    assert sym_not(first) is sym_not(again) and sym_not(first) == sym_not(plain)
+    if not isinstance(first, SymNot):
+        assert sym_not(sym_not(first)) is first
