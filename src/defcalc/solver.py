@@ -24,16 +24,18 @@ enum tags, with Round occurrences.  The pipeline is:
 3. per branch, replace Round terms with integer auxiliaries, split once
    per Round occurrence on its sign, and for each sign case add the defining
    inequalities and solve the linear core over primitive integer rows
-   (`_row`), with equalities over the integers presolved as in the Omega
-   test (`_int_unsolvable`).  Fourier-Motzkin sees only the rows with two
-   or more variables and the bounds of their variables, combines rows in
-   ints and keeps only the tightest of parallel inequalities (`_prune`).
-   One pass of eliminations decides rational feasibility and keeps, for
-   every window the search reads, the projected rows it is read from
-   (`_window_rows`); other windows are read from their variable's own rows.
+   (`_row`).  A variable that shares no row with another is decided once,
+   from its own rows: an empty window answers the case before any search,
+   and after it the variable takes its window's value of least magnitude.
+   The others, tied, are searched over their rows and the ground rows, with
+   equalities over the integers presolved as in the Omega test
+   (`_int_unsolvable`).  Fourier-Motzkin combines rows in ints and keeps
+   only the tightest of parallel inequalities (`_prune`).  One pass of
+   eliminations decides rational feasibility and keeps, for every window
+   the search reads, the projected rows it is read from (`_window_rows`).
    Interval propagation with integer rounding over the integer-only rows
-   bounds every integer variable (`_int_bounds`), and each integer window
-   is clipped to its bounds.  Variables are then fixed in order, integers
+   bounds every tied integer (`_int_bounds`), and each integer window is
+   clipped to its bounds.  Variables are then fixed in order, integers
    by branch-and-bound over their window, and a candidate reads each window
    straight from its rows at the values fixed so far (`_window`).  A value
    inside a projected window always extends over the rationals, so only
@@ -599,32 +601,18 @@ def _window_rows(rows: list, todo: list) -> Optional[list]:
     rows have no rational solution.  Item d lists the windows read with the
     first d variables of `todo` (`[(name, is_int), ...]`, all mentioned)
     fixed: the d-th variable's own, then every later integer's, each as
-    (name, is_int, rows), and item k none.  A variable in a row with two or
-    more variables reads the projections of those rows and their variables'
-    own onto the fixed ones and it (k such take at most k(k+1)/2
-    eliminations); any other reads its own rows."""
-    tied = {n for coeffs, _, _ in rows if len(coeffs) != 1 for n in coeffs}
-    system = [r for r in rows if len(r[0]) != 1 or not tied.isdisjoint(r[0])]
+    (name, is_int, rows), and item k none.  Each is read from the
+    projection of the rows onto the fixed variables and it (k variables
+    take at most k(k+1)/2 eliminations)."""
     try:
-        proj = _project(system, [n for n, _ in reversed(todo) if n in tied])[::-1] \
-            if system else ()
+        proj = _project(rows, [n for n, _ in reversed(todo)])[::-1] if rows else ()
     except _Infeasible:
         return None
     reads = [[] for _ in range(len(todo) + 1)]
-    projections = iter(proj[1:])
     for j, (name, is_int) in enumerate(todo):
-        depths = range(j, -1 if is_int else j - 1, -1)
-        if name not in tied:
-            own = [r for r in rows if name in r[0]]
-            # The search finds an empty integer window before any candidate.
-            if not is_int and _window(own, name, {}, False) is None:
-                return None
-            for d in depths:
-                reads[d].append((name, is_int, own))
-            continue
-        system = next(projections)
-        for d in depths:
-            if d < j and todo[d][0] in tied:
+        system = proj[j + 1]
+        for d in range(j, -1 if is_int else j - 1, -1):
+            if d < j:
                 system = _eliminate(system, todo[d][0])
             reads[d].append((name, is_int, [r for r in system if name in r[0]]))
     return reads
@@ -654,15 +642,8 @@ def _int_bounds(rows: list, todo: list) -> Optional[dict]:
     """Bounds lo <= v <= hi that every integer solution of `rows` satisfies,
     as {v: its rows lo - v <= 0 and v - hi <= 0 that are finite}: interval
     propagation with integer rounding over the rows whose variables are all
-    integers in `todo`, at most one sweep per integer and one more.  None
-    when two bounds cross.  {} when no row has two variables: a
-    one-variable row is already exact in `_window`, and most calls have no
-    other, so this plain loop comes first."""
-    for coeffs, _, _ in rows:
-        if len(coeffs) > 1:
-            break
-    else:
-        return {}
+    integers in `todo`, at most one sweep per integer of `todo` and one
+    more.  None when two bounds cross."""
     ints = {n for n, is_int in todo if is_int}
     les = []  # sum(c*v) <= r as (items, r); over integers, c.v + k < 0 is c.v <= -k - 1
     for coeffs, k, op in rows:
@@ -711,16 +692,30 @@ def _int_bounds(rows: list, todo: list) -> Optional[dict]:
 def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
     """Assign the ordered variables; `order` is [(name, is_int), ...].
     Returns a partial model over mentioned variables, or None when the rows
-    have no solution with the integers integral.  A None that follows a
-    value a rational variable took, that its window did not force and that
-    a later integer window depends on, proves nothing: another value might
-    have completed.  Then the same rows are searched again, on the same
-    budget, with every integer before every rational, where a rational is
-    fixed only once the integers are and always extends."""
+    have no solution with the integers integral.  Only the variables that
+    some row holds with another (tied) are searched, over the rows that
+    hold them and the ground rows.  Any other's window depends on no value
+    (constraint independence, as in KLEE): an empty one answers None before
+    the search, and after it the variable takes the window's value of least
+    magnitude: for an integer, its first candidate, at one unit.  A None
+    that follows a value a rational variable took, that its window did not
+    force and that a later integer window depends on, proves nothing:
+    another value might have completed.  Then the same rows are searched
+    again, on the same budget, with every integer before every rational,
+    where a rational is fixed only once the integers are and always
+    extends."""
     mentioned = {n for coeffs, _, _ in rows for n in coeffs}
-    todo = [(n, is_int) for n, is_int in order if n in mentioned]
-    if (clip := _int_bounds(rows, todo)) is None or _int_unsolvable(rows, todo) or \
-            (reads := _window_rows(rows, todo)) is None:
+    tied = {n for coeffs, _, _ in rows if len(coeffs) > 1 for n in coeffs}
+    variables = [(n, is_int) for n, is_int in order if n in mentioned]
+    todo = [(n, is_int) for n, is_int in variables if n in tied]
+    untied = [(n, is_int, [r for r in rows if n in r[0]])
+              for n, is_int in variables if n not in tied]
+    system = [r for r in rows if not r[0] or not tied.isdisjoint(r[0])]
+    own_windows = [_window(own, n, {}, is_int) for n, is_int, own in untied]
+    # `_int_bounds` sweeps once per integer of `variables`, not of `todo`:
+    # fewer sweeps can leave looser bounds and more candidates.
+    if None in own_windows or (clip := _int_bounds(system, variables)) is None or \
+            _int_unsolvable(system, todo) or (reads := _window_rows(system, todo)) is None:
         return None
     if clip:
         # Every integer solution lies within the bounds, so clipping each
@@ -763,8 +758,12 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
         return None
 
     untried: list = []
-    if (out := go(0)) is None and untried:
-        return _solve_linear(rows, sorted(todo, key=lambda v: not v[1]), budget)
+    if (out := go(0)) is None:
+        return _solve_linear(rows, sorted(variables, key=lambda v: not v[1]), budget) \
+            if untried else None
+    for (name, is_int, own), window in zip(untied, own_windows):
+        out[name] = Fraction(next(_int_candidates(*window, budget))) if is_int \
+            else _pick_rational(own, name, {})
     return out
 
 

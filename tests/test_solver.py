@@ -587,19 +587,42 @@ def _deciding(solve):
     return decide
 
 
+def _by_parts(solve):
+    """`solve(atoms, order, budget)` on each variable that shares no atom
+    with another, alone, then on the other variables and the ground atoms
+    as one system, all on one budget: None when a part has none, else the
+    parts' models joined.  It answers as `solve` on the whole, since
+    there are x and y with P(x) and Q(y) exactly when there are both."""
+    def solve_parts(atoms, order, budget):
+        tied = {n for coeffs, _, _ in atoms if len(coeffs) > 1 for n in coeffs}
+        untied = sorted({n for coeffs, _, _ in atoms for n in coeffs} - tied)
+        model = {}
+        for part in [[a for a in atoms if n in a[0]] for n in untied] + \
+                [[a for a in atoms if not a[0] or not tied.isdisjoint(a[0])]]:
+            if (out := solve(part, order, budget)) is None:
+                return None
+            model.update(out)
+        return model
+    return solve_parts
+
+
+# What the oracle falls back to where it runs out of budget.
+_FALLBACK = _by_parts(_deciding(_oracle_within_int_bounds))
+
+
 def _assert_matches_oracle(rows, atoms, order, limit):
     """The linear core on `rows` against the deciding FM oracle on the same
     `atoms`.  Where the oracle decides within `limit`, the same model or
     None for no more budget; where it runs out, the core runs out or
-    answers as the oracle does with 1 << 20, its integer windows clipped to
-    the core's bounds."""
+    answers as `_FALLBACK` does with the default budget, which must
+    decide."""
     got = _run_linear(solver._solve_linear, rows, order, limit)
     want = _run_linear(_deciding(oracle_fm._solve_linear), atoms, order, limit)
     if want == "out of budget":
         if got == "out of budget":
             return
-        want = _run_linear(_deciding(_oracle_within_int_bounds), atoms, order, 1 << 20)
-        assert want != "out of budget"
+        want = _run_linear(_FALLBACK, atoms, order, solver.DEFAULT_BUDGET)
+        assert want != "out of budget", f"the fallback runs out on {atoms}, {order}"
         want = want[0], 0
     assert got != "out of budget" and got[0] == want[0] and got[1] >= want[1]
 
@@ -792,10 +815,9 @@ def test_builtin_check_matches_fm_oracle_pipeline(rng, limit):
     if isinstance(want, Unknown) and got != want:
         # The search skips branches and candidates the oracle pays for, so
         # it may decide what the oracle leaves Unknown: then as the oracle
-        # does with 1 << 20 and the integer bounds that end its search.
-        with mock.patch.object(oracle_fm, "_solve_linear",
-                               _deciding(_oracle_within_int_bounds)):
-            want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, 1 << 20)
+        # does with the default budget and its linear core `_FALLBACK`.
+        with mock.patch.object(oracle_fm, "_solve_linear", _FALLBACK):
+            want = oracle_fm._builtin_check(_MIXED_LEAVES, lits, retain, solver.DEFAULT_BUDGET)
     assert got == want
 
 
@@ -1233,3 +1255,80 @@ def test_a_branch_below_a_rational_pick_is_decided_within_budget():
     small = _fresh_check(_MIXED_LEAVES, lits, limit=16)
     assert isinstance(small, Sat) and small.model["q"] == VRat(Fraction(-15))
     assert _fresh_check(_MIXED_LEAVES, lits, limit=256) == small
+
+
+# x >= -5, 0 <= y <= 10, 0 <= z <= 10 and 1 <= 3y - 3z <= 2: no integer y
+# and z, and no row holds x with another variable.
+_UNTIED_ROWS = [({"x": -1}, -5, "<="), ({"y": -1}, 0, "<="), ({"y": 1}, -10, "<="),
+                ({"z": -1}, 0, "<="), ({"z": 1}, -10, "<="),
+                ({"y": -3, "z": 3}, 1, "<="), ({"y": 3, "z": -3}, -2, "<=")]
+
+
+@pytest.mark.parametrize("names", ["xyz", "yzx"])
+def test_a_variable_in_no_row_with_another_is_not_searched(names):
+    # Searched first, x's unbounded candidates were walked under each
+    # refuted y until the budget ran out.  The FM oracle still runs out at
+    # a budget of 8, and its fallback decides each part at once.
+    order = [(n, True) for n in names]
+    assert _run_linear(solver._solve_linear, _UNTIED_ROWS, order, solver.DEFAULT_BUDGET) == \
+        (None, solver.DEFAULT_BUDGET - 3)
+    atoms = [({n: Fraction(k) for n, k in coeffs.items()}, Fraction(k), op)
+             for coeffs, k, op in _UNTIED_ROWS]
+    start = time.perf_counter()
+    _assert_matches_oracle(_UNTIED_ROWS, atoms, order, 8)
+    assert time.perf_counter() - start < 1
+
+
+@st.composite
+def _untied_extensions(draw):
+    """A `_linear_systems` draw, and 1-3 variables e, f, g inserted at
+    drawn places in its order, each with one or two rows over it alone that
+    hold at a drawn point: an integer one for an integer variable."""
+    atoms, order, limit = draw(_linear_systems())
+    order, extra = list(order), []
+    for name in "efg"[:draw(st.integers(1, 3))]:
+        is_int = draw(st.booleans())
+        point = Fraction(draw(st.integers(-4, 4))) if is_int else draw(_coeff)
+        for _ in range(draw(st.integers(1, 2))):
+            k = draw(_coeff.filter(bool))
+            op = draw(st.sampled_from(["=", "<=", "<"]))
+            slack = Fraction(0) if op == "=" else draw(
+                st.fractions(min_value=0, max_value=2, max_denominator=3).filter(
+                    lambda x: x > 0 or op == "<="))
+            extra.append(({name: k}, -k * point - slack, op))
+        order.insert(draw(st.integers(0, len(order))), (name, is_int))
+    return atoms, extra, order, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_untied_extensions())
+def test_untied_variables_keep_the_rest_of_the_model(system):
+    # Wherever the core decides the drawn system, the inserted variables
+    # leave its answer and every other value as they were, and each takes
+    # the value of least magnitude in its window: an integer for one more
+    # unit of budget.
+    atoms, extra, order, limit = system
+    new = {n: is_int for n, is_int in order if n in "efg"}
+    rows = [solver._row(c, k, op) for c, k, op in atoms]
+    want = _run_linear(solver._solve_linear, rows, [v for v in order if v[0] not in new], limit)
+    if want == "out of budget":
+        return
+    ints = sum(new.values())
+    got = _run_linear(solver._solve_linear, rows + [solver._row(c, k, op) for c, k, op in extra],
+                      order, limit + ints)
+    assert got != "out of budget"
+    spent = limit + ints - got[1] - (limit - want[1])
+    if want[0] is None:
+        assert got[0] is None and spent <= 0
+        return
+    assert {n: x for n, x in got[0].items() if n not in new} == want[0] and spent <= ints
+    for n, is_int in new.items():
+        own = [a for a in extra if n in a[0]]
+        if is_int:
+            ilo, ihi = _integers_within(*oracle_fm._bounds_of(own, n))
+            assert got[0][n] == min((k for k in range(-4, 5) if (ilo is None or k >= ilo)
+                                     and (ihi is None or k <= ihi)),
+                                    key=lambda k: (abs(k), k < 0))
+        else:
+            assert got[0][n] == solver._pick_rational(
+                [solver._row(c, k, op) for c, k, op in own], n, {})
