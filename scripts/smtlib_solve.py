@@ -49,7 +49,7 @@ from defcalc.smtlib import (
 )
 from defcalc.solver import Sat, SolverSession, Unknown
 from defcalc.symbolic import (
-    Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar, shared_prefix,
+    SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar, shared_prefix,
 )
 
 # The emitter's tables, inverted.  Money is written as Int (cents), and the
@@ -75,7 +75,7 @@ def _to_sym(node, sorts, enums):
     if isinstance(node, str):
         name = _name(node)
         if name in sorts:
-            return SymVar(name, sorts[name])
+            return sorts[name]
         for et in enums.values():
             if name in et.variant_names():
                 return SymConst(VEnum(et.name, name))
@@ -103,7 +103,7 @@ class _Assertions:
     assertion level, and the builtin session that decides them."""
 
     def __init__(self):
-        self.sorts: dict = {}  # constant name -> type, in declaration order
+        self.sorts: dict = {}  # constant name -> its SymVar, in declaration order
         self.enums: dict = {}
         self.literals: list = []  # translated, or the ValueError saying why not
         self.levels: list = []  # per pushed level: the sizes of the three above
@@ -118,7 +118,8 @@ class _Assertions:
             ty = _TYPES.get(node[2]) or self.enums.get(node[2])
             if ty is None:
                 raise ValueError(f"unknown sort {node[2]}")
-            self._add(self.sorts, _name(node[1]), ty)
+            name = _name(node[1])
+            self._add(self.sorts, name, SymVar(name, ty))
         elif node[0] == "assert":
             try:
                 lit = _to_sym(node[1], self.sorts, self.enums)
@@ -153,7 +154,7 @@ class _Assertions:
         literal is translated and prepared once while it stays asserted."""
         if any(isinstance(lit, ValueError) for lit in self.literals):
             return "unknown", None
-        decls = tuple(Leaf(n, t) for n, t in self.sorts.items())
+        decls = tuple(self.sorts.values())
         if self.session is None or self.session.decls != decls:
             self.session = SolverSession(decls)
         keep = shared_prefix(self.session.stack, self.literals)

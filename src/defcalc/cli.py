@@ -19,9 +19,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import random
 import sys
 
-from .lang import Diagnostic, validate
+from .lang import Diagnostic, _Checker, validate
 from .parser import ParseError, parse, parse_literal, print_program, print_value
 from .interp import OutcomeKind
 from .explorer import OPT_NAMES, ExploreConfig, explore
@@ -83,7 +84,6 @@ def _parse_opts(spec: str) -> list:
 
 
 def _parse_initial(program, scope_name: str, pairs) -> dict:
-    from .lang import _Checker
     scope = program.scope(scope_name)
     types = dict(scope.inputs)
     checker = _Checker(program)
@@ -208,7 +208,6 @@ def cmd_mutate(args) -> int:
             raise SystemExit(f"error: {e}")
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
-    import random
     rng = random.Random(args.seed)
     for i in range(args.count):
         kind = ops[i % len(ops)]

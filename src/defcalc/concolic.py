@@ -233,7 +233,7 @@ class _Ctx:
 class CompiledScope:
     """A scope compiled for one explore: run it with `run_scope_concolic`."""
     scope: Scope
-    leaves: dict  # leaf name -> its SymVar, one per compile
+    leaves: dict  # leaf name -> its SymVar, one per compile: declaration and term
     assertions: tuple  # ((run, span), ...)
     bindings: tuple  # ((name, run), ...)
 
@@ -244,7 +244,7 @@ def compile_scope(program: Program, scope_name: str,
     validated scope into closures, once, sharing one `Terms` table."""
     scope = program.scope(scope_name)
     ctx = _Ctx(program, opts, {}, Terms())
-    return CompiledScope(scope, {l.name: SymVar(l.name, l.ty) for l in scope_leaves(scope)},
+    return CompiledScope(scope, {l.name: l for l in scope_leaves(scope)},
                          tuple((_compile(a, ctx), a.span) for a in scope.assertions),
                          tuple((b.name, _compile(b.expr, ctx)) for b in scope.bindings))
 

@@ -49,10 +49,10 @@ from .interp import Outcome, OutcomeKind
 from .concolic import (
     BranchRecord, ConcolicOpts, Origin, compile_scope, run_scope_concolic,
 )
-from .solver import Sat, SolverFailure, SolverSession, Unknown
+from .solver import Sat, SolverFailure, SolverSession, SolverStats, Unknown
 from .symbolic import (
     default_value, inputs_of_leaf_env, leaf_env_of_inputs, render,
-    scope_leaves, shared_prefix, sym_not,
+    shared_prefix, sym_not,
 )
 from . import transforms
 
@@ -106,18 +106,12 @@ class Testcase:
 
 
 @dataclass
-class SuiteStats:
+class SuiteStats(SolverStats):
+    """The session's solver counters and what the exploration counted."""
     iterations: int = 0
     tests: int = 0
     conflicts: int = 0
     empties: int = 0
-    solver_calls: int = 0
-    sat: int = 0
-    unsat: int = 0
-    unknown: int = 0
-    solver_failures: int = 0
-    pushes: int = 0
-    pops: int = 0
 
 
 @dataclass
@@ -263,7 +257,7 @@ def explore(program: Program, scope_name: str,
 
     inputs = {n: config.initial.get(n, default_value(ty)) for n, ty in scope.inputs}
     env = leaf_env_of_inputs(scope, inputs)  # the leaf values of `inputs`
-    session = SolverSession(scope_leaves(scope), backend=config.backend,
+    session = SolverSession(compiled.leaves.values(), backend=config.backend,
                             on_query=config.on_query, retain=env)
     frontier = Frontier(session, config.incremental)
     decide = session.check_soft if config.soft else session.check
@@ -349,13 +343,10 @@ def explore(program: Program, scope_name: str,
             break
 
     kinds = [tc.outcome.kind for tc in suite.testcases]
-    s = session.stats
     suite.stats = SuiteStats(
-        iterations=len(suite.depth_trace), tests=len(kinds),
+        **vars(session.stats), iterations=len(suite.depth_trace), tests=len(kinds),
         conflicts=kinds.count(OutcomeKind.CONFLICT),
-        empties=kinds.count(OutcomeKind.EMPTY), solver_calls=s.checks, sat=s.sat,
-        unsat=s.unsat, unknown=s.unknown, solver_failures=s.failures,
-        pushes=s.pushes, pops=s.pops)
+        empties=kinds.count(OutcomeKind.EMPTY))
     return suite
 
 

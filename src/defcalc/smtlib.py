@@ -58,7 +58,7 @@ from .lang import (
 from .solver import Query, Sat, SolverFailure, Unknown, UNSAT
 from .symbolic import (
     SymBin, SymConst, SymExpr, SymIsVariant, SymNot, SymRound,
-    SymVar, default_value, shared_prefix, sym_sort,
+    SymVar, default_value, shared_prefix, sym_children, sym_sort,
 )
 
 _ROUND_DEF = (
@@ -122,7 +122,6 @@ def _const(v: Value) -> str:
 
 
 def _mentions_round(e: SymExpr) -> bool:
-    from .symbolic import sym_children
     if isinstance(e, SymRound):
         return True
     return any(_mentions_round(c) for c in sym_children(e))

@@ -47,8 +47,9 @@ enum tags, with Round occurrences.  The pipeline is:
 Model selection is deterministic: variables are assigned in declaration
 order with the smallest feasible absolute value (ties toward nonnegative);
 variables not mentioned by any literal keep their retained value (the
-session holds the exploration's initial input for this), so models stay
-close to the user's starting point.  One budget bounds the whole search:
+session holds the exploration's initial input for this, and gives it to an
+external model's unmentioned variables too), so models stay close to the
+user's starting point.  One budget bounds the whole search:
 every complete branch, every cut, every Round sign case and every integer
 candidate costs one unit.  When it runs out the answer is Unknown, never a
 wrong model.
@@ -67,7 +68,7 @@ from .lang import (
     EnumT, Value, VBool, VEnum, VInt, VMoney, VRat,
 )
 from .symbolic import (
-    FALSE, Leaf, SYM_OPS, SymBin, SymConst, SymExpr, SymIsVariant, SymNot,
+    FALSE, SYM_OPS, SymBin, SymConst, SymExpr, SymIsVariant, SymNot,
     SymRound, SymVar, TRUE, default_value, render, sym_eval, sym_eval_bool,
     sym_free_vars, sym_not, sym_sort,
 )
@@ -104,19 +105,20 @@ UNSAT = Unsat()
 
 @dataclass
 class SolverStats:
-    checks: int = 0
+    solver_calls: int = 0  # sat + unsat + unknown + solver_failures
     sat: int = 0
     unsat: int = 0
     unknown: int = 0
-    failures: int = 0  # SolverFailure from the backend or its model check
+    solver_failures: int = 0  # SolverFailure from the backend or its model check
     pushes: int = 0
     pops: int = 0
 
 
 @dataclass(frozen=True)
 class Query:
-    """One self-contained satisfiability question."""
-    decls: tuple  # tuple[Leaf, ...]
+    """One self-contained satisfiability question.  `decls` are the leaves
+    themselves, the `SymVar`s the literals mention, in declaration order."""
+    decls: tuple  # tuple[SymVar, ...]
     literals: tuple  # tuple[SymExpr, ...] conjunction
 
     def __post_init__(self):
@@ -1013,15 +1015,15 @@ def divisibility_constraints(decls, money_vars, unit: int) -> tuple:
     """Extend declarations and literals so every named money variable is a
     multiple of `unit` cents.  Each fresh multiplier is inserted immediately
     before its money variable so the minimal-|money| enumeration walks
-    multiples of the unit instead of single cents."""
+    multiples of the unit instead of single cents.  A literal's terms are
+    the declarations themselves: the money variable's and its multiplier's."""
     decls = list(decls)
     lits = []
     for m in money_vars:
-        aux = f".mult{unit}.{m}"
         idx = next(i for i, l in enumerate(decls) if l.name == m)
-        decls.insert(idx, Leaf(aux, INT))
-        lits.append(SymBin("=", SymVar(m, MONEY),
-                           SymBin("*", SymConst(VInt(unit)), SymVar(aux, INT))))
+        aux = SymVar(f".mult{unit}.{m}", INT)
+        lits.append(SymBin("=", decls[idx], SymBin("*", SymConst(VInt(unit)), aux)))
+        decls.insert(idx, aux)
     return tuple(decls), tuple(lits)
 
 
@@ -1086,21 +1088,27 @@ class SolverSession:
     def _decide(self, decls: tuple, extra: tuple) -> object:
         """Issue one query, the stack and `extra` over `decls`: emit it, solve
         it, model-check a Sat and count the verdict, or the `SolverFailure`
-        that ended it, so `checks` is always sat + unsat + unknown + failures.
-        A builtin model that violates the query is a bug here
-        (AssertionError); an external one is a `SolverFailure`."""
+        that ended it, so `solver_calls` is always sat + unsat + unknown +
+        solver_failures.  In an external model, every declaration that no
+        literal mentions takes its retained value, as in a builtin one,
+        before the model is checked.  A builtin model that violates the
+        query is a bug here (AssertionError); an external one is a
+        `SolverFailure`."""
         if self.backend is not None or self.on_query is not None:
             query = Query(decls, (*self.stack, *extra))
             if self.on_query is not None:
                 self.on_query(query)
         if self.backend is not None:
-            self.stats.checks += 1
+            self.stats.solver_calls += 1
             try:
                 res = self.backend.check(query, session=self)
                 if isinstance(res, Sat):
+                    mentioned = set().union(*map(sym_free_vars, query.literals))
+                    res = Sat({n: v if n in mentioned else self.retain.get(n, v)
+                               for n, v in res.model.items()})
                     _assert_model(res.model, query.literals, SolverFailure)
             except SolverFailure:
-                self.stats.failures += 1
+                self.stats.solver_failures += 1
                 raise
         else:
             frames, depth = self._frames, len(self.stack)
@@ -1113,7 +1121,7 @@ class SolverSession:
                 res = frames.check(decls, self.retain, self.budget)
             finally:
                 frames.truncate(depth)
-            self.stats.checks += 1
+            self.stats.solver_calls += 1
             if isinstance(res, Sat):
                 _assert_model(res.model, (*self.stack, *extra))
         if isinstance(res, Sat):

@@ -6,7 +6,9 @@ a struct input ``h`` contributes ``h.income``, ``h.kids``, ...; an enum input
 payload-carrying variant.  Symbolic terms mention only leaves, which keeps
 the solver first-order: booleans, integers (ints and money in cents), exact
 rationals, and finite enum tags, combined by linear arithmetic, comparisons,
-connectives, and the rounding operators.
+connectives, and the rounding operators.  A leaf is a `SymVar`, one object
+per compiled scope (`scope_leaves`, kept as `CompiledScope.leaves`): the
+solver session declares the very objects the terms mention.
 
 `SYM_OPS` is the one statement of each binary operator's meaning on ground
 values (bools and Fractions): `sym_eval` dispatches through it, and the
@@ -298,14 +300,8 @@ def _ground(v: Value):
 # Input flattening
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """One scalar solver variable derived from a scope input."""
-    name: str
-    ty: SemType  # BOOL | INT | RAT | MONEY | EnumT
-
-
 def scope_leaves(scope) -> list:
+    """The scope's leaves, a fresh `SymVar` each, in declaration order."""
     return [leaf for n, ty in scope.inputs
             for leaf, _ in _input_leaves(n, ty, default_value(ty))]
 
@@ -339,14 +335,14 @@ def _input_leaves(name: str, ty: SemType, v: Value):
             for f, fty in fields:
                 yield from _input_leaves(f"{name}.{f}", fty, v.field(f))
         case EnumT(_, variants):
-            yield Leaf(name, ty), VEnum(ty.name, v.variant)
+            yield SymVar(name, ty), VEnum(ty.name, v.variant)
             for variant, pty in variants:
                 if pty is not None:
                     held = variant == v.variant and v.payload is not None
                     yield from _input_leaves(f"{name}::{variant}", pty,
                                              v.payload if held else default_value(pty))
         case _:
-            yield Leaf(name, ty), v
+            yield SymVar(name, ty), v
 
 
 def leaf_env_of_inputs(scope, inputs: dict) -> dict:

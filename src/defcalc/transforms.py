@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from .lang import (
     Assert, BinOp, Binding, Call, Default, EnumMake, Expr, FieldGet,
     Function, If, Let, Lit, Match, MatchArm, Not, Opaque, Program, Scope,
-    StructMake, Var, VBool, VEmpty, children, free_input_vars, map_bottom_up,
+    StructMake, Var, VBool, VEmpty, _plain_free_vars, children, free_input_vars,
+    map_bottom_up,
 )
 
 
@@ -102,7 +103,6 @@ def _alpha_key(e: Expr, bound: dict) -> tuple:
 def _binder_used(arm: MatchArm) -> bool:
     if arm.binder is None:
         return False
-    from .lang import _plain_free_vars
     return arm.binder in _plain_free_vars(arm.body)
 
 

@@ -8,7 +8,8 @@ from defcalc.lang import (
     BinOp, Binding, Default, Lit, Program, Scope, StructT, Var, VBool, VInt,
     VMoney, VRat, VEnum, MONEY,
 )
-from defcalc.concolic import BranchRecord, Origin
+from defcalc.concolic import BranchRecord, Origin, compile_scope
+from defcalc import explorer
 from defcalc.explorer import (
     ExploreConfig, Frontier, PrefixInvariantViolation, explore, filter_trivial,
     path_fingerprint,
@@ -17,7 +18,7 @@ from defcalc.interp import OutcomeKind
 from defcalc import solver
 from defcalc.solver import SolverSession
 from defcalc.symbolic import (
-    Leaf, SymBin, SymConst, SymNot, SymVar, TRUE, render,
+    SymBin, SymConst, SymNot, SymVar, TRUE, render, sym_children,
 )
 
 from genutil import (
@@ -178,7 +179,7 @@ def rec(lit, taken=True, origin=Origin.JUSTIFICATION, hard=False):
 B = SymVar("b", BOOL)
 X = SymVar("x", INT)
 XEQ0 = SymBin("=", X, SymConst(VInt(0)))
-LEAVES = (Leaf("b", BOOL), Leaf("x", INT))
+LEAVES = (SymVar("b", BOOL), SymVar("x", INT))
 
 
 def literal_key(lit):
@@ -218,7 +219,7 @@ def test_prefix_divergence_restarts_with_early_error():
 
 def test_early_error_cut_pops_the_session_below_it():
     queries = []
-    session = SolverSession((Leaf("b", BOOL), Leaf("x", INT)),
+    session = SolverSession((SymVar("b", BOOL), SymVar("x", INT)),
                             on_query=lambda q: queries.append(list(q.literals)))
     f = Frontier(session)
     gt = SymBin(">", X, SymConst(VInt(0)))
@@ -292,7 +293,7 @@ def test_a_keyed_and_queried_literal_is_simplified_once(monkeypatch, incremental
     assert f.next_target(True) == 1
     assert isinstance(f.query(1, session.check), solver.Sat)
     assert isinstance(f.query(0, session.check), solver.Sat)
-    assert session.stats.checks == 2
+    assert session.stats.solver_calls == 2
     assert [e for e in seen if e in (gt, SymNot(gt))] == [gt]
     assert [e for e in seen if e in (B, SymNot(B))] == [B]
 
@@ -751,6 +752,40 @@ def test_no_term_table_outlives_an_explore():
         objects = [{id(r.constraint) for tc in s.testcases for r in tc.path}
                    - {id(TRUE), id(FALSE)} for s in (first, second)]
         assert len(objects[0]) > 1 and not objects[0] & objects[1]
+
+
+def _mentioned(e):
+    """Every SymVar object in `e`, with repeats."""
+    if isinstance(e, SymVar):
+        return [e]
+    return [v for c in sym_children(e) for v in _mentioned(c)]
+
+
+def test_one_object_per_solver_variable(monkeypatch):
+    # The session declares the compiled scope's leaves themselves, and every
+    # variable of every query, a soft tier's money term included, is the
+    # object the query declares under its name.
+    from conftest import load_program
+    def keeping(make, made):
+        def wrapper(*args, **kw):
+            made.append(make(*args, **kw))
+            return made[-1]
+        return wrapper
+    compiled, sessions, queries = [], [], []
+    monkeypatch.setattr(explorer, "compile_scope", keeping(compile_scope, compiled))
+    monkeypatch.setattr(explorer, "SolverSession", keeping(SolverSession, sessions))
+    suite = explore(load_program("soft_money.dfc"), "Subsidy", ExploreConfig.from_opt_names(
+        ["soft"], on_query=queries.append))
+    (leaves,), (session,) = [c.leaves for c in compiled], sessions
+    assert suite.complete and len(queries) == suite.stats.solver_calls > 1
+    assert len(session.decls) == len(leaves)
+    assert all(d is leaves[d.name] for d in session.decls)
+    tier_lits = [lit for tier in session._tiers for lit in tier]
+    assert tier_lits and all(lit.lhs is leaves[lit.lhs.name] for lit in tier_lits)
+    for q in queries:
+        declared = {d.name: d for d in q.decls}
+        assert all(declared[n] is leaf for n, leaf in leaves.items())
+        assert all(declared[v.name] is v for lit in q.literals for v in _mentioned(lit))
 
 
 def test_entry_fingerprint_takes_taken_from_the_path():

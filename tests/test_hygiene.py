@@ -1,6 +1,7 @@
 """Source hygiene, checked with `ast` alone: no module of the engine or of
-`scripts/` imports a name it never uses, and no private top-level function
-or class of the engine is left that nothing refers to."""
+`scripts/` imports a name it never uses, no function of the engine imports
+anything, and no private top-level function or class of the engine is left
+that nothing refers to."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,15 @@ def test_no_module_imports_a_name_it_never_uses():
               for p in ENGINE + SCRIPTS if p.name != "__init__.py"
               for name, line in _unused_imports(_tree(p))]
     assert unused == []
+
+
+def test_no_engine_function_imports():
+    # Imports go at module level, where a reader sees what a module uses.
+    local = [f"{p.relative_to(ROOT)}:{n.lineno}: in {f.name}"
+             for p in ENGINE for f in ast.walk(_tree(p))
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for n in ast.walk(f) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert local == []
 
 
 def test_every_private_definition_is_referenced():

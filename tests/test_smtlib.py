@@ -22,13 +22,13 @@ from defcalc.solver import (
     Query, Sat, SolverFailure, SolverSession, Unknown, Unsat,
 )
 from defcalc.symbolic import (
-    Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
+    SymBin, SymConst, SymIsVariant, SymNot, SymRound, SymVar,
 )
 from defcalc.testkit import emit_suite
 
 
 def q_simple():
-    return Query((Leaf("x", INT),),
+    return Query((SymVar("x", INT),),
                  (SymBin(">", SymVar("x", INT), SymConst(VInt(0))),))
 
 
@@ -46,7 +46,7 @@ def test_emission_declares_and_asserts():
 def test_round_definition_present_iff_used():
     text = emit_smtlib(q_simple())
     assert "dfc_round" not in text
-    q = Query((Leaf("x", INT),),
+    q = Query((SymVar("x", INT),),
               (SymBin("=", SymRound(SymBin("*", SymVar("x", INT),
                                            SymConst(VRat(Fraction(1, 5))))),
                       SymConst(VInt(2))),))
@@ -56,7 +56,7 @@ def test_round_definition_present_iff_used():
 
 
 def test_worked_example_query_emission():
-    q = Query((Leaf("b", BOOL), Leaf("x", INT)),
+    q = Query((SymVar("b", BOOL), SymVar("x", INT)),
               (SymVar("b", BOOL), SymBin("=", SymVar("x", INT), SymConst(VInt(0)))))
     text = emit_smtlib(q)
     assert "(declare-const b Bool)" in text
@@ -67,7 +67,7 @@ def test_worked_example_query_emission():
 
 def test_enum_emitted_as_datatype():
     zone = EnumT("Zone", (("A", None), ("B", None)))
-    q = Query((Leaf("z", zone),),
+    q = Query((SymVar("z", zone),),
               (SymIsVariant(SymVar("z", zone), "A"),))
     text = emit_smtlib(q)
     assert "(declare-datatypes ((Zone 0)) (((A) (B))))" in text
@@ -75,14 +75,14 @@ def test_enum_emitted_as_datatype():
 
 
 def test_money_and_dotted_names():
-    q = Query((Leaf("h.income", MONEY),),
+    q = Query((SymVar("h.income", MONEY),),
               (SymBin(">=", SymVar("h.income", MONEY), SymConst(VMoney(100))),))
     text = emit_smtlib(q)
     assert "(declare-const |h.income| Int)" in text
 
 
 def test_int_real_mixing_inserts_to_real():
-    q = Query((Leaf("x", INT), Leaf("r", RAT)),
+    q = Query((SymVar("x", INT), SymVar("r", RAT)),
               (SymBin("<", SymVar("x", INT), SymVar("r", RAT)),))
     text = emit_smtlib(q)
     assert "(to_real x)" in text
@@ -96,8 +96,8 @@ def test_sexpr_parser():
 
 def test_model_parsing_covers_sorts():
     zone = EnumT("Zone", (("A", None), ("B", None)))
-    q = Query((Leaf("x", INT), Leaf("m", MONEY), Leaf("r", RAT),
-               Leaf("b", BOOL), Leaf("z", zone)), ())
+    q = Query((SymVar("x", INT), SymVar("m", MONEY), SymVar("r", RAT),
+               SymVar("b", BOOL), SymVar("z", zone)), ())
     reply = """
     ( (define-fun x () Int (- 7))
       (define-fun m () Int 1000001)
@@ -121,7 +121,7 @@ def test_error_reply_is_not_a_model():
 @pytest.mark.parametrize("value", ["((B))", "()", "C", '"A"'])
 def test_unreadable_enum_value_is_a_solver_failure(value):
     zone = EnumT("Zone", (("A", None), ("B", None)))
-    q = Query((Leaf("z", zone),), ())
+    q = Query((SymVar("z", zone),), ())
     assert model_of("((define-fun z () Zone (B)))", q)["z"].variant == "B"
     with pytest.raises(SolverFailure, match="for enum Zone"):
         model_of(f"((define-fun z () Zone {value}))", q)
@@ -131,19 +131,19 @@ def test_unreadable_enum_value_is_a_solver_failure(value):
     (INT, "Int", "(/ 7 2)"), (INT, "Int", "1.5"), (INT, "Int", "true"),
     (MONEY, "Int", "(/ 7 2)"), (BOOL, "Bool", "17"), (BOOL, "Bool", "(not true)")])
 def test_model_value_outside_its_sort_is_a_solver_failure(ty, sort, value):
-    q = Query((Leaf("v", ty),), ())
+    q = Query((SymVar("v", ty),), ())
     with pytest.raises(SolverFailure, match=f"as the {ty} value of v"):
         model_of(f"((define-fun v () {sort} {value}))", q)
 
 
 def test_integral_fraction_reads_as_an_int():
-    q = Query((Leaf("x", INT), Leaf("m", MONEY)), ())
+    q = Query((SymVar("x", INT), SymVar("m", MONEY)), ())
     reply = "((define-fun x () Int (/ 14 2)) (define-fun m () Int 3.0))"
     assert model_of(reply, q) == {"x": VInt(7), "m": VMoney(3)}
 
 
 def test_missing_defs_fall_back_to_defaults():
-    q = Query((Leaf("x", INT),), ())
+    q = Query((SymVar("x", INT),), ())
     model = model_of("( )", q)
     assert model["x"] == VInt(0)
     # An entry that is not (define-fun NAME () SORT VALUE) defines nothing.
@@ -191,8 +191,8 @@ def read_in_chunks(text: str, cuts) -> list:
 
 
 ZONE = EnumT("Zone", (("A", None), ("B", None)))
-LEAVES = (Leaf("x", INT), Leaf("h.income", MONEY), Leaf("r", RAT),
-          Leaf("b", BOOL), Leaf("z", ZONE))
+LEAVES = (SymVar("x", INT), SymVar("h.income", MONEY), SymVar("r", RAT),
+          SymVar("b", BOOL), SymVar("z", ZONE))
 VALUES = {
     INT: st.integers(-10**12, 10**12).map(VInt),
     MONEY: st.integers(-10**12, 10**12).map(VMoney),
@@ -270,7 +270,7 @@ def shim(scripts_dir):
 
 
 def test_shim_agrees_with_builtin_on_sat(shim):
-    q = Query((Leaf("b", BOOL), Leaf("x", INT)),
+    q = Query((SymVar("b", BOOL), SymVar("x", INT)),
               (SymVar("b", BOOL), SymBin("=", SymVar("x", INT), SymConst(VInt(0)))))
     res = shim.check(q)
     assert isinstance(res, Sat)
@@ -280,12 +280,12 @@ def test_shim_agrees_with_builtin_on_sat(shim):
 
 def test_shim_agrees_with_builtin_on_unsat(shim):
     lit = SymBin(">", SymVar("x", INT), SymConst(VInt(0)))
-    q = Query((Leaf("x", INT),), (lit, SymNot(lit)))
+    q = Query((SymVar("x", INT),), (lit, SymNot(lit)))
     assert isinstance(shim.check(q), Unsat)
 
 
 def test_shim_handles_round_and_money(shim):
-    q = Query((Leaf("m", MONEY),),
+    q = Query((SymVar("m", MONEY),),
               (SymBin("=", SymRound(SymBin("*", SymVar("m", MONEY),
                                            SymConst(VRat(Fraction(1, 5))))),
                       SymConst(VInt(200000))),
@@ -455,7 +455,7 @@ def sent(tmp_path) -> list:
 
 def test_a_query_sharing_a_prefix_sends_only_its_difference(tmp_path):
     with logging_solver(tmp_path) as ext:
-        sess = SolverSession((Leaf("x", INT),), backend=ext)
+        sess = SolverSession((SymVar("x", INT),), backend=ext)
         sess.push(x_is(">", 0))
         sess.push(x_is("<", 5))
         assert isinstance(sess.check([x_is("<", 4)]), Sat)
@@ -481,16 +481,16 @@ def test_other_declarations_and_a_new_session_start_from_reset(tmp_path):
     positive = SymBin(">", SymVar("m", MONEY), SymConst(VMoney(0)))
     answers = "sat sat  sat unsat unsat unsat  sat  sat sat  sat  sat"
     with logging_solver(tmp_path, answers) as ext:
-        sess = SolverSession((Leaf("x", INT), Leaf("m", MONEY)), backend=ext)
+        sess = SolverSession((SymVar("x", INT), SymVar("m", MONEY)), backend=ext)
         sess.push(positive)
         models = [sess.check_soft().model,  # the hard query, then the $100 tier's
                   sess.check_soft([x_is(">", 0)]).model]  # no tier: the hard model
         sess.check()
         models.append(sess.check_soft().model)
-        other = SolverSession((Leaf("m", MONEY),), backend=ext)
+        other = SolverSession((SymVar("m", MONEY),), backend=ext)
         other.push(positive)
         other.check()
-        ext.check(Query((Leaf("x", INT),), (x_is(">", 0),)))  # no session
+        ext.check(Query((SymVar("x", INT),), (x_is(">", 0),)))  # no session
     assert models == [{"x": VInt(1), "m": VMoney(100000)}] * 3
     checks = sent(tmp_path)
     assert len(checks) == 11
@@ -523,7 +523,7 @@ def test_a_soft_exploration_resets_the_solver_once(scripts_dir):
 
 def test_the_model_request_after_unsat_is_answered_and_read(tmp_path):
     with logging_solver(tmp_path, "unsat sat unknown sat") as ext:
-        sess = SolverSession((Leaf("x", INT),), backend=ext)
+        sess = SolverSession((SymVar("x", INT),), backend=ext)
         sess.push(x_is(">", 0))
         assert isinstance(sess.check(), Unsat)
         assert sess.check([x_is("<", 2)]).model == {"x": VInt(1)}
@@ -547,11 +547,11 @@ for line in sys.stdin:
 
 def test_reset_separates_queries_on_one_process(shim):
     zone = EnumT("Zone", (("A", None), ("B", None)))
-    first = Query((Leaf("z", zone), Leaf("x", INT)),
+    first = Query((SymVar("z", zone), SymVar("x", INT)),
                   (SymIsVariant(SymVar("z", zone), "A"),
                    SymBin(">", SymVar("x", INT), SymConst(VInt(2)))))
     # The same enum and the same name `x`, now a rational.
-    second = Query((Leaf("z", zone), Leaf("x", RAT)),
+    second = Query((SymVar("z", zone), SymVar("x", RAT)),
                    (SymIsVariant(SymVar("z", zone), "B"),
                     SymBin("=", SymBin("*", SymConst(VInt(2)), SymVar("x", RAT)),
                            SymConst(VInt(1)))))
@@ -603,7 +603,7 @@ def test_shim_answers_an_incomplete_last_command_with_an_error(scripts_dir):
 
 def test_shim_refuses_a_model_after_unsat(scripts_dir):
     lit = SymBin(">", SymVar("x", INT), SymConst(VInt(0)))
-    text = emit_smtlib(Query((Leaf("x", INT),), (lit, SymNot(lit))))
+    text = emit_smtlib(Query((SymVar("x", INT),), (lit, SymNot(lit))))
     p = subprocess.run([sys.executable, str(scripts_dir / "smtlib_solve.py")],
                        input=text, capture_output=True, text=True, timeout=60)
     assert p.stdout.split() == ["unsat", "(error", '"model', "is", "not", 'available")']
@@ -741,7 +741,7 @@ for line in sys.stdin:
 
 def test_external_model_violating_the_query_is_a_failure(tmp_path):
     with fake_solver(tmp_path, SAT_WITH_BAD_MODEL) as ext:
-        sess = SolverSession((Leaf("x", INT),), backend=ext)
+        sess = SolverSession((SymVar("x", INT),), backend=ext)
         lit = SymBin(">", SymVar("x", INT), SymConst(VInt(0)))
         with pytest.raises(SolverFailure, match="violating"):
             sess.check([lit])
@@ -759,9 +759,12 @@ def test_explore_counts_violating_external_models(tmp_path, fig5):
 # -- differential: the shim backend reproduces the builtin suites ---------------
 
 
-BUNDLED = (("fig5.dfc", "Main"), ("income_tax.dfc", "IncomeTax"),
-           ("geo_match.dfc", "Housing"), ("trivial_just.dfc", "Fees"),
-           ("soft_money.dfc", "Subsidy"), ("benefits_medium.dfc", "Benefits"))
+# (program, scope, `--initial` hints).  The hinted fig5 run's first flip,
+# `!b`, does not mention `x`, so its model must keep the hint `x = 3`.
+BUNDLED = (("fig5.dfc", "Main", {}), ("income_tax.dfc", "IncomeTax", {}),
+           ("geo_match.dfc", "Housing", {}), ("trivial_just.dfc", "Fees", {}),
+           ("soft_money.dfc", "Subsidy", {}), ("benefits_medium.dfc", "Benefits", {}),
+           ("fig5.dfc", "Main", {"b": VBool(True), "x": VInt(3)}))
 
 
 def emitted(suite, directory) -> dict:
@@ -772,10 +775,11 @@ def emitted(suite, directory) -> dict:
 @pytest.mark.parametrize("opts", [(), ("soft",), OPT_NAMES],
                          ids=["none", "soft", "all"])
 def test_shim_suites_equal_builtin_suites(shim, opts, tmp_path):
-    for name, scope in BUNDLED:
+    for i, (name, scope, initial) in enumerate(BUNDLED):
         prog = load_program(name)
-        want = explore(prog, scope, ExploreConfig.from_opt_names(opts))
-        got = explore(prog, scope, ExploreConfig.from_opt_names(opts, backend=shim))
+        want = explore(prog, scope, ExploreConfig.from_opt_names(opts, initial=initial))
+        got = explore(prog, scope, ExploreConfig.from_opt_names(
+            opts, initial=initial, backend=shim))
         assert got.complete, name
-        assert (emitted(got, tmp_path / f"{name}.shim")
-                == emitted(want, tmp_path / f"{name}.builtin")), name
+        assert (emitted(got, tmp_path / f"{i}.shim")
+                == emitted(want, tmp_path / f"{i}.builtin")), (name, initial)

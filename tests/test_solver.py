@@ -21,7 +21,7 @@ from defcalc.solver import (
     Query, Sat, SolverSession, SolverUsageError, Unknown, Unsat, simplify,
 )
 from defcalc.symbolic import (
-    FALSE, Leaf, SymBin, SymConst, SymIsVariant, SymNot, SymRound,
+    FALSE, SymBin, SymConst, SymIsVariant, SymNot, SymRound,
     SymVar, TRUE, render, sym_eval, sym_eval_bool,
 )
 
@@ -47,8 +47,8 @@ def _fresh_check(decls, lits, retain=None, limit=solver.DEFAULT_BUDGET):
     return SolverSession(decls, budget=limit, retain=retain).check(lits)
 
 
-B = Leaf("b", BOOL)
-X = Leaf("x", INT)
+B = SymVar("b", BOOL)
+X = SymVar("x", INT)
 
 
 # -- check -----------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_contradiction_is_unsat():
 
 
 def test_money_strict_threshold_minimal_model():
-    m = Leaf("x", MONEY)
+    m = SymVar("x", MONEY)
     s = session(m)
     s.push(SymNot(SymBin("<=", SymVar("x", MONEY), SymConst(VMoney(1000000)))))
     res = s.check()
@@ -100,7 +100,7 @@ def test_retained_values_survive_when_unconstrained():
 
 def test_enum_constraints():
     zone = EnumT("Zone", (("A", None), ("B", None), ("C", None)))
-    z = Leaf("z", zone)
+    z = SymVar("z", zone)
     s = session(z)
     s.push(SymNot(SymIsVariant(SymVar("z", zone), "A")))
     res = s.check()
@@ -111,7 +111,7 @@ def test_enum_constraints():
 
 
 def test_rational_variable_solution_is_exact():
-    r = Leaf("r", RAT)
+    r = SymVar("r", RAT)
     s = session(r)
     s.push(SymBin("<", c(Fraction(1, 3)), SymVar("r", RAT)))
     s.push(SymBin("<", SymVar("r", RAT), c(Fraction(2, 3))))
@@ -122,7 +122,7 @@ def test_rational_variable_solution_is_exact():
 
 def test_round_term_solved_consistently_with_evaluator():
     # round(x * 1/5) = 7 has integer solutions near 35
-    x = Leaf("x", INT)
+    x = SymVar("x", INT)
     s = session(x)
     lit = SymBin("=", SymRound(SymBin("*", v("x"), c(Fraction(1, 5)))), c(7))
     s.push(lit)
@@ -134,7 +134,7 @@ def test_round_term_solved_consistently_with_evaluator():
 def test_nonlinear_returns_unknown():
     xy = SymBin("*", v("x"), v("y"))
     for lit in (SymBin("=", xy, c(6)), SymBin(">", xy, c(1))):
-        res = session(X, Leaf("y", INT)).check([lit])
+        res = session(X, SymVar("y", INT)).check([lit])
         assert isinstance(res, Unknown)
         # the reason names the atom that failed to linearize, not the budget
         assert "x * y" in res.reason and "budget" not in res.reason
@@ -195,7 +195,7 @@ def test_incremental_equals_fresh_over_random_sequences():
 # -- soft tiers ----------------------------------------------------------------
 
 
-M = Leaf("x", MONEY)
+M = SymVar("x", MONEY)
 
 
 def money_sym():
@@ -258,7 +258,7 @@ def _money_queries(draw):
     of 1 cent to $300, bounded on one side, or free, the two sometimes tied
     by a sum or a difference."""
     names = ["m", "n"][:draw(st.integers(1, 2))]
-    s = SolverSession([Leaf(name, MONEY) for name in names])
+    s = SolverSession([SymVar(name, MONEY) for name in names])
     for name in names:
         var = SymVar(name, MONEY)
         kind = draw(st.sampled_from(["pin", "window", "above", "below", "free"]))
@@ -281,7 +281,7 @@ def _money_queries(draw):
 def _tiers_refuted_by_divisibility():
     """m > $1,000.00, n > -$265,420.00 and m - n = -$97.30: every soft tier
     is infeasible only because no two multiples of $1 differ by $97.30."""
-    s = SolverSession([Leaf("m", MONEY), Leaf("n", MONEY)])
+    s = SolverSession([SymVar("m", MONEY), SymVar("n", MONEY)])
     m, n = SymVar("m", MONEY), SymVar("n", MONEY)
     s.push(SymBin(">", m, SymConst(VMoney(100_000))))
     s.push(SymBin(">", n, SymConst(VMoney(-26_542_000))))
@@ -312,7 +312,7 @@ def test_soft_check_without_money_is_the_hard_check():
     s = session(X)
     s.push(SymBin(">", v("x"), c(7)))
     res = s.check_soft()
-    assert res == Sat({"x": VInt(8)}) and s.stats.checks == 1
+    assert res == Sat({"x": VInt(8)}) and s.stats.solver_calls == 1
     assert s.tier_of(res.model) is None
 
 
@@ -387,7 +387,7 @@ def _random_literal(rng):
 
 def test_builtin_matches_brute_force_on_small_domains():
     rng = random.Random(31337)
-    leaves = (Leaf("b", BOOL), Leaf("x", INT), Leaf("y", INT))
+    leaves = (SymVar("b", BOOL), SymVar("x", INT), SymVar("y", INT))
     bound_lits = [SymBin(">=", v(n), c(-8)) for n in ("x", "y")] + \
                  [SymBin("<=", v(n), c(8)) for n in ("x", "y")]
     for _ in range(120):
@@ -407,7 +407,7 @@ def test_stats_count_checks():
     s.push(v("b", BOOL))
     s.check()
     s.check()
-    assert s.stats.checks == 2
+    assert s.stats.solver_calls == 2
     assert s.stats.sat == 2
 
 
@@ -417,7 +417,7 @@ def test_unsat_past_four_thousand_branches():
     def both_above(i):
         return SymBin("&&", SymBin(">", v("x"), c(i)), SymBin(">", v("y"), c(i)))
     lits = (both_above(20),) + tuple(SymNot(both_above(i)) for i in range(1, 14))
-    assert _fresh_check((X, Leaf("y", INT)), lits) == solver.UNSAT
+    assert _fresh_check((X, SymVar("y", INT)), lits) == solver.UNSAT
 
 
 def test_unit_literals_bound_the_search_from_the_root():
@@ -426,7 +426,7 @@ def test_unit_literals_bound_the_search_from_the_root():
     def both_above(i):
         return SymBin("&&", SymBin(">", v("x"), c(i)), SymBin(">", v("y"), c(i)))
     lits = tuple(SymNot(both_above(i)) for i in range(1, 21)) + (both_above(30),)
-    decls = (X, Leaf("y", INT))
+    decls = (X, SymVar("y", INT))
     assert _fresh_check(decls, lits, limit=64) == solver.UNSAT
     # Unit bounds that clash decide the check on the frames, for no budget.
     lits = (SymBin(">", v("x"), c(3)), SymNot(both_above(1)), SymBin("<", v("x"), c(2)))
@@ -451,7 +451,7 @@ def test_session_prepares_each_literal_once(monkeypatch):
     real_children = symbolic.sym_children
     monkeypatch.setattr(symbolic, "sym_children",
                         lambda e: walks.append(e) or real_children(e))
-    s = session(X, Leaf("y", INT))
+    s = session(X, SymVar("y", INT))
     s.push(SymBin(">", v("x"), c(3)))
     s.push(SymNot(SymBin("=", v("x"), v("y"))))
     first = s.check()
@@ -465,7 +465,7 @@ def test_session_prepares_each_literal_once(monkeypatch):
 def test_budget_exhaustion_returns_unknown():
     # forcing a huge enumeration with a tiny budget must degrade to Unknown,
     # never to a wrong verdict
-    s = SolverSession((X, Leaf("y", INT)), budget=16)
+    s = SolverSession((X, SymVar("y", INT)), budget=16)
     res = s.check([SymBin(">", v("x"), c(10 ** 7)),
                    SymBin("=", SymBin("+", v("x"), v("y")), c(3)),
                    SymBin(">", v("y"), c(0))])
@@ -781,8 +781,8 @@ def test_prune_keeps_a_ground_row():
 
 
 ZONE = EnumT("Zone", (("A", None), ("B", None), ("C", None)))
-_MIXED_LEAVES = (Leaf("b", BOOL), Leaf("x", INT), Leaf("y", INT),
-                 Leaf("q", RAT), Leaf("m", MONEY), Leaf("z", ZONE))
+_MIXED_LEAVES = (SymVar("b", BOOL), SymVar("x", INT), SymVar("y", INT),
+                 SymVar("q", RAT), SymVar("m", MONEY), SymVar("z", ZONE))
 
 
 def _random_mixed_literal(rng):
@@ -900,7 +900,7 @@ def test_session_frames_match_fresh_builtin_checks(rng, limit):
                     want = run(lambda: _check_soft(fresh, lits))
                 assert got == want
     assert s.stack == stack
-    assert s.stats.checks == len(fresh_checks)
+    assert s.stats.solver_calls == len(fresh_checks)
     assert s.stats.sat == sum(isinstance(r, Sat) for r in fresh_checks)
     assert s.stats.unknown == sum(isinstance(r, Unknown) for r in fresh_checks)
 
@@ -1224,7 +1224,7 @@ def test_rational_pick_without_integer_completion_is_decided():
     q, x = v("q", RAT), v("x")
     lits = (SymBin("=", q, SymBin("/", x, c(10))), SymBin(">=", x, c(1)),
             SymBin("<=", x, c(8)))
-    assert _fresh_check((Leaf("q", RAT), X), lits) == \
+    assert _fresh_check((SymVar("q", RAT), X), lits) == \
         Sat({"q": VRat(Fraction(1, 10)), "x": VInt(1)})
 
 
