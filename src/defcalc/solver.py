@@ -23,10 +23,12 @@ enum tags, with Round occurrences.  The pipeline is:
    at the first choice it refutes, and every branch's facts agree;
 3. per branch, replace Round terms with integer auxiliaries, split once
    per Round occurrence on its sign, and for each sign case add the defining
-   inequalities and solve the linear core over primitive integer rows
-   (`_row`).  A variable that shares no row with another is decided once,
-   from its own rows: an empty window answers the case before any search,
-   and after it the variable takes its window's value of least magnitude.
+   inequalities, built for both signs once per branch from one linear form
+   of the Round's argument (`_round_rows`), and solve the linear core over
+   primitive integer rows (`_row`).  A variable that shares no row with
+   another is decided once, from its own rows: an empty window answers the
+   case before any search, and after it the variable takes its window's
+   value of least magnitude.
    The others, tied, are searched over their rows and the ground rows, with
    equalities over the integers presolved as in the Omega test
    (`_int_unsolvable`).  Fourier-Motzkin combines rows in ints and keeps
@@ -200,10 +202,8 @@ def simplify(e: SymExpr) -> SymExpr:
             return e
         if isinstance(v, bool):
             return TRUE if v else FALSE
-        if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return SymConst(VInt(v.numerator))
-            return SymConst(VRat(v))
+        if isinstance(v, (int, Fraction)):
+            return SymConst(VInt(v.numerator) if v.denominator == 1 else VRat(v))
         return e
     match e:
         case SymNot(a):
@@ -369,26 +369,20 @@ def _strip_rounds(atoms: list) -> tuple:
 _HALF = Fraction(1, 2)
 
 
-def _round_cases(specs: list) -> Iterator[list]:
-    """All sign-split assignments for the round specs, each yielding the
-    defining linear atoms."""
-    per_spec = []
-    half = SymConst(VRat(_HALF))
-    for aux, arg in specs:
-        v = SymVar(aux, INT)
-        nonneg = [
-            ("num", "<=", SymConst(VInt(0)), arg),
-            ("num", "<=", SymBin("-", v, half), arg),   # aux - 1/2 <= t
-            ("num", "<", arg, SymBin("+", v, half)),     # t < aux + 1/2
-        ]
-        negative = [
-            ("num", "<", arg, SymConst(VInt(0))),
-            ("num", "<", SymBin("-", v, half), arg),     # aux - 1/2 < t
-            ("num", "<=", arg, SymBin("+", v, half)),    # t <= aux + 1/2
-        ]
-        per_spec.append([nonneg, negative])
-    for combo in itertools.product(*per_spec):
-        yield [a for case in combo for a in case]
+def _round_rows(aux: str, arg: SymExpr) -> tuple:
+    """The rows defining aux = round(t), t the term `arg`, for t >= 0 and for
+    t < 0, each case's three in the order 0 <= t (t < 0), aux - 1/2 <= t
+    (<), t < aux + 1/2 (<=), from one linear form of t.  A t that does not
+    linearize raises NonLinear naming the first of them."""
+    try:
+        coeffs, k = linearize(arg)
+    except NonLinear:
+        raise NonLinear(f"not linear: {render(SymBin('<=', SymConst(VInt(0)), arg))}")
+    neg = {n: -c for n, c in coeffs.items()}
+    below = _row({aux: 1, **neg}, -_HALF - k, "<=")
+    above = _row({**coeffs, aux: -1}, k - _HALF, "<")
+    return ([_row(neg, -k, "<="), below, above],
+            [_row(coeffs, k, "<"), (*below[:2], "<"), (*above[:2], "<=")])
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +548,11 @@ def _window(rows: list, name: str, vals: dict, is_int: bool):
 
 def _tighten(window: tuple, c: int, t, op: str) -> Optional[tuple]:
     """`window` (lo, lo_strict, hi, hi_strict) of x narrowed by c*x + t OP 0,
-    None when that leaves it empty."""
+    None when that leaves it empty.  A bound stays an int when c divides an
+    int t, as it does in every one-variable row of a threshold (c = 1 or -1)."""
     lo, lo_strict, hi, hi_strict = window
-    bound, strict = Fraction(-t, c), op == "<"
+    bound = -t // c if type(t) is int and t % c == 0 else Fraction(-t, c)
+    strict = op == "<"
     if c > 0 or op == "=":  # x <= bound
         if hi is None or bound < hi or (bound == hi and strict):
             hi, hi_strict = bound, strict
@@ -592,7 +588,7 @@ def _pick_rational(rows: list, name: str, vals: dict) -> Fraction:
     window = _window(rows, name, vals, True)
     if window is None:
         lo, _, hi, _ = _window(rows, name, vals, False)
-        return (lo + hi) / 2
+        return Fraction(lo + hi, 2)
     ilo, ihi = window
     k = 0 if ilo is None else max(0, ilo)
     return Fraction(k if ihi is None else min(k, ihi))
@@ -953,17 +949,19 @@ def _solve_branch(branch: list, facts: tuple, decls: tuple, retain: dict,
              if l.ty != BOOL and not isinstance(l.ty, EnumT)]
     order += [(aux, True) for aux, _ in specs]
 
-    # Each Round case costs one unit of budget, charged before the
-    # branch's atoms are linearized (a NonLinear atom still pays for it).
-    split_cost = 1 if specs else 0
-    for case in _round_cases(specs):
-        budget.spend(split_cost)
-        atoms = num_atoms + case
-        system = [_lin_form(a, memo) for a in atoms]
-        if None in system:
-            _, op, a, b = atoms[system.index(None)]
-            raise NonLinear(f"not linear: {render(SymBin(op, a, b))}")
-        solution = _solve_linear(system, order, budget)
+    # Each Round sign case costs one unit of budget; the first is charged
+    # before the branch's atoms are linearized (a NonLinear atom still pays
+    # for it).  Every case reads the rows built here, once per branch.
+    if specs:
+        budget.spend()
+    system = [_lin_form(a, memo) for a in num_atoms]
+    if None in system:
+        _, op, a, b = num_atoms[system.index(None)]
+        raise NonLinear(f"not linear: {render(SymBin(op, a, b))}")
+    for i, case in enumerate(itertools.product(*(_round_rows(*s) for s in specs))):
+        if i:
+            budget.spend()
+        solution = _solve_linear(system + [r for rows in case for r in rows], order, budget)
         if solution is not None:
             return _fill_model(decls, facts[0], facts[1], solution, retain)
     return None

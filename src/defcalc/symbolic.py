@@ -11,8 +11,8 @@ per compiled scope (`scope_leaves`, kept as `CompiledScope.leaves`): the
 solver session declares the very objects the terms mention.
 
 `SYM_OPS` is the one statement of each binary operator's meaning on ground
-values (bools and Fractions): `sym_eval` dispatches through it, and the
-solver's ground folding and row tests read it.
+values (bools, and ints or Fractions): `sym_eval` dispatches through it, and
+the solver's ground folding and row tests read it.
 
 Terms are hash-consed per exploration: `compile_scope` owns one `Terms`
 table, its closures build every compound term through it, and it dies with
@@ -232,13 +232,14 @@ def _render(e: SymExpr) -> str:
     raise TypeError(f"not a symbolic term: {e!r}")
 
 
-# op -> its function on ground values: bools for the connectives, Fractions
-# (money read as cents) for the rest; `/` raises ZeroDivisionError on zero.
+# op -> its function on ground values: bools for the connectives, ints or
+# Fractions (money read as cents) for the rest.  `/` is the one operator that
+# makes a Fraction of two ints, and raises ZeroDivisionError on zero.
 SYM_OPS = {
     "&&": lambda a, b: a and b, "||": lambda a, b: a or b,
     "=": operator.eq, "<": operator.lt, "<=": operator.le,
     ">": operator.gt, ">=": operator.ge,
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": Fraction,
 }
 
 
@@ -246,10 +247,11 @@ def sym_eval(e: SymExpr, env: dict):
     """Evaluate a symbolic term under a leaf environment.
 
     Symbolic arithmetic is exact rational arithmetic with money read as its
-    cent count; rounding is explicit via the Round node (round_rat is
-    the same function the interpreter rounds with).  Returns a bool, a
-    Fraction, or a VEnum tag.  Raises ZeroDivisionError on division by zero,
-    which callers treat as an unsatisfied term.
+    cent count: ints and money stay ints until a rational or a quotient
+    enters; rounding is explicit via the Round node (round_rat is the same
+    function the interpreter rounds with).  Returns a bool, an int or
+    Fraction, or a VEnum tag.  Raises ZeroDivisionError on division by
+    zero, which callers treat as an unsatisfied term.
     """
     match e:
         case SymVar(name, _):
@@ -267,7 +269,7 @@ def sym_eval(e: SymExpr, env: dict):
         case SymNot(a):
             return not sym_eval(a, env)
         case SymRound(a):
-            return Fraction(round_rat(sym_eval(a, env)))
+            return round_rat(sym_eval(a, env))
         case SymIsVariant(a, variant):
             v = sym_eval(a, env)
             assert isinstance(v, VEnum)
@@ -285,12 +287,10 @@ def _ground(v: Value):
     match v:
         case VBool(b):
             return b
-        case VInt(i):
-            return Fraction(i)
+        case VInt(i) | VMoney(i):
+            return i
         case VRat(q):
             return q
-        case VMoney(c):
-            return Fraction(c)
         case VEnum():
             return v
     raise TypeError(f"not a scalar value: {v!r}")

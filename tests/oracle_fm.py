@@ -6,22 +6,54 @@ The code below `_BRANCH_CAP` is kept verbatim so that tests can require the
 live solver to return the same verdicts, models and budget exhaustion.  Do
 not edit it to follow changes in `defcalc.solver`; a difference is the
 thing the tests look for.  `_BRANCH_CAP` itself came from `defcalc.solver`
-until the live search dropped the cap and kept one budget.
+until the live search dropped the cap and kept one budget, and
+`_round_cases` until the live branch built each Round's rows from one
+linear form of its argument.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from defcalc.lang import BOOL, INT, MONEY, EnumT
+from defcalc.lang import BOOL, INT, MONEY, EnumT, VInt, VRat
 from defcalc.solver import (
     DEFAULT_BUDGET, UNSAT, NonLinear, Sat, Unknown, _branches, _Budget,
-    _fill_model, _OutOfBudget, _round_cases, _strip_rounds, linearize, simplify,
+    _fill_model, _OutOfBudget, _strip_rounds, linearize, simplify,
 )
-from defcalc.symbolic import FALSE, TRUE, SymBin, SymExpr
+from defcalc.symbolic import FALSE, TRUE, SymBin, SymConst, SymExpr, SymVar
 
 _BRANCH_CAP = 4096
+
+# ---------------------------------------------------------------------------
+# Round sign cases as atoms, as `defcalc.solver` built them before it built
+# each case's rows straight from one linear form of the Round argument.
+
+_HALF = Fraction(1, 2)
+
+
+def _round_cases(specs: list) -> Iterator[list]:
+    """All sign-split assignments for the round specs, each yielding the
+    defining linear atoms."""
+    per_spec = []
+    half = SymConst(VRat(_HALF))
+    for aux, arg in specs:
+        v = SymVar(aux, INT)
+        nonneg = [
+            ("num", "<=", SymConst(VInt(0)), arg),
+            ("num", "<=", SymBin("-", v, half), arg),   # aux - 1/2 <= t
+            ("num", "<", arg, SymBin("+", v, half)),     # t < aux + 1/2
+        ]
+        negative = [
+            ("num", "<", arg, SymConst(VInt(0))),
+            ("num", "<", SymBin("-", v, half), arg),     # aux - 1/2 < t
+            ("num", "<=", arg, SymBin("+", v, half)),    # t <= aux + 1/2
+        ]
+        per_spec.append([nonneg, negative])
+    for combo in itertools.product(*per_spec):
+        yield [a for case in combo for a in case]
+
 
 # ---------------------------------------------------------------------------
 # Linear core: Fourier-Motzkin + branch-and-bound over the integers

@@ -1068,6 +1068,88 @@ def test_round_chain_completes_with_the_least_x(n):
         assert got.output("out") == VInt(out)
 
 
+def test_round_chain_branch_linearizes_each_round_argument_once(monkeypatch):
+    # round-chain-6's one branch: one call per side of its one atom and one
+    # per Round argument (38 when each sign case linearized its own atoms).
+    state = {"branches": 0, "inside": False, "depth": 0, "calls": 0}
+    lin, branch = solver.linearize, solver._solve_branch
+
+    def counted_lin(e):
+        state["calls"] += state["inside"] and not state["depth"]
+        state["depth"] += 1
+        try:
+            return lin(e)
+        finally:
+            state["depth"] -= 1
+
+    def counted_branch(*a):
+        state["branches"] += 1
+        state["inside"] = True
+        try:
+            return branch(*a)
+        finally:
+            state["inside"] = False
+    monkeypatch.setattr(solver, "linearize", counted_lin)
+    monkeypatch.setattr(solver, "_solve_branch", counted_branch)
+    explore(_round_chain(6), "Chain")
+    assert (state["branches"], state["calls"]) == (1, 8)
+
+
+_ROUND_LEAVES = (v("x"), SymVar("q", RAT), SymVar("m", MONEY))
+
+
+@st.composite
+def _round_branches(draw):
+    """A branch of one atom, the sum of 1-3 Rounds below a constant; each
+    Round's argument is linear over 1-3 leaves with rational coefficients,
+    and may hold the Round before it."""
+    def q():
+        return c(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 7))))
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        leaves = draw(st.lists(st.sampled_from(_ROUND_LEAVES), min_size=1, max_size=3,
+                               unique=True))
+        terms = [SymBin("*", q(), leaf) for leaf in leaves]
+        if rounds and draw(st.booleans()):
+            terms.append(rounds[-1])
+        arg = q()
+        for t in terms:
+            arg = SymBin(draw(st.sampled_from("+-")), arg, t)
+        rounds.append(SymRound(arg))
+    total = rounds[0]
+    for r in rounds[1:]:
+        total = SymBin("+", total, r)
+    return [("num", "<", total, q())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_round_branches())
+def test_round_rows_are_the_rows_of_the_oracle_atoms(branch):
+    # Every sign case's rows, row for row and entry for entry, are those
+    # that `_row` makes of the pre-rewrite case atoms' linear forms.
+    got = []
+    with mock.patch.object(solver, "_solve_linear", lambda rows, *_: got.append(rows)):
+        assert solver._solve_branch(branch, ({}, {}, {}), _ROUND_LEAVES, {},
+                                    solver._Budget(solver.DEFAULT_BUDGET), {}) is None
+    atoms, specs = solver._strip_rounds(branch)
+    want = [[solver._lin_form(a, {}) for a in atoms + case]
+            for case in oracle_fm._round_cases(specs)]
+    assert len(got) == 2 ** len(specs)
+    assert [[(list(r[0].items()), *r[1:]) for r in rows] for rows in got] == \
+        [[(list(r[0].items()), *r[1:]) for r in rows] for rows in want]
+
+
+def test_integral_values_stay_ints_and_quotients_exact():
+    # 0 < q < 1 holds no integer: q takes the midpoint of its int bounds.
+    q = SymVar("q", RAT)
+    res = session(q).check([SymBin("<", c(0), q), SymBin("<", q, c(1))])
+    assert type(res.model["q"].q) is Fraction and res.model["q"].q == Fraction(1, 2)
+    half = sym_eval(SymBin("/", v("x"), c(2)), {"x": VInt(1)})
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(sym_eval(SymBin("+", v("x"), c(2)), {"x": VInt(1)})) is int
+    assert simplify(SymBin("+", c(2), c(3))) == SymConst(VInt(5))
+
+
 _BOX = 6
 
 
