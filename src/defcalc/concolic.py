@@ -12,6 +12,23 @@ code.  Chronological order is what keeps the previous path a prefix of the
 next one during depth-first exploration.  Which records are trivial is the
 solver session's to say (`SolverSession.literal_key`).
 
+An exploration runs one compiled scope many times, mostly over the same
+terms, so each site keeps a one-entry cache of what it built on an earlier
+run (an inline cache, after Deutsch and Schiffman, POPL 1984).  An operator
+site (arithmetic, scalar `=`, a division's `= 0` check, a match arm's test)
+keeps its last operand terms and the term it built from them, the Round
+wrap included, and returns that term while the operands are the same
+objects.  A recording site (if, justification, match arm, division check,
+assertion) keeps, for each (taken, hard), the last condition and the record
+it made, and appends that same record while the condition is the same
+object.  Neither can go stale: a term is a function of its operand objects,
+and the `Terms` table, which a miss still asks, holds one object per term
+for the life of the compiled scope; a record is a function of its
+condition, its `taken` and `hard`, and its site's origin and span, and
+records are immutable.  Every run still evaluates every node; a cache only
+saves the lookup and the allocation, and lets the paths of one explore
+share their record objects.
+
 A branch whose condition has no symbolic form (it tests an opaque call's
 result, or compares enums that carry payloads, or matches on or divides
 by such a value) appends a `CONCRETIZED` record whose constraint is true:
@@ -63,6 +80,7 @@ class BranchRecord:
     origin: Origin
     hard: bool = False  # assertion-derived: conjoined always, never negated
     span: Optional[Span] = field(default=None, compare=False, repr=False)
+    _fp = None  # `explorer.path_fingerprint`'s fragment, kept on first use
 
     def negated(self) -> "BranchRecord":
         return replace(self, constraint=sym_not(self.constraint), taken=not self.taken)
@@ -193,19 +211,30 @@ class ConcolicState:
         self.path: list = []
         self.hard_mode = False
 
-    def emit_cond(self, sym: Optional[SymExpr], taken: bool, origin: Origin,
-                  span: Optional[Span]) -> None:
-        if sym is None:
-            self.emit_concretized(span)
-            return
-        literal = sym if taken else sym_not(sym)
-        self.path.append(BranchRecord(literal, taken, origin, self.hard_mode, span))
 
-    def emit_concretized(self, span: Optional[Span]) -> None:
-        # A branch whose condition has no symbolic form: the explorer never
-        # flips it and marks the run incomplete, naming `span`.
-        self.path.append(BranchRecord(TRUE, True, Origin.CONCRETIZED,
-                                      self.hard_mode, span))
+_UNSET = object()
+
+
+def _recorder(origin: Origin, span: Optional[Span]):
+    """The record emitter of one recording site: `record(st, sym, taken)`
+    appends the record of the condition `sym` as taken (a `CONCRETIZED` one
+    when `sym` is None).  It keeps, per (taken, hard), the last condition and
+    the record it made, and appends that same record while the condition is
+    the same object."""
+    conds, records = [_UNSET] * 4, [None] * 4  # index: 2 * hard + taken
+
+    def record(st: ConcolicState, sym: Optional[SymExpr], taken: bool) -> None:
+        hard = st.hard_mode
+        slot = 2 * hard + taken
+        if conds[slot] is not sym:
+            conds[slot] = sym
+            # A branch whose condition has no symbolic form: the explorer
+            # never flips it and marks the run incomplete, naming `span`.
+            records[slot] = BranchRecord(TRUE, True, Origin.CONCRETIZED, hard, span) \
+                if sym is None else \
+                BranchRecord(sym if taken else sym_not(sym), taken, origin, hard, span)
+        st.path.append(records[slot])
+    return record
 
 
 def _conflict_cv(span: Optional[Span]) -> CV:
@@ -234,7 +263,7 @@ class CompiledScope:
     """A scope compiled for one explore: run it with `run_scope_concolic`."""
     scope: Scope
     leaves: dict  # leaf name -> its SymVar, one per compile: declaration and term
-    assertions: tuple  # ((run, span), ...)
+    assertions: tuple  # ((run, record, span), ...)
     bindings: tuple  # ((name, run), ...)
 
 
@@ -245,7 +274,8 @@ def compile_scope(program: Program, scope_name: str,
     scope = program.scope(scope_name)
     ctx = _Ctx(program, opts, {}, Terms())
     return CompiledScope(scope, {l.name: l for l in scope_leaves(scope)},
-                         tuple((_compile(a, ctx), a.span) for a in scope.assertions),
+                         tuple((_compile(a, ctx), _recorder(Origin.ASSERTION, a.span),
+                                a.span) for a in scope.assertions),
                          tuple((b.name, _compile(b.expr, ctx)) for b in scope.bindings))
 
 
@@ -364,79 +394,103 @@ def _compile(expr: Expr, ctx: _Ctx):
 
 def _compile_branch(cond: Expr, then, els, span: Optional[Span], ctx: _Ctx):
     """An if, or an inline assertion whose else side is the conflict."""
-    run = _compile(cond, ctx)
+    run, record = _compile(cond, ctx), _recorder(Origin.IF_COND, span)
 
     def branch(env, st):
         ccv = run(env, st)
         v = ccv.value
         if isinstance(v, _ERRORS):
             return ccv
-        st.emit_cond(ccv.sym, v.b, Origin.IF_COND, span)
+        record(st, ccv.sym, v.b)
         return (then if v.b else els)(env, st)
     return branch
 
 
 def _compile_binop(expr: BinOp, ctx: _Ctx):
+    """An operator site keeps its last operand terms and the term it built
+    from them, and returns that term while the operands are the same objects;
+    a miss asks the table, so the kept term is the one the table holds."""
     op, span, table, terms = expr.op, expr.span, BINOPS[expr.op], ctx.terms
     run_l, run_r = _compile(expr.lhs, ctx), _compile(expr.rhs, ctx)
-
-    def operands(env, st):
-        lcv = run_l(env, st)
-        if isinstance(lcv.value, _ERRORS):
-            return lcv, None
-        rcv = run_r(env, st)
-        if isinstance(rcv.value, _ERRORS):
-            return rcv, None
-        return lcv, rcv
+    last_l = last_r = last = None  # None operands have no term: a valid entry
 
     if op == "=":
         def eq(env, st):
-            lcv, rcv = operands(env, st)
-            if rcv is None:
+            nonlocal last_l, last_r, last
+            lcv = run_l(env, st)
+            if isinstance(lcv.value, _ERRORS):
                 return lcv
+            rcv = run_r(env, st)
+            if isinstance(rcv.value, _ERRORS):
+                return rcv
             lv, rv = lcv.value, rcv.value
-            return CV(table[lv.__class__, rv.__class__](lv, rv),
-                      eq_formula(lcv, rcv, terms))
+            value = table[lv.__class__, rv.__class__](lv, rv)
+            if lcv.__class__ is not CV or rcv.__class__ is not CV:
+                return CV(value, eq_formula(lcv, rcv, terms))
+            lsym, rsym = lcv.sym, rcv.sym
+            if lsym is not last_l or rsym is not last_r:
+                last_l, last_r = lsym, rsym
+                last = None if lsym is None or rsym is None \
+                    else terms(SymBin, "=", lsym, rsym)
+            return CV(value, last)
         return eq
 
+    divides = op == "/"
+    if divides:
+        # Division branches implicitly on the denominator being zero; the
+        # check is recorded before dividing.
+        record = _recorder(Origin.DIV_ZERO_CHECK, span)
+        last_den = last_check = None
+
     def arith(env, st):
-        lcv, rcv = operands(env, st)
-        if rcv is None:
+        nonlocal last_l, last_r, last, last_den, last_check
+        lcv = run_l(env, st)
+        if isinstance(lcv.value, _ERRORS):
             return lcv
-        lv, rv, rsym = lcv.value, rcv.value, rcv.sym
-        if op == "/":
-            # Division branches implicitly on the denominator being zero;
-            # the check is recorded before dividing.
-            if rsym is None:
-                st.emit_concretized(span)
-            else:
-                zero = _ZERO[rv.__class__]
-                st.emit_cond(terms(SymBin, "=", rsym, zero), rv == zero.value,
-                             Origin.DIV_ZERO_CHECK, span)
+        rcv = run_r(env, st)
+        if isinstance(rcv.value, _ERRORS):
+            return rcv
+        lv, rv, lsym, rsym = lcv.value, rcv.value, lcv.sym, rcv.sym
+        if divides:
+            zero = _ZERO[rv.__class__]
+            if rsym is not last_den:
+                last_den = rsym
+                last_check = None if rsym is None else terms(SymBin, "=", rsym, zero)
+            record(st, last_check, rv == zero.value)
         value = table[lv.__class__, rv.__class__](lv, rv)
         if value is CONFLICT:
             return _conflict_cv(span)
-        lsym = lcv.sym
-        if lsym is None or rsym is None:
-            return CV(value, None)
-        sym = terms(SymBin, op, lsym, rsym)
-        # The only mixed operand types are money and rate under * and /,
-        # whose result is rounded to the cent.
-        return CV(value, sym if lv.__class__ is rv.__class__ else terms(SymRound, sym))
+        if lsym is not last_l or rsym is not last_r:
+            last_l, last_r = lsym, rsym
+            if lsym is None or rsym is None:
+                last = None
+            else:
+                sym = terms(SymBin, op, lsym, rsym)
+                # The only mixed operand types are money and rate under * and
+                # /, whose result is rounded to the cent.
+                last = sym if lv.__class__ is rv.__class__ else terms(SymRound, sym)
+        return CV(value, last)
     return arith
 
 
 def _compile_match(expr: Match, ctx: _Ctx):
     run = _compile(expr.scrutinee, ctx)
-    span, arms, terms = expr.span, expr.arms, ctx.terms
-    bodies = tuple((arm.binder, _compile(arm.body, ctx)) for arm in arms)
+    span, terms = expr.span, ctx.terms
+    variants = tuple(arm.variants for arm in expr.arms)
+    bodies = tuple((arm.binder, _compile(arm.body, ctx)) for arm in expr.arms)
+    records = tuple(_recorder(Origin.MATCH_ARM, span) for _ in variants)
+    record_concretized = _recorder(Origin.CONCRETIZED, span)
     first_arm = {}
-    for i, arm in enumerate(arms):
-        for v in arm.variants or ():
+    for i, vs in enumerate(variants):
+        for v in vs or ():
             first_arm.setdefault(v, i)
-    wildcard = next((i for i, arm in enumerate(arms) if arm.variants is None), None)
+    wildcard = next((i for i, vs in enumerate(variants) if vs is None), None)
+    last_arm = len(variants) - 1
+    # The arm tests built for `last_tag`, each made on first use.
+    last_tag, tests = None, [None] * len(variants)
 
     def match(env, st):
+        nonlocal last_tag, tests
         scv = run(env, st)
         sv = scv.value
         if isinstance(sv, _ERRORS):
@@ -446,26 +500,30 @@ def _compile_match(expr: Match, ctx: _Ctx):
             payload_cv = scv.payload
         else:
             # Concretized enum: arm choice may depend on inputs invisibly.
-            st.emit_concretized(span)
+            record_concretized(st, None, True)
             tag_sym = None
             payload_cv = CV(sv.payload, None) if sv.payload is not None else None
         k = first_arm.get(sv.variant, wildcard)
         if k is None:
             raise ConcolicError(f"match fell through on {sv!r}")
         if tag_sym is not None:
+            if tag_sym is not last_tag:
+                last_tag, tests = tag_sym, [None] * len(variants)
             # Arms test in order, like an if/elif cascade; the final arm's
             # test is implied by the negations before it and is not recorded.
             for i in range(k + 1):
-                if arms[i].variants is None:
+                if variants[i] is None:
                     continue  # wildcard: always last, nothing to test
-                test = None
-                for v in arms[i].variants:
-                    t = terms(SymIsVariant, tag_sym, v)
-                    test = t if test is None else terms(SymBin, "||", test, t)
+                test = tests[i]
+                if test is None:
+                    for v in variants[i]:
+                        t = terms(SymIsVariant, tag_sym, v)
+                        test = t if test is None else terms(SymBin, "||", test, t)
+                    tests[i] = test
                 if i < k:
-                    st.emit_cond(test, False, Origin.MATCH_ARM, span)
-                elif i < len(arms) - 1:
-                    st.emit_cond(test, True, Origin.MATCH_ARM, span)
+                    records[i](st, test, False)
+                elif i < last_arm:
+                    records[i](st, test, True)
         binder, body = bodies[k]
         if binder is None:
             return body(env, st)
@@ -478,7 +536,7 @@ def _compile_match(expr: Match, ctx: _Ctx):
 def _compile_default(expr: Default, ctx: _Ctx):
     excs = tuple((_compile(e, ctx), e.span) for e in expr.exceptions)
     run_just, run_cons = _compile(expr.just, ctx), _compile(expr.cons, ctx)
-    just_span = expr.just.span or expr.span
+    record = _recorder(Origin.JUSTIFICATION, expr.just.span or expr.span)
     lazy, early_error = ctx.opts.lazy, ctx.opts.early_error
 
     def default(env, st):
@@ -508,7 +566,7 @@ def _compile_default(expr: Default, ctx: _Ctx):
         jv = jcv.value
         if isinstance(jv, _ERRORS):
             return jcv
-        st.emit_cond(jcv.sym, jv.b, Origin.JUSTIFICATION, just_span)
+        record(st, jcv.sym, jv.b)
         if jv.b:
             return run_cons(env, st)
         return CV(EMPTY, None)
@@ -530,11 +588,11 @@ def run_scope_concolic(compiled: CompiledScope, inputs: dict) -> tuple:
     cenv = {n: symbolic_input(n, ty, inputs[n], compiled.leaves) for n, ty in scope.inputs}
 
     state.hard_mode = True
-    for run, span in compiled.assertions:
+    for run, record, span in compiled.assertions:
         ccv = run(cenv, state)
         v = ccv.value
         if isinstance(v, VBool):
-            state.emit_cond(ccv.sym, v.b, Origin.ASSERTION, span)
+            record(state, ccv.sym, v.b)
             if not v.b:
                 return Outcome(OutcomeKind.PRECONDITION, span=span), state.path
         else:

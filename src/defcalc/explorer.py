@@ -29,11 +29,15 @@ a query passes the prefix as extra literals, prepared at every check.
 
 The concolic runs of one explore build their terms through one intern
 table (`symbolic.Terms`), so the records of successive runs hold the same
-constraint objects: `reconcile` matches the prefix by identity, a flipped
-entry's literal is the one the next run records, and a path is fingerprinted
-from texts its terms keep.  The fingerprint reads the `taken` flags of the
-path's own records, since `reconcile` keeps an entry whose constraint equals
-the new record's whatever its flag.
+constraint objects: `reconcile` matches the prefix by identity, and a flipped
+entry's literal is the one the next run records.  Each recording site also
+appends the record it made before when its condition is the same object
+(see concolic.py), so successive runs, and the testcases' paths, share
+record objects.  A path is fingerprinted from the fragment each record
+keeps, `render(constraint)#taken`, made on the record's first fingerprint
+as a term's text is on its first rendering.  The fingerprint reads the
+`taken` flags of the path's own records, since `reconcile` keeps an entry
+whose constraint equals the new record's whatever its flag.
 """
 
 from __future__ import annotations
@@ -133,9 +137,16 @@ class TestSuite:
 
 
 def path_fingerprint(path) -> str:
-    """sha256 of the path's rendered constraints, each with its `taken` flag."""
-    text = ";".join(f"{render(r.constraint)}#{int(r.taken)}" for r in path)
+    """sha256 of the path's rendered constraints, each with its `taken` flag;
+    a record keeps its fragment, as a term keeps its text."""
+    text = ";".join([r._fp or _fragment(r) for r in path])
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _fragment(record: BranchRecord) -> str:
+    fp = f"{render(record.constraint)}#{int(record.taken)}"
+    object.__setattr__(record, "_fp", fp)
+    return fp
 
 
 _UNKEYED = object()

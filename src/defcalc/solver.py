@@ -141,21 +141,21 @@ class NonLinear(Exception):
 
 def linearize(e: SymExpr) -> tuple:
     """Linear normal form of a numeric term: (coeffs, const) meaning
-    sum(coeffs[v]*v) + const.  Raises NonLinear on products of variables,
-    division by a non-ground term, or leftover Round nodes."""
+    sum(coeffs[v]*v) + const.  Entries stay ints until a rational constant
+    or a `/` enters, which makes a Fraction as `SYM_OPS["/"]` does.  Raises
+    NonLinear on products of variables, division by a non-ground term, or
+    leftover Round nodes."""
     match e:
         case SymVar(name, ty):
             if ty == BOOL or isinstance(ty, EnumT):
                 raise NonLinear("boolean/enum term in numeric position")
-            return {name: Fraction(1)}, Fraction(0)
+            return {name: 1}, 0
         case SymConst(v):
             match v:
-                case VInt(i):
-                    return {}, Fraction(i)
+                case VInt(i) | VMoney(i):
+                    return {}, i
                 case VRat(q):
                     return {}, q
-                case VMoney(c):
-                    return {}, Fraction(c)
             raise NonLinear(f"non-numeric constant {v!r}")
         case SymBin("+" | "-" as op, lhs, rhs):
             return _lin_sum(linearize(lhs), linearize(rhs), op)
@@ -172,7 +172,7 @@ def linearize(e: SymExpr) -> tuple:
             if c2 or k2 == 0:
                 raise NonLinear("division by a non-ground or zero term")
             c1, k1 = linearize(lhs)
-            return {n: c / k2 for n, c in c1.items()}, k1 / k2
+            return {n: Fraction(c, k2) for n, c in c1.items()}, Fraction(k1, k2)
     raise NonLinear(f"not linear: {render(e)}")
 
 
@@ -731,7 +731,7 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
     # backtracking handle.
     def go(d: int) -> Optional[dict]:
         if d == len(todo):
-            return {n: Fraction(v) for n, v in vals.items()}
+            return dict(vals)
         # Integral-emptiness pruning: if any pending integer variable's
         # window holds no integer, the fixed values have no integer
         # completion.  No window costs budget.
@@ -760,7 +760,7 @@ def _solve_linear(rows: list, order: list, budget: _Budget) -> Optional[dict]:
         return _solve_linear(rows, sorted(variables, key=lambda v: not v[1]), budget) \
             if untried else None
     for (name, is_int, own), window in zip(untied, own_windows):
-        out[name] = Fraction(next(_int_candidates(*window, budget))) if is_int \
+        out[name] = next(_int_candidates(*window, budget)) if is_int \
             else _pick_rational(own, name, {})
     return out
 
@@ -993,7 +993,9 @@ def _fill_model(decls: tuple, bools: dict, allowed: dict, nums: dict,
     return model
 
 
-def _num_value(ty, f: Fraction) -> Value:
+def _num_value(ty, f: int | Fraction) -> Value:
+    """The value of a numeric variable solved as `f`, which is integral (an
+    int, or a Fraction of denominator 1) for an integer or money variable."""
     if ty == INT:
         assert f.denominator == 1
         return VInt(f.numerator)

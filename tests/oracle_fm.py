@@ -69,8 +69,8 @@ class _Infeasible(Exception):
 def _lin_atoms(atoms: list) -> list:
     out = []
     for _, op, a, b in atoms:
-        c1, k1 = linearize(a)
-        c2, k2 = linearize(b)
+        c1, k1 = _fractions(linearize(a))
+        c2, k2 = _fractions(linearize(b))
         coeffs = dict(c1)
         for n, c in c2.items():
             coeffs[n] = coeffs.get(n, Fraction(0)) - c
@@ -78,6 +78,13 @@ def _lin_atoms(atoms: list) -> list:
                 del coeffs[n]
         out.append((coeffs, k1 - k2, op))
     return out
+
+
+def _fractions(form: tuple) -> tuple:
+    """`linearize`'s form with every entry a Fraction: it keeps integral
+    entries as ints, and this oracle's arithmetic divides them."""
+    coeffs, const = form
+    return {n: Fraction(c) for n, c in coeffs.items()}, Fraction(const)
 
 
 def _check_ground(coeffs: dict, const: Fraction, op: str) -> Optional[bool]:

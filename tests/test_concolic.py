@@ -373,6 +373,104 @@ def test_trail_matches_the_frame_stack_oracle():
                for _, path in want for r in path if not sym_free_vars(r.constraint))
 
 
+def _brackets(n: int):
+    """brackets-N: N rate brackets whose justifications are conjunctions."""
+    rules = "".join(
+        f"def b{i}: rate = default <rule (income > ${i},000.00 && kids >= {i % 4}"
+        f" :- {i + 1}%)> (true :- 0%);\n" for i in range(1, n + 1))
+    total = " + ".join(f"income * b{i}" for i in range(1, n + 1))
+    return parse_or_raise("scope Brackets { input income: money; input kids: int;\n"
+                          f"{rules}def tax: money = {total}; output tax; }}")
+
+
+# One function body, so one set of sites, runs under an assertion (hard
+# records) and under a binding (soft ones) with the same conditions.
+SHARED_BODY = """
+fn pos(n: int) -> bool = if n > 0 then true else false
+scope S {
+  input x: int;
+  assert pos(x) || x = -3;
+  def y: int = if pos(x) then 1 else 0;
+  output y;
+}
+"""
+
+
+def test_warm_sites_match_the_frame_stack_oracle():
+    """One compiled scope per program and setting runs a sequence of inputs
+    and then the same sequence reversed, so its operator and recording sites
+    meet both operands and conditions they kept from the run before and new
+    ones.  Every run's outcome and records, spans and `hard` included, equal
+    the tree walker's on that input."""
+    import oracle_concolic
+    from defcalc.explorer import explore
+
+    rng = random.Random(3031)
+    programs = []
+    for _ in range(12):
+        prog = gen_scope_program(rng)
+        programs.append((prog, "Rand", list(enumerate_inputs(prog.scopes[0]))))
+    for name, scope in BUNDLED:
+        prog = load_program(name)
+        programs.append((prog, scope, [tc.inputs for tc in explore(prog, scope).testcases]))
+    for n in (3, 4, 5):
+        incomes = [i * 100_000 + d for i in range(n + 1) for d in (-1, 0, 1)]
+        programs.append((_brackets(n), "Brackets", [{"income": VMoney(c), "kids": VInt(k)}
+                                                    for c in incomes for k in range(4)]))
+    programs.append((parse_or_raise(ROUND_CHAIN), "Chain", [
+        {"x": VMoney(c)} for c in (0, -1, 544_444, 544_450, 1_000_000, -544_450, 0)]))
+    programs.append((parse_or_raise(SHARED_BODY), "S",
+                     [{"x": VInt(x)} for x in (3, 3, -3, 0, 1, -3, -1, 2)]))
+    opts = [ConcolicOpts(lazy=lazy, early_error=early)
+            for lazy in (False, True) for early in (False, True)]
+    runs = 0
+    for prog, scope, inputs in programs:
+        for o in opts:
+            compiled = compile_scope(prog, scope, o)
+            for env in inputs + inputs[::-1]:
+                out_w, path_w = run_scope_concolic(compiled, env)
+                out_g, path_g = oracle_concolic.run_scope(prog, scope, env, o)
+                assert (out_w, out_w.span) == (out_g, out_g.span)
+                assert _records(path_w) == _records(path_g)
+                runs += 1
+    assert runs > 20_000
+
+
+def _articles(n: int):
+    """articles-N: N int inputs, each refined by two exceptions over a base
+    case, summed into one output; 3^N paths."""
+    defs = "".join(f"def a{i}: int = default <rule (x{i} > {i} :- {i + 1}), "
+                   f"rule (x{i} < -{i} :- 2)> (true :- 0);\n" for i in range(1, n + 1))
+    inputs = "".join(f"input x{i}: int;\n" for i in range(1, n + 1))
+    total = " + ".join(f"a{i}" for i in range(1, n + 1))
+    return parse_or_raise(f"scope Articles {{\n{inputs}{defs}def total: int = {total};\n"
+                          "output total; }")
+
+
+def test_testcase_paths_share_their_records():
+    """A recording site appends the record it made before when the condition
+    is the same object, so articles-6's 729 paths hold about as many record
+    objects as distinct records, and a function body's site keeps its hard
+    records (under an assertion) apart from its soft ones (under a binding)."""
+    from defcalc.explorer import explore
+    suite = explore(_articles(6), "Articles")
+    assert len(suite.testcases) == 729
+    records = [r for tc in suite.testcases for r in tc.path]
+    assert len(set(records)) == 25 and len({id(r) for r in records}) <= 50
+
+    compiled = compile_scope(parse_or_raise(SHARED_BODY), "S")
+    paths = [run_scope_concolic(compiled, {"x": VInt(x)})[1] for x in (3, -3, 3)]
+    # pos(x)'s test, the assertion, then pos(x)'s test again and the if on it
+    assert [(r.origin, r.hard) for r in paths[0]] == [
+        (Origin.IF_COND, True), (Origin.ASSERTION, True),
+        (Origin.IF_COND, False), (Origin.IF_COND, False)]
+    hard_test, _, soft_test, _ = paths[0]
+    assert hard_test.constraint is soft_test.constraint and hard_test is not soft_test
+    assert paths[1][0].hard and not paths[1][0].taken and not paths[1][2].hard
+    # The taken side's records outlive a run that took the other side.
+    assert paths[2] == paths[0] and paths[2][0] is hard_test and paths[2][2] is soft_test
+
+
 def test_income_tax_zero_inputs_path(income_tax):
     out, path = run(income_tax, "IncomeTax",
                     {"income": VMoney(0), "nb_children": VInt(0)})
